@@ -8,8 +8,9 @@ no such path is the schedule's partition span.
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -79,53 +80,47 @@ class PartitionSchedule:
         lo, hi = (a, b) if a < b else (b, a)
         return not any(o.a == lo and o.b == hi and o.covers(t) for o in self.outages)
 
-    def live_neighbors(self, t: int, node: int) -> list[int]:
-        return [
-            other
-            for other in range(self.node_count)
-            if other != node and self.link_up(t, node, other)
-        ]
+    @cached_property
+    def _segments(self) -> tuple[list[int], list[list[int]]]:
+        """Boundary ticks, and a component label per node for each segment.
 
-    def reachable(self, t: int, a: int, b: int, direct_only: bool = False) -> bool:
+        Segment i spans [bounds[i], bounds[i + 1]), the last one without
+        end; the live graph is constant inside a segment. Built on first
+        query rather than at construction, so reading a config stays cheap.
+        """
+        events: dict[int, list[tuple[int, int, int]]] = {0: []}
+        for o in self.outages:
+            events.setdefault(o.start, []).append((o.a, o.b, 1))
+            events.setdefault(o.end, []).append((o.a, o.b, -1))
+        bounds = sorted(events)
+        # a count, not a flag: overlapping outages on one pair must all end
+        down: dict[tuple[int, int], int] = {}
+        n = self.node_count
+        labels = []
+        for tick in bounds:
+            for a, b, step in events[tick]:
+                down[a, b] = down.get((a, b), 0) + step
+            label = list(range(n))
+            for a in range(n):
+                for b in range(a + 1, n):
+                    if label[a] != label[b] and not down.get((a, b)):
+                        old, new = label[b], label[a]
+                        label = [new if x == old else x for x in label]
+            labels.append(label)
+        return bounds, labels
+
+    def reachable(self, t: int, a: int, b: int) -> bool:
         """True when a path of live links joins a and b at tick t.
 
-        ``direct_only`` restricts the question to the single link {a, b};
-        path mode is the normative communication test and is what the
-        simulator uses to gate message delivery.
+        This is the normative communication test, and what the simulator
+        uses to gate message delivery; ``link_up`` answers for the single
+        link {a, b}. Every pair is connected before tick 0.
         """
         if a == b:
             raise ValueError("reachable requires two distinct nodes")
-        if direct_only:
-            return self.link_up(t, a, b)
-        seen = {a}
-        frontier = deque([a])
-        while frontier:
-            here = frontier.popleft()
-            for nxt in self.live_neighbors(t, here):
-                if nxt == b:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return False
-
-    def components(self, t: int) -> list[int]:
-        """Connected-component label per node for the live graph at t."""
-        label = [-1] * self.node_count
-        comp = 0
-        for start in range(self.node_count):
-            if label[start] != -1:
-                continue
-            label[start] = comp
-            frontier = deque([start])
-            while frontier:
-                here = frontier.popleft()
-                for nxt in self.live_neighbors(t, here):
-                    if label[nxt] == -1:
-                        label[nxt] = comp
-                        frontier.append(nxt)
-            comp += 1
-        return label
+        bounds, labels = self._segments
+        i = bisect_right(bounds, t) - 1
+        return i < 0 or labels[i][a] == labels[i][b]
 
     def max_partition_span(self, horizon: int) -> int:
         """Longest run of consecutive ticks any pair spends unreachable.
@@ -134,33 +129,20 @@ class PartitionSchedule:
         pairs do not concatenate. Returns 0 when every pair stays
         connected throughout, including the no-outage schedule.
         """
-        if self.node_count < 2 or horizon <= 0 or not self.outages:
-            return 0
-        cuts = {0, horizon}
-        for o in self.outages:
-            if o.start < horizon:
-                cuts.add(o.start)
-            cuts.add(min(o.end, horizon))
-        marks = sorted(cuts)
-        pairs = [
-            (i, j)
-            for i in range(self.node_count)
-            for j in range(i + 1, self.node_count)
-        ]
-        run = {p: 0 for p in pairs}
+        n = self.node_count
+        since: dict[tuple[int, int], int] = {}  # open run per cut pair
         best = 0
-        # the live graph is constant between consecutive boundaries, so one
-        # component scan per segment suffices
-        for seg_start, seg_end in zip(marks, marks[1:]):
-            if seg_start >= seg_end:
-                continue
-            label = self.components(seg_start)
-            length = seg_end - seg_start
-            for p in pairs:
-                if label[p[0]] != label[p[1]]:
-                    run[p] += length
-                    if run[p] > best:
-                        best = run[p]
-                else:
-                    run[p] = 0
-        return best
+        for start, label in zip(*self._segments):
+            if start >= horizon:
+                break
+            cut = {
+                (i, j)
+                for i in range(n)
+                for j in range(i + 1, n)
+                if label[i] != label[j]
+            }
+            for pair in since.keys() - cut:
+                best = max(best, start - since.pop(pair))
+            for pair in cut:
+                since.setdefault(pair, start)
+        return max(best, horizon - min(since.values(), default=horizon))

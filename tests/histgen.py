@@ -121,35 +121,36 @@ def random_schedule(
     return PartitionSchedule(nodes, tuple(outages)), horizon
 
 
+def reachable_oracle(schedule: PartitionSchedule, t: int, a: int, b: int) -> bool:
+    """Depth-first walk over the links no outage covers at tick t."""
+    down = set()
+    for o in schedule.outages:
+        if o.start <= t < o.end:
+            down.add((o.a, o.b))
+    stack, seen = [a], {a}
+    while stack:
+        here = stack.pop()
+        if here == b:
+            return True
+        for other in range(schedule.node_count):
+            if other == here or other in seen:
+                continue
+            lo, hi = (here, other) if here < other else (other, here)
+            if (lo, hi) in down:
+                continue
+            seen.add(other)
+            stack.append(other)
+    return False
+
+
 def partition_span_oracle(schedule: PartitionSchedule, horizon: int) -> int:
-    """Per-tick, per-pair breadth-first scan, written from scratch."""
-
-    def connected(t: int, a: int, b: int) -> bool:
-        down = set()
-        for o in schedule.outages:
-            if o.start <= t < o.end:
-                down.add((o.a, o.b))
-        stack, seen = [a], {a}
-        while stack:
-            here = stack.pop()
-            if here == b:
-                return True
-            for other in range(schedule.node_count):
-                if other == here or other in seen:
-                    continue
-                lo, hi = (here, other) if here < other else (other, here)
-                if (lo, hi) in down:
-                    continue
-                seen.add(other)
-                stack.append(other)
-        return False
-
+    """Per-tick, per-pair reachability scan, written from scratch."""
     best = 0
     for a in range(schedule.node_count):
         for b in range(a + 1, schedule.node_count):
             run = 0
             for t in range(horizon):
-                if connected(t, a, b):
+                if reachable_oracle(schedule, t, a, b):
                     run = 0
                 else:
                     run += 1

@@ -83,13 +83,28 @@ def test_relay_delivery_crosses_a_direct_cut():
 
 
 def test_unreachable_send_becomes_a_drop_record():
-    cfg = scenario(
-        partitions=[{"a": 0, "b": 1, "start": 0, "end": 30}],
-        workload=[{"t": 2, "node": 0, "kind": "write", "key": "A", "val": 3}],
-    )
-    trace = run_scenario(cfg)
-    drops = [r for r in trace.records if r["ev"] == "drop"]
-    assert drops and drops[0]["src"] == 0 and drops[0]["dst"] == 1
+    cases = [
+        (2, (0, 30), 2, "drop"),
+        (3, (0, 30), 2, "deliver"),  # direct link 0-1 down, relay via 2 live
+        (2, (0, 10), 9, "drop"),  # last tick of the outage
+        (2, (0, 10), 10, "deliver"),  # first healed tick
+    ]
+    for nodes, (start, end), t, settles in cases:
+        cfg = scenario(
+            nodes=nodes,
+            partitions=[{"a": 0, "b": 1, "start": start, "end": end}],
+            strategy={"kind": "LocalFirst", "G": 100},  # no gossip sends
+            workload=[{"t": t, "node": 0, "kind": "write", "key": "A", "val": 3}],
+        )
+        records = run_scenario(cfg).records
+        (send,) = [
+            r for r in records if r["ev"] == "send" and (r["src"], r["dst"]) == (0, 1)
+        ]
+        (settled,) = [
+            r for r in records if r["ev"] in ("deliver", "drop") and r["msg"] == send["msg"]
+        ]
+        assert send["t"] == t
+        assert settled["ev"] == settles, (nodes, start, end, t)
 
 
 def _transport_invariants(trace, latency, horizon):

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from capsim.partitions import LinkOutage, PartitionSchedule
 
-from histgen import partition_span_oracle, random_schedule
+from histgen import partition_span_oracle, random_schedule, reachable_oracle
 
 
 def make(node_count, *outages):
@@ -41,7 +41,7 @@ class TestReachable:
     def test_relay_path_survives_direct_cut(self):
         sched = make(3, (0, 1, 10, 25))
         assert sched.reachable(12, 0, 1)
-        assert not sched.reachable(12, 0, 1, direct_only=True)
+        assert not sched.link_up(12, 0, 1)
 
     def test_full_bipartition_severs(self):
         sched = make(3, (0, 1, 10, 25), (0, 2, 10, 25))
@@ -125,6 +125,25 @@ def test_monotone_union(sched_horizon, extra_seed):
                 if bigger.reachable(t, x, y):
                     assert sched.reachable(t, x, y)
     assert bigger.max_partition_span(horizon) >= sched.max_partition_span(horizon)
+
+
+@given(st.integers(min_value=0, max_value=50_000), st.data())
+@settings(max_examples=60, deadline=None)
+def test_reachable_matches_per_tick_oracle(seed, data):
+    sched, horizon = random_schedule(seed, max_nodes=5, horizon=60)
+    if sched.outages:
+        # a second interval overlapping one outage on the same pair
+        o = data.draw(st.sampled_from(sched.outages))
+        start = data.draw(st.integers(min_value=o.start, max_value=o.end - 1))
+        end = data.draw(st.integers(min_value=start + 1, max_value=horizon))
+        sched = PartitionSchedule(
+            sched.node_count, sched.outages + (LinkOutage(o.a, o.b, start, end),)
+        )
+    # every outage ends by the horizon, so this covers each start, end - 1 and end
+    for t in range(-1, horizon + 2):
+        for a in range(sched.node_count):
+            for b in range(a + 1, sched.node_count):
+                assert sched.reachable(t, a, b) == reachable_oracle(sched, t, a, b)
 
 
 @given(st.integers(min_value=0, max_value=50_000))
