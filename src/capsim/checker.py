@@ -17,16 +17,23 @@ everything the service learned while the client was waiting as
 optional rather than as added staleness, which is the right lens when
 a strategy deliberately delays responses (see ``harness``).
 
-``min_consistency_bound`` inverts the consistency check: the smallest
-budget each read needs, maximized over reads. It is computed in closed
-form per read; the test suite pins it against an exhaustive scan.
+``check`` and ``min_consistency_bound`` share one per-read function:
+the least budget that admits the read (the per-read staleness of Golab,
+Li & Shah's Delta-atomicity). ``History`` indexes each key once: its
+writes in version order, their invoke ticks and each value's write
+positions. A read then costs two bisections, so R reads over at most W
+writes per key cost O((R + W) log W). Admitted values only grow with the
+budget, so a read violates ``declared_tc`` exactly when its least budget
+exceeds it; the allowed set is built only to word that violation.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .trace import Trace, TraceParseError
 
@@ -54,40 +61,58 @@ class OperationRecord:
     answered: bool = False
 
 
+class KeyIndex(NamedTuple):
+    """One key's writes, indexed for bisection."""
+
+    writes: list[OperationRecord]  # version order: (invoke_tick, node, op_id)
+    ticks: list[int]  # the invoke tick of each write, nondecreasing
+    positions: dict[int, list[int]]  # written value -> its ascending write positions
+
+
+_NO_WRITES = KeyIndex([], [], {})
+
+
 @dataclass
 class History:
-    """Operation records plus the per-key total write order."""
+    """Operation records plus a per-key index of the total write order."""
 
     records: list[OperationRecord]
-    _writes: dict[str, list[OperationRecord]] = field(init=False, repr=False)
+    _index: dict[str, KeyIndex] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         seen = set()
+        by_key: dict[str, list[OperationRecord]] = {}
         for rec in self.records:
             if rec.op_id in seen:
                 raise HistoryIntegrityError(f"duplicate op id {rec.op_id}")
             seen.add(rec.op_id)
+            if rec.invoke_tick < 0:
+                raise HistoryIntegrityError(f"op {rec.op_id} is invoked before tick 0")
             if rec.answered and rec.response_tick < rec.invoke_tick:
                 raise HistoryIntegrityError(
                     f"op {rec.op_id} responds before it is invoked"
                 )
-        self._writes = {}
-        for rec in self.records:
             if rec.kind == "write":
-                self._writes.setdefault(rec.key, []).append(rec)
-        for key in self._writes:
+                by_key.setdefault(rec.key, []).append(rec)
+        self._index = {}
+        for key, writes in by_key.items():
             # writer id then op id break same-tick ties, matching the
             # registers' last-writer-wins version order
-            self._writes[key].sort(key=lambda w: (w.invoke_tick, w.node, w.op_id))
+            writes.sort(key=lambda w: (w.invoke_tick, w.node, w.op_id))
+            positions: dict[int, list[int]] = {}
+            for i, w in enumerate(writes):
+                positions.setdefault(w.written, []).append(i)
+            ticks = [w.invoke_tick for w in writes]
+            self._index[key] = KeyIndex(writes, ticks, positions)
+
+    def index(self, key: str) -> KeyIndex:
+        return self._index.get(key, _NO_WRITES)
 
     def writes(self, key: str) -> list[OperationRecord]:
-        return self._writes.get(key, [])
+        return self.index(key).writes
 
     def reads(self) -> list[OperationRecord]:
         return [r for r in self.records if r.kind == "read"]
-
-    def written_values(self, key: str) -> set[int]:
-        return {w.written for w in self.writes(key)}
 
 
 def extract_history(trace: Trace) -> History:
@@ -164,18 +189,11 @@ def valid_read_values(
     if response_tick < 0 or tc < 0:
         raise ValueError("anchor tick and staleness budget must be non-negative")
     limit = response_tick if optional_until is None else optional_until
-    cutoff = response_tick - tc  # plain int; may go below zero, excluding everything
-    writes = history.writes(key)
-    baseline = None
-    for w in writes:
-        if w.invoke_tick <= cutoff:
-            baseline = w
-        else:
-            break
-    values = {None if baseline is None else baseline.written}
-    for w in writes:
-        if cutoff < w.invoke_tick <= limit:
-            values.add(w.written)
+    writes, ticks, _ = history.index(key)
+    # the cutoff is a plain int; below zero it leaves no baseline write
+    first = bisect_right(ticks, response_tick - tc)
+    values = {writes[first - 1].written if first else None}
+    values.update(w.written for w in writes[first : bisect_right(ticks, limit)])
     return values
 
 
@@ -188,32 +206,24 @@ def _min_tc_for_read(
 ) -> int | None:
     """Smallest staleness budget admitting this read, or None if none does."""
     anchor = _anchor(read, time_ref)
-    limit = read.response_tick
-    writes = history.writes(read.key)
-    value = read.returned
-    if value is None:
-        if not writes or writes[0].invoke_tick > anchor:
-            return 0
+    _, ticks, positions = history.index(read.key)
+    if read.returned is None:
         # the initial value is only legal while no write is baseline
-        return anchor - writes[0].invoke_tick + 1
-    best = None
-    for i, w in enumerate(writes):
-        if w.written != value or w.invoke_tick > limit:
-            continue
-        if w.invoke_tick > anchor:
-            candidate = 0  # newer than the anchor: optional at any budget
-        else:
-            candidate = anchor - w.invoke_tick + 1  # optional-window route
-            nxt = writes[i + 1] if i + 1 < len(writes) else None
-            lowest = (
-                0
-                if nxt is None or nxt.invoke_tick > anchor
-                else anchor - nxt.invoke_tick + 1
-            )
-            if lowest <= anchor - w.invoke_tick:
-                candidate = min(candidate, lowest)  # baseline route is feasible
-        best = candidate if best is None else min(best, candidate)
-    return best
+        return 0 if not ticks or ticks[0] > anchor else anchor - ticks[0] + 1
+    # Only the value's last write invoked by the response can set the
+    # minimum: an earlier one needs a wider window to be optional, and is
+    # baseline only at budgets that already put the later one in the window.
+    mine = positions.get(read.returned, ())
+    k = bisect_left(mine, bisect_right(ticks, read.response_tick)) - 1
+    if k < 0:
+        return None
+    i = mine[k]
+    if ticks[i] > anchor:
+        return 0  # newer than the anchor: optional at any budget
+    optional = anchor - ticks[i] + 1  # the write falls inside the window
+    # it is baseline once the next write, if any, is past the cutoff
+    after = ticks[i + 1] if i + 1 < len(ticks) else anchor + 1
+    return min(optional, max(0, anchor - after + 1))
 
 
 def min_consistency_bound(history: History, *, time_ref: str = "response") -> int:
@@ -290,79 +300,55 @@ def check(
     if declared_tc < 0 or declared_ta < 0:
         raise ValueError("declared bounds must be non-negative")
     violations: list[Violation] = []
-    max_latency = 0
-    any_unanswered = False
     worst_tc = 0
     for op in history.records:
         if not op.answered:
-            any_unanswered = True
-            violations.append(
-                Violation(op.op_id, "availability", "unanswered at horizon")
-            )
+            detail = "unanswered at horizon"
+            violations.append(Violation(op.op_id, "availability", detail))
             continue
         latency = op.response_tick - op.invoke_tick
-        max_latency = max(max_latency, latency)
         if latency > declared_ta:
-            violations.append(
-                Violation(
-                    op.op_id,
-                    "availability",
-                    f"latency {latency} exceeds bound {declared_ta}",
-                )
-            )
+            detail = f"latency {latency} exceeds bound {declared_ta}"
+            violations.append(Violation(op.op_id, "availability", detail))
         if op.kind != "read":
             continue
-        value = op.returned
-        if value is not None and value not in history.written_values(op.key):
-            violations.append(
-                Violation(
-                    op.op_id,
-                    "integrity",
-                    f"returned {value}, never written to key {op.key!r}",
-                )
-            )
-            continue
-        allowed = valid_read_values(
-            history,
-            op.key,
-            _anchor(op, time_ref),
-            declared_tc,
-            optional_until=op.response_tick,
-        )
-        if value not in allowed:
-            shown = "initial" if value is None else value
-            violations.append(
-                Violation(
-                    op.op_id,
-                    "consistency",
-                    f"returned {shown}, allowed {_format_values(allowed)}",
-                )
-            )
         needed = _min_tc_for_read(history, op, time_ref)
-        if needed is not None:
-            worst_tc = max(worst_tc, needed)
-    empirical_ta = INFINITE if any_unanswered else max_latency
-    return CheckReport(empirical_ta, worst_tc, violations)
+        if needed is None:
+            if op.returned in history.index(op.key).positions:
+                detail = f"written to key {op.key!r} only after tick {op.response_tick}"
+            else:
+                detail = f"never written to key {op.key!r}"
+            detail = f"returned {op.returned}, {detail}"
+            violations.append(Violation(op.op_id, "integrity", detail))
+            continue
+        worst_tc = max(worst_tc, needed)
+        if needed > declared_tc:
+            allowed = valid_read_values(
+                history,
+                op.key,
+                _anchor(op, time_ref),
+                declared_tc,
+                optional_until=op.response_tick,
+            )
+            shown = "initial" if op.returned is None else op.returned
+            detail = f"returned {shown}, allowed {_format_values(allowed)}"
+            violations.append(Violation(op.op_id, "consistency", detail))
+    return CheckReport(empirical_availability_bound(history), worst_tc, violations)
 
 
 def empirical_availability_bound(history: History) -> float:
     """Worst response latency in the history; infinite if anything hung."""
-    worst = 0
-    for op in history.records:
-        if not op.answered:
-            return INFINITE
-        worst = max(worst, op.response_tick - op.invoke_tick)
-    return worst
+    if not all(op.answered for op in history.records):
+        return INFINITE
+    return max((op.response_tick - op.invoke_tick for op in history.records), default=0)
 
 
-def bound_holds(report: CheckReport, partition_span: int, slack: int = 0) -> bool:
-    """Does empirical staleness plus latency cover the partition span?
+def bound_holds(tc: int, ta: float, tp: int, slack: int = 0) -> bool:
+    """Do staleness ``tc`` plus latency ``ta`` cover the partition span ``tp``?
 
-    An unavailable run (infinite empirical latency) satisfies the bound
-    trivially. ``slack`` absorbs declared artifacts of the discrete
-    model: message latency on each side of a cut, plus one gossip
-    period for anti-entropy strategies.
+    An unavailable run (infinite latency) satisfies the bound trivially.
+    ``slack`` absorbs declared artifacts of the discrete model: message
+    latency on each side of a cut, plus one gossip period for
+    anti-entropy strategies.
     """
-    if math.isinf(report.empirical_ta):
-        return True
-    return report.empirical_tc_min + report.empirical_ta >= partition_span - slack
+    return tc + ta >= tp - slack

@@ -57,7 +57,8 @@ def _cmd_check(args) -> int:
     print(report.to_json())
     code = 0 if report.clean else 1
     if args.tp is not None:
-        holds = bound_holds(report, args.tp, args.slack)
+        tc, ta = report.empirical_tc_min, report.empirical_ta
+        holds = bound_holds(tc, ta, args.tp, args.slack)
         print(f"bound tp={args.tp} slack={args.slack} holds={str(holds).lower()}")
         if not holds:
             code = 1

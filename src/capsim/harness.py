@@ -298,8 +298,7 @@ def _frontier_row(
     history = extract_history(run_scenario(config))
     tc = min_consistency_bound(history, time_ref="invoke")
     ta = empirical_availability_bound(history)
-    report = CheckReport(ta, tc, [])
-    ok = bound_holds(report, tp, bound_slack(strategy, latency))
+    ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
     return FrontierRow(label, deadline, tc, ta, tp, ok)
 
 

@@ -27,11 +27,24 @@ from . import trace as tr
 from .config import ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
 
-_DELIVER, _TIMER, _INVOKE = 0, 1, 2
+_DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
 
 
 class SimulationError(RuntimeError):
     """A strategy misbehaved; the message names the triggering event."""
+
+
+def _context(event: tuple) -> str:
+    """Name a queue event for an error message; only failures build one."""
+    time, _, tag, payload = event
+    if tag == _INIT:
+        return f"initializing node {payload}"
+    if tag == _INVOKE:
+        return f"handling invoke of op {payload.op_id} at tick {time}"
+    if tag == _DELIVER:
+        return f"handling message {payload.seq} at tick {time}"
+    node_id, timer_id = payload
+    return f"handling timer {timer_id!r} on node {node_id} at tick {time}"
 
 
 @dataclass(frozen=True)
@@ -76,19 +89,17 @@ class Simulation:
 
     # -- action execution ---------------------------------------------
 
-    def _do_respond(self, node_id: int, action: Respond, context: str) -> None:
+    def _do_respond(self, action: Respond) -> None:
         if action.op_id in self._answered:
-            raise SimulationError(
-                f"duplicate response for op {action.op_id} while {context}"
-            )
+            raise SimulationError(f"duplicate response for op {action.op_id}")
         self._answered.add(action.op_id)
         self._record(tr.respond_record, action.op_id, action.value)
 
-    def _do_send(self, node_id: int, action: Send, context: str) -> None:
+    def _do_send(self, node_id: int, action: Send) -> None:
         if action.dst == node_id:
-            raise SimulationError(f"node {node_id} sent to itself while {context}")
+            raise SimulationError(f"node {node_id} sent to itself")
         if not 0 <= action.dst < self.config.node_count:
-            raise SimulationError(f"unknown destination {action.dst} while {context}")
+            raise SimulationError(f"unknown destination {action.dst}")
         msg = Message(node_id, action.dst, self._now, action.payload, self._msg_seq)
         self._msg_seq += 1
         self._record(tr.send_record, msg.src, msg.dst, msg.seq)
@@ -97,32 +108,33 @@ class Simulation:
         else:
             self._record(tr.drop_record, msg.src, msg.dst, msg.seq)
 
-    def _do_set_timer(self, node_id: int, action: SetTimer, context: str) -> None:
+    def _do_set_timer(self, node_id: int, action: SetTimer) -> None:
         if action.delay < 1:
-            raise SimulationError(
-                f"timer delay must be >= 1 tick, got {action.delay} while {context}"
-            )
+            raise SimulationError(f"timer delay must be >= 1 tick, got {action.delay}")
         self._push(self._now + action.delay, _TIMER, (node_id, action.timer_id))
 
-    def _run_actions(self, node_id: int, actions, context: str) -> None:
-        for action in actions:
-            if isinstance(action, Respond):
-                self._do_respond(node_id, action, context)
-            elif isinstance(action, Send):
-                self._do_send(node_id, action, context)
-            elif isinstance(action, SetTimer):
-                self._do_set_timer(node_id, action, context)
-            else:
-                raise SimulationError(f"unknown action {action!r} while {context}")
-
-    def _dispatch(self, node_id: int, context: str, call) -> None:
+    def _dispatch(self, node_id: int, event: tuple, handler, *args) -> None:
+        """Call a node's handler for ``event`` and carry out its actions."""
         try:
-            actions = call()
+            actions = handler(*args)
         except SimulationError:
             raise
         except Exception as exc:
-            raise SimulationError(f"strategy failed while {context}: {exc}") from exc
-        self._run_actions(node_id, actions, context)
+            raise SimulationError(
+                f"strategy failed while {_context(event)}: {exc}"
+            ) from exc
+        try:  # an invalid action raises without naming the event; add it here
+            for action in actions:
+                if isinstance(action, Respond):
+                    self._do_respond(action)
+                elif isinstance(action, Send):
+                    self._do_send(node_id, action)
+                elif isinstance(action, SetTimer):
+                    self._do_set_timer(node_id, action)
+                else:
+                    raise SimulationError(f"unknown action {action!r}")
+        except SimulationError as exc:
+            raise SimulationError(f"{exc} while {_context(event)}") from None
 
     # -- main loop ----------------------------------------------------
 
@@ -131,8 +143,7 @@ class Simulation:
             raise SimulationError("a Simulation object runs once; build a new one")
         self._ran = True
         for node in self.nodes:
-            context = f"initializing node {node.node_id}"
-            self._dispatch(node.node_id, context, node.on_init)
+            self._dispatch(node.node_id, (0, -1, _INIT, node.node_id), node.on_init)
         workload = self.config.workload
         wi = 0
         while True:
@@ -145,34 +156,28 @@ class Simulation:
                 wi += 1
             if not self._heap or self._heap[0][0] >= self.config.horizon:
                 break
-            time, _, tag, payload = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)
+            time, _, tag, payload = event
             self._now = time
             if tag == _INVOKE:
                 op: ClientOp = payload
-                context = f"handling invoke of op {op.op_id} at tick {time}"
                 self._record(
                     tr.invoke_record, op.op_id, op.node, op.kind, op.key, op.val
                 )
                 node = self.nodes[op.node]
-                self._dispatch(op.node, context, lambda: node.on_invoke(op, time))
+                self._dispatch(op.node, event, node.on_invoke, op, time)
             elif tag == _DELIVER:
                 msg: Message = payload
-                context = f"handling message {msg.seq} at tick {time}"
                 self._record(tr.deliver_record, msg.src, msg.dst, msg.seq)
                 node = self.nodes[msg.dst]
                 self._dispatch(
-                    msg.dst,
-                    context,
-                    lambda: node.on_message(msg.payload, msg.src, time),
+                    msg.dst, event, node.on_message, msg.payload, msg.src, time
                 )
             else:
                 node_id, timer_id = payload
-                context = f"handling timer {timer_id!r} on node {node_id} at tick {time}"
                 self._record(tr.timer_record, node_id, timer_id)
                 node = self.nodes[node_id]
-                self._dispatch(
-                    node_id, context, lambda: node.on_timer(timer_id, time)
-                )
+                self._dispatch(node_id, event, node.on_timer, timer_id, time)
         self._now = self.config.horizon
         # messages still in flight never arrive inside the observed window;
         # settle them as drops so every send has exactly one disposition

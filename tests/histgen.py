@@ -7,10 +7,9 @@ implementations they pin down.
 
 from __future__ import annotations
 
-import math
 import random
 
-from capsim.checker import History, OperationRecord, check
+from capsim.checker import History, OperationRecord
 from capsim.partitions import LinkOutage, PartitionSchedule
 
 
@@ -20,12 +19,15 @@ def random_history(
     horizon: int = 100,
     nodes: int = 3,
     keys: tuple[str, ...] = ("A", "B"),
+    later_values: bool = False,
 ) -> History:
     """A random but self-consistent history.
 
     Reads only return values written at or before their response tick
     (or the initial absent value), which is every history a causal
-    trace can produce; staleness is otherwise unconstrained.
+    trace can produce; staleness is otherwise unconstrained. With
+    ``later_values`` a read may return any value written to its key,
+    including one first written after the read responded.
     """
     rng = random.Random(seed)
     n_ops = rng.randint(1, max_ops)
@@ -70,7 +72,11 @@ def random_history(
         response = min(t + rng.randint(0, 10), horizon) if answered else None
         returned = None
         if answered:
-            visible = [w.written for w in writes_by_key[key] if w.invoke_tick <= response]
+            visible = [
+                w.written
+                for w in writes_by_key[key]
+                if later_values or w.invoke_tick <= response
+            ]
             if visible and rng.random() > 0.15:
                 returned = rng.choice(visible)
         records.append(
@@ -88,16 +94,54 @@ def random_history(
     return History(records)
 
 
+def _anchor(read: OperationRecord, time_ref: str) -> int:
+    return read.response_tick if time_ref == "response" else read.invoke_tick
+
+
+def admits_oracle(
+    history: History, read: OperationRecord, tc: int, time_ref: str = "response"
+) -> bool:
+    """Does budget ``tc`` admit the read? Straight from the definition.
+
+    The read may return the baseline (the last write in version order
+    invoked at or before ``anchor - tc``, or the initial value when there
+    is none) or any write invoked in ``(anchor - tc, response]``.
+    """
+    cutoff = _anchor(read, time_ref) - tc
+    writes = sorted(
+        (w for w in history.records if w.kind == "write" and w.key == read.key),
+        key=lambda w: (w.invoke_tick, w.node, w.op_id),
+    )
+    baseline = None
+    allowed = set()
+    for w in writes:
+        if w.invoke_tick <= cutoff:
+            baseline = w.written
+        elif w.invoke_tick <= read.response_tick:
+            allowed.add(w.written)
+    return read.returned == baseline or read.returned in allowed
+
+
+def read_min_tc_oracle(
+    history: History, read: OperationRecord, time_ref: str = "response"
+) -> int | None:
+    """The least budget admitting the read, by trying each in turn.
+
+    Past ``anchor + 1`` the cutoff is below every tick, so no wider budget
+    admits anything new; None means no budget admits the read.
+    """
+    for tc in range(_anchor(read, time_ref) + 2):
+        if admits_oracle(history, read, tc, time_ref):
+            return tc
+    return None
+
+
 def min_tc_oracle(history: History, time_ref: str = "response") -> int:
-    """Exhaustive linear scan: the least budget with no consistency flags."""
-    hi = 0
-    for read in history.reads():
-        if read.answered:
-            anchor = read.response_tick if time_ref == "response" else read.invoke_tick
-            hi = max(hi, anchor + 1)
+    """The least budget admitting every answered read, trying each in turn."""
+    reads = [r for r in history.records if r.kind == "read" and r.answered]
+    hi = max((_anchor(read, time_ref) + 1 for read in reads), default=0)
     for tc in range(hi + 1):
-        report = check(history, tc, math.inf, time_ref=time_ref)
-        if not any(v.kind == "consistency" for v in report.violations):
+        if all(admits_oracle(history, read, tc, time_ref) for read in reads):
             return tc
     raise AssertionError("no staleness budget admitted the history")
 

@@ -19,7 +19,12 @@ from capsim.config import ScenarioConfig
 from capsim.kernel import run_scenario
 from capsim.trace import Trace, TraceParseError
 
-from histgen import min_tc_oracle, random_history
+from histgen import (
+    admits_oracle,
+    min_tc_oracle,
+    random_history,
+    read_min_tc_oracle,
+)
 
 
 def w(op_id, t, val, key="A", node=0):
@@ -176,6 +181,32 @@ class TestCheck:
         assert [v.kind for v in report.violations] == ["availability"]
 
 
+class TestValueWrittenAfterTheResponse:
+    """A read returning a value whose first write comes after its response."""
+
+    def test_check_calls_it_integrity_and_leaves_it_out_of_tc_min(self):
+        report = check(History([w(0, 0, 2), w(1, 10, 7), r(2, 5, 7)]), 0, 0)
+        assert [v.to_dict() for v in report.violations] == [
+            {
+                "op": 2,
+                "kind": "integrity",
+                "detail": "returned 7, written to key 'A' only after tick 5",
+            }
+        ]
+        assert report.empirical_tc_min == 0
+        # a stale read beside it still sets the bound on its own
+        h = History([w(0, 0, 2), w(1, 3, 5), w(2, 10, 7), r(3, 5, 7), r(4, 8, 2)])
+        report = check(h, 6, 0)
+        assert [(v.op_id, v.kind) for v in report.violations] == [(3, "integrity")]
+        assert report.empirical_tc_min == 6
+
+    def test_min_consistency_bound_refuses_it(self):
+        h = History([w(0, 0, 2), w(1, 10, 7), r(2, 5, 7)])
+        for time_ref in ("response", "invoke"):
+            with pytest.raises(HistoryIntegrityError):
+                min_consistency_bound(h, time_ref=time_ref)
+
+
 class TestExtractHistory:
     def test_round_trip_from_a_real_trace(self):
         cfg = ScenarioConfig.from_dict(
@@ -219,6 +250,15 @@ class TestExtractHistory:
                 Trace.from_jsonl('{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n')
             )
 
+    def test_negative_tick_is_an_integrity_error(self):
+        with pytest.raises(HistoryIntegrityError, match="before tick 0"):
+            extract_history(
+                Trace.from_jsonl(
+                    '{"t": -1, "seq": 0, "ev": "invoke", "op": 0, "node": 0, '
+                    '"kind": "read", "key": "A", "val": null}\n'
+                )
+            )
+
     def test_malformed_line_reports_its_number(self):
         good = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}\n'
         with pytest.raises(TraceParseError, match="line 3"):
@@ -234,19 +274,19 @@ class TestExtractHistory:
 class TestBoundHolds:
     def test_zero_span_is_always_covered(self):
         report = check(figure_history(), 0, 0)
-        assert bound_holds(report, 0)
+        assert bound_holds(report.empirical_tc_min, report.empirical_ta, 0)
 
     def test_arithmetic(self):
         report = check(figure_history(r(3, 8, 2)), 8, 0)
         assert report.empirical_tc_min == 6
-        assert bound_holds(report, 6)
-        assert not bound_holds(report, 7)
-        assert bound_holds(report, 8, slack=2)
+        assert bound_holds(report.empirical_tc_min, report.empirical_ta, 6)
+        assert not bound_holds(report.empirical_tc_min, report.empirical_ta, 7)
+        assert bound_holds(report.empirical_tc_min, report.empirical_ta, 8, slack=2)
 
     def test_unavailability_satisfies_any_span(self):
         hung = OperationRecord(3, "read", "A", 0, 9)
         report = check(figure_history(hung), 0, 0)
-        assert bound_holds(report, 10_000)
+        assert bound_holds(report.empirical_tc_min, report.empirical_ta, 10_000)
 
 
 HISTORY_SEEDS = st.integers(min_value=0, max_value=100_000)
@@ -300,3 +340,34 @@ def test_latest_write_is_always_legal(seed, tc):
         writes = [x for x in history.writes(read.key) if x.invoke_tick <= T]
         latest = writes[-1].written if writes else None
         assert latest in valid_read_values(history, read.key, T, tc)
+
+
+@given(
+    HISTORY_SEEDS,
+    st.integers(min_value=0, max_value=110),
+    st.sampled_from(["response", "invoke"]),
+)
+@settings(max_examples=150, deadline=None)
+def test_check_flags_exactly_the_reads_the_definition_rejects(seed, tc, time_ref):
+    history = random_history(seed, later_values=True)
+    report = check(history, tc, math.inf, time_ref=time_ref)
+    flagged = {v.op_id: v.kind for v in report.violations if v.kind != "availability"}
+    answered = [read for read in history.reads() if read.answered]
+    least = {
+        read.op_id: read_min_tc_oracle(history, read, time_ref) for read in answered
+    }
+    assert flagged == {
+        read.op_id: "consistency" if least[read.op_id] is not None else "integrity"
+        for read in answered
+        if not admits_oracle(history, read, tc, time_ref)
+    }
+    assert report.empirical_tc_min == max(
+        (needed for needed in least.values() if needed is not None), default=0
+    )
+    if "integrity" in flagged.values():
+        with pytest.raises(HistoryIntegrityError):
+            min_consistency_bound(history, time_ref=time_ref)
+    else:
+        assert min_consistency_bound(history, time_ref=time_ref) == min_tc_oracle(
+            history, time_ref
+        )

@@ -207,7 +207,10 @@ def test_zero_delay_timer_is_rejected():
     cfg = scenario(nodes=1, horizon=10)
     sim = Simulation(cfg)
     sim.nodes[0] = _ZeroTimer(cfg.strategy, 0, 1)
-    with pytest.raises(SimulationError, match="delay"):
+    with pytest.raises(
+        SimulationError,
+        match="^timer delay must be >= 1 tick, got 0 while initializing node 0$",
+    ):
         sim.run()
 
 
