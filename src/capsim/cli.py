@@ -9,7 +9,6 @@ usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .checker import (
@@ -18,27 +17,14 @@ from .checker import (
     check,
     extract_history,
 )
-from .config import ConfigError, ScenarioConfig
+from .config import ConfigError, ScenarioConfig, load_json_object
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from .kernel import SimulationError, run_scenario
 from .trace import Trace, TraceParseError
 
 
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
-    return data
-
-
 def _cmd_simulate(args) -> int:
-    config = ScenarioConfig.from_dict(_load_json(args.config))
+    config = ScenarioConfig.read(args.config)
     trace = run_scenario(config)
     if args.output:
         trace.write(args.output)
@@ -66,7 +52,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
-    spec = ProofReplaySpec.from_dict(_load_json(args.spec))
+    spec = ProofReplaySpec.from_dict(load_json_object(args.spec))
     report = proof_replay(spec)
     print(report.to_json())
     if report.clean:
@@ -77,7 +63,7 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
-    base = _load_json(args.config)
+    base = load_json_object(args.config)
     deadlines = [int(part) for part in args.deadlines.split(",") if part != ""]
     rows = frontier_sweep(args.tp, deadlines, base)
     text = frontier_csv(rows)
@@ -90,7 +76,7 @@ def _cmd_frontier(args) -> int:
 
 
 def _cmd_tp(args) -> int:
-    config = ScenarioConfig.from_dict(_load_json(args.config))
+    config = ScenarioConfig.read(args.config)
     print(config.partitions.max_partition_span(config.horizon))
     return 0
 

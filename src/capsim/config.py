@@ -13,6 +13,20 @@ class ConfigError(ValueError):
     """The scenario description is invalid."""
 
 
+def load_json_object(path) -> dict:
+    """Read a JSON file whose root must be an object; every failure is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must contain a JSON object")
+    return data
+
+
 STRATEGY_KINDS = ("LocalFirst", "SyncAll", "HybridDeadline")
 
 
@@ -208,19 +222,8 @@ class ScenarioConfig:
         )
 
     @classmethod
-    def from_json(cls, text: str) -> "ScenarioConfig":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config root must be an object")
-        return cls.from_dict(data)
-
-    @classmethod
     def read(cls, path) -> "ScenarioConfig":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        return cls.from_dict(load_json_object(path))
 
     def to_dict(self) -> dict:
         return {

@@ -71,8 +71,10 @@ class Simulation:
         self._heap: list[tuple[int, int, int, object]] = []
         self._sched_seq = 0
         self._msg_seq = 0
-        self._record_seq = 0
         self.trace = tr.Trace()
+        # a record's seq is its position in the trace
+        self._records = self.trace.records
+        self._append = self._records.append
         self._answered: set[int] = set()
         self._now = 0
         self._ran = False
@@ -83,30 +85,31 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._sched_seq, tag, payload))
         self._sched_seq += 1
 
-    def _record(self, make, *args) -> None:
-        self.trace.append(make(self._now, self._record_seq, *args))
-        self._record_seq += 1
-
     # -- action execution ---------------------------------------------
 
     def _do_respond(self, action: Respond) -> None:
         if action.op_id in self._answered:
             raise SimulationError(f"duplicate response for op {action.op_id}")
         self._answered.add(action.op_id)
-        self._record(tr.respond_record, action.op_id, action.value)
+        self._append(
+            tr.respond_record(self._now, len(self._records), action.op_id, action.value)
+        )
 
     def _do_send(self, node_id: int, action: Send) -> None:
-        if action.dst == node_id:
+        dst, now = action.dst, self._now
+        if dst == node_id:
             raise SimulationError(f"node {node_id} sent to itself")
-        if not 0 <= action.dst < self.config.node_count:
-            raise SimulationError(f"unknown destination {action.dst}")
-        msg = Message(node_id, action.dst, self._now, action.payload, self._msg_seq)
-        self._msg_seq += 1
-        self._record(tr.send_record, msg.src, msg.dst, msg.seq)
-        if self.schedule.reachable(self._now, msg.src, msg.dst):
-            self._push(self._now + self.config.message_latency, _DELIVER, msg)
-        else:
-            self._record(tr.drop_record, msg.src, msg.dst, msg.seq)
+        if not 0 <= dst < self.config.node_count:
+            raise SimulationError(f"unknown destination {dst}")
+        msg_id = self._msg_seq
+        self._msg_seq = msg_id + 1
+        seq = len(self._records)
+        self._append(tr.send_record(now, seq, node_id, dst, msg_id))
+        if self.schedule.reachable(now, node_id, dst):
+            msg = Message(node_id, dst, now, action.payload, msg_id)
+            self._push(now + self.config.message_latency, _DELIVER, msg)
+        else:  # a dropped send never becomes a Message
+            self._append(tr.drop_record(now, seq + 1, node_id, dst, msg_id))
 
     def _do_set_timer(self, node_id: int, action: SetTimer) -> None:
         if action.delay < 1:
@@ -145,6 +148,7 @@ class Simulation:
         for node in self.nodes:
             self._dispatch(node.node_id, (0, -1, _INIT, node.node_id), node.on_init)
         workload = self.config.workload
+        records, append = self._records, self._append
         wi = 0
         while True:
             # inject client requests lazily so that, at equal ticks, they
@@ -161,33 +165,35 @@ class Simulation:
             self._now = time
             if tag == _INVOKE:
                 op: ClientOp = payload
-                self._record(
-                    tr.invoke_record, op.op_id, op.node, op.kind, op.key, op.val
-                )
+                append(tr.invoke_record(
+                    time, len(records), op.op_id, op.node, op.kind, op.key, op.val
+                ))
                 node = self.nodes[op.node]
                 self._dispatch(op.node, event, node.on_invoke, op, time)
             elif tag == _DELIVER:
                 msg: Message = payload
-                self._record(tr.deliver_record, msg.src, msg.dst, msg.seq)
+                append(tr.deliver_record(time, len(records), msg.src, msg.dst, msg.seq))
                 node = self.nodes[msg.dst]
                 self._dispatch(
                     msg.dst, event, node.on_message, msg.payload, msg.src, time
                 )
             else:
                 node_id, timer_id = payload
-                self._record(tr.timer_record, node_id, timer_id)
+                append(tr.timer_record(time, len(records), node_id, timer_id))
                 node = self.nodes[node_id]
                 self._dispatch(node_id, event, node.on_timer, timer_id, time)
-        self._now = self.config.horizon
+        horizon = self._now = self.config.horizon
         # messages still in flight never arrive inside the observed window;
         # settle them as drops so every send has exactly one disposition
         while self._heap:
             _, _, tag, payload = heapq.heappop(self._heap)
             if tag == _DELIVER:
-                self._record(tr.drop_record, payload.src, payload.dst, payload.seq)
-        for op in self.config.workload:
+                append(tr.drop_record(
+                    horizon, len(records), payload.src, payload.dst, payload.seq
+                ))
+        for op in workload:
             if op.op_id not in self._answered:
-                self._record(tr.unanswered_record, op.op_id)
+                append(tr.unanswered_record(horizon, len(records), op.op_id))
         return self.trace
 
 

@@ -3,13 +3,41 @@
 One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
-that never received a response.
+that never received a response. ``RECORD_FIELDS`` states the format once:
+each kind's record builder and line template are compiled from it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+# The fields of each record kind after "t", "seq" and "ev", in wire order,
+# and how each value is written: "int" with %d, "str" as json.dumps writes
+# it (ASCII-escaped), "opt" as null or %d. A line is then byte for byte
+# json.dumps(record) + "\n".
+RECORD_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
+    "invoke": (
+        ("op", "int"), ("node", "int"), ("kind", "str"), ("key", "str"), ("val", "opt"),
+    ),
+    "respond": (("op", "int"), ("val", "opt")),
+    "send": (("src", "int"), ("dst", "int"), ("msg", "int")),
+    "deliver": (("src", "int"), ("dst", "int"), ("msg", "int")),
+    "drop": (("src", "int"), ("dst", "int"), ("msg", "int")),
+    "timer": (("node", "int"), ("timer", "str")),
+    "unanswered": (("op", "int"),),
+}
+
+# per encoding: the template slot and the expression that fills it from r
+_SLOTS = {
+    "int": ("%d", "r[{0!r}]"),
+    "str": ("%s", "quoted[r[{0!r}]]"),
+    "opt": ("%s", '("null" if r[{0!r}] is None else "%d" % r[{0!r}])'),
+}
+
+_JSON_SPACE = " \t\n\r"
+_raw_decode = json.JSONDecoder().raw_decode
+_LINES: dict = {}  # ev -> line(record, quoted), filled by _compile
 
 
 class TraceParseError(ValueError):
@@ -20,35 +48,43 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-def invoke_record(t, seq, op, node, kind, key, val):
-    return {
-        "t": t, "seq": seq, "ev": "invoke",
-        "op": op, "node": node, "kind": kind, "key": key, "val": val,
-    }
+def _compile(ev: str):
+    """Build ``<ev>_record(t, seq, ...)`` and register the writer of its line."""
+    fields = (("t", "int"), ("seq", "int"), *RECORD_FIELDS[ev])
+    names = [name for name, _ in fields]
+    items = [f"{name!r}: {name}" for name in names]
+    slots = [f'"{name}": {_SLOTS[encoding][0]}' for name, encoding in fields]
+    items.insert(2, f"'ev': {ev!r}")
+    slots.insert(2, f'"ev": "{ev}"')
+    values = [_SLOTS[encoding][1].format(name) for name, encoding in fields]
+    template = "{" + ", ".join(slots) + "}\n"
+    source = (
+        f"def {ev}_record({', '.join(names)}):\n"
+        f"    return {{{', '.join(items)}}}\n"
+        f"def line(r, quoted):\n"
+        f"    return {template!r} % ({', '.join(values)},)\n"
+    )
+    env = {"__name__": __name__}
+    exec(source, env)
+    _LINES[ev] = env["line"]
+    return env[f"{ev}_record"]
 
 
-def respond_record(t, seq, op, val):
-    return {"t": t, "seq": seq, "ev": "respond", "op": op, "val": val}
+invoke_record = _compile("invoke")
+respond_record = _compile("respond")
+send_record = _compile("send")
+deliver_record = _compile("deliver")
+drop_record = _compile("drop")
+timer_record = _compile("timer")
+unanswered_record = _compile("unanswered")
 
 
-def send_record(t, seq, src, dst, msg):
-    return {"t": t, "seq": seq, "ev": "send", "src": src, "dst": dst, "msg": msg}
+class _Quoted(dict):
+    """json.dumps of each distinct string, computed on first use."""
 
-
-def deliver_record(t, seq, src, dst, msg):
-    return {"t": t, "seq": seq, "ev": "deliver", "src": src, "dst": dst, "msg": msg}
-
-
-def drop_record(t, seq, src, dst, msg):
-    return {"t": t, "seq": seq, "ev": "drop", "src": src, "dst": dst, "msg": msg}
-
-
-def timer_record(t, seq, node, timer):
-    return {"t": t, "seq": seq, "ev": "timer", "node": node, "timer": timer}
-
-
-def unanswered_record(t, seq, op):
-    return {"t": t, "seq": seq, "ev": "unanswered", "op": op}
+    def __missing__(self, value):
+        text = self[value] = json.dumps(value)
+        return text
 
 
 @dataclass
@@ -57,11 +93,9 @@ class Trace:
 
     records: list[dict] = field(default_factory=list)
 
-    def append(self, record: dict) -> None:
-        self.records.append(record)
-
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r) + "\n" for r in self.records)
+        quoted, lines = _Quoted(), _LINES
+        return "".join([lines[r["ev"]](r, quoted) for r in self.records])
 
     def write(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -69,25 +103,41 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
+        """Parse one JSON object per LF-terminated line; blank lines are skipped.
+
+        A line is accepted exactly when ``json.loads`` accepts it: JSON
+        whitespace is stripped from both ends and what remains must be a
+        single JSON value, decoded by one ``raw_decode`` call.
+        """
         records = []
-        for line_no, line in enumerate(text.splitlines(), start=1):
-            if not line.strip():
+        append = records.append
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            line = line.strip(_JSON_SPACE)
+            if not line:
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+                record, end = _raw_decode(line)
+                if end != len(line):
+                    raise ValueError
+            except ValueError:
+                # failure path only: json.loads rejects the line too, and
+                # words why ("Extra data", a byte-order mark, ...)
+                try:
+                    json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                raise
             if not isinstance(record, dict):
                 raise TraceParseError(line_no, "record is not an object")
-            for required in ("t", "seq", "ev"):
-                if required not in record:
-                    raise TraceParseError(line_no, f"missing field {required!r}")
-            records.append(record)
+            if "t" not in record or "seq" not in record or "ev" not in record:
+                missing = next(name for name in ("t", "seq", "ev") if name not in record)
+                raise TraceParseError(line_no, f"missing field {missing!r}")
+            append(record)
         return cls(records)
 
     @classmethod
     def read(cls, path) -> "Trace":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return cls.from_jsonl(fh.read())
 
     def __iter__(self):

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from capsim.cli import main
+from capsim.config import ConfigError, ScenarioConfig
 
 
 def write_json(path, data):
@@ -133,3 +136,35 @@ def test_usage_errors_exit_two(tmp_path, capsys):
 def test_bad_scenario_config_exits_two(tmp_path):
     cfg = write_json(tmp_path / "cfg.json", demo_config(nodes=0))
     assert main(["simulate", cfg]) == 2
+
+
+def test_check_accepts_raw_line_separators_inside_strings(tmp_path, capsys):
+    # JSON allows U+2028, U+2029 and NEL raw inside a string; only LF ends a line
+    key = "a\u2028b\u2029c\x85d"
+    lines = [
+        {"t": 1, "seq": 0, "ev": "invoke", "op": 0, "node": 0, "kind": "write",
+         "key": key, "val": 1},
+        {"t": 1, "seq": 1, "ev": "respond", "op": 0, "val": None},
+        {"t": 2, "seq": 2, "ev": "invoke", "op": 1, "node": 0, "kind": "read",
+         "key": key, "val": None},
+        {"t": 2, "seq": 3, "ev": "respond", "op": 1, "val": 1},
+    ]
+    trace = tmp_path / "raw.jsonl"
+    trace.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in lines), encoding="utf-8"
+    )
+    assert main(["check", str(trace), "--tc", "0", "--ta", "0"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["violations"] == []
+
+
+def test_one_loader_words_a_non_object_config_the_same_on_every_route(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    message = f"{path} must contain a JSON object"
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.read(path)
+    assert str(info.value) == message
+    for command in ("simulate", "tp", "frontier --tp 4 --deadlines 1", "prove"):
+        name, *flags = command.split()
+        assert main([name, str(path), *flags]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from capsim.config import ConfigError, ScenarioConfig
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import SetTimer, StrategyNode
+from capsim.trace import Trace
 
 
 def scenario(**overrides):
@@ -108,6 +109,9 @@ def test_unreachable_send_becomes_a_drop_record():
 
 
 def _transport_invariants(trace, latency, horizon):
+    records = trace.records
+    assert [r["seq"] for r in records] == list(range(len(records)))
+    assert all(a["t"] <= b["t"] for a, b in zip(records, records[1:]))
     sends = {}
     settled = {}
     for rec in trace.records:
@@ -253,12 +257,52 @@ def test_unanswered_ops_are_marked_at_horizon():
     _totality_invariant(trace)
 
 
-def test_trace_lines_are_clean_json():
-    cfg = scenario(
-        workload=[{"t": 1, "node": 0, "kind": "write", "key": "A", "val": 2}]
-    )
-    text = run_scenario(cfg).to_jsonl()
-    for line in text.splitlines():
+# keys with every character the writer must escape, or a line splitter
+# could mistake for a line end
+KEY_TEXT = st.text(
+    alphabet=st.sampled_from('A"\\/\u00e9\u2028\u2029\x85\n\r\x00\U0001f600') | st.characters(),
+    max_size=4,
+)
+
+
+@given(
+    kind=st.sampled_from(["LocalFirst", "SyncAll", "HybridDeadline"]),
+    nodes=st.integers(min_value=1, max_value=4),
+    latency=st.integers(min_value=1, max_value=3),
+    outages=st.lists(
+        st.tuples(
+            st.integers(0, 3), st.integers(0, 3), st.integers(0, 39), st.integers(1, 60)
+        ),
+        max_size=4,
+    ),
+    ops=st.lists(
+        st.tuples(st.integers(0, 39), st.integers(0, 3), st.booleans(), KEY_TEXT),
+        max_size=8,
+    ),
+)
+@settings(max_examples=80, deadline=None)
+def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
+    # outages may outlast the horizon, so round-based strategies leave ops
+    # unanswered; json.dumps per record is the reference for every byte
+    partitions = [
+        {"a": a % nodes, "b": b % nodes, "start": start, "end": start + length}
+        for a, b, start, length in outages
+        if a % nodes != b % nodes
+    ]
+    workload = [
+        {"t": t, "node": node % nodes, "kind": "write" if write else "read",
+         "key": key, "val": 1000 + i if write else None}
+        for i, (t, node, write, key) in enumerate(ops)
+    ]
+    strategy = {"kind": kind, "G": 3, "R": 2, "D": 4}
+    trace = run_scenario(scenario(
+        nodes=nodes, latency=latency, horizon=40, partitions=partitions,
+        strategy=strategy, workload=workload,
+    ))
+    text = trace.to_jsonl()
+    assert text == "".join(json.dumps(r) + "\n" for r in trace.records)
+    assert Trace.from_jsonl(text).records == trace.records
+    for line in text.split("\n")[:-1]:
         assert line == json.dumps(json.loads(line))
         assert not line[-1].isspace()
 
