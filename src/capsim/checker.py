@@ -35,7 +35,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .trace import Trace, TraceParseError
+from .config import INT, REQUIRED, ConfigError, read_json
+from .trace import RECORD_FIELDS, Trace, TraceParseError
 
 INFINITE = math.inf
 
@@ -115,59 +116,54 @@ class History:
         return [r for r in self.records if r.kind == "read"]
 
 
+# the fields of the operation records read here, typed by trace.RECORD_FIELDS
+_OP_FIELDS = {
+    ev: {key: (key, kind, REQUIRED) for key, kind in (("t", INT), *fields)}
+    for ev, fields in RECORD_FIELDS.items()
+    if ev in ("invoke", "respond", "unanswered")
+}
+
+
 def extract_history(trace: Trace) -> History:
     """Build a History from trace records, validating as we go."""
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
-    for line_no, rec in enumerate(trace.records, start=1):
+    for index, rec in enumerate(trace.records):
         ev = rec.get("ev")
+        if ev != "invoke" and ev != "respond" and ev != "unanswered":
+            continue  # send/deliver/drop/timer are transport records, not operations
         try:
-            if ev == "invoke":
-                op_id = int(rec["op"])
-                if op_id in by_op:
-                    raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
-                kind = rec["kind"]
-                if kind not in ("read", "write"):
-                    raise TraceParseError(line_no, f"bad op kind {kind!r}")
-                record = OperationRecord(
-                    op_id=op_id,
-                    kind=kind,
-                    key=str(rec["key"]),
-                    node=int(rec["node"]),
-                    invoke_tick=int(rec["t"]),
-                )
-                if kind == "write":
-                    if rec["val"] is None:
-                        raise TraceParseError(line_no, "write invoke without a value")
-                    record.written = int(rec["val"])
-                by_op[op_id] = record
-                order.append(op_id)
-            elif ev == "respond":
-                op_id = int(rec["op"])
-                if op_id not in by_op:
-                    raise HistoryIntegrityError(f"response for unknown op {op_id}")
-                record = by_op[op_id]
-                if record.answered:
-                    raise HistoryIntegrityError(f"duplicate response for op {op_id}")
-                record.response_tick = int(rec["t"])
-                record.answered = True
-                if record.kind == "read":
-                    record.returned = None if rec["val"] is None else int(rec["val"])
-            elif ev == "unanswered":
-                op_id = int(rec["op"])
-                if op_id not in by_op:
-                    raise HistoryIntegrityError(
-                        f"unanswered marker for unknown op {op_id}"
-                    )
-                if by_op[op_id].answered:
-                    raise HistoryIntegrityError(
-                        f"unanswered marker for answered op {op_id}"
-                    )
-            # send/deliver/drop/timer are transport records, not operations
-        except KeyError as exc:
-            raise TraceParseError(
-                line_no, f"missing field {exc.args[0]!r} in {ev} record"
-            ) from exc
+            read_json(rec, _OP_FIELDS[ev], ev)
+        except ConfigError as exc:
+            raise TraceParseError(trace.line_no(index), str(exc)) from None
+        op_id = rec["op"]
+        if ev == "invoke":
+            if op_id in by_op:
+                raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
+            kind = rec["kind"]
+            if kind not in ("read", "write"):
+                raise TraceParseError(trace.line_no(index), f"bad op kind {kind!r}")
+            record = OperationRecord(op_id, kind, rec["key"], rec["node"], rec["t"])
+            if kind == "write":
+                if rec["val"] is None:
+                    raise TraceParseError(trace.line_no(index), "write invoke without a value")
+                record.written = rec["val"]
+            by_op[op_id] = record
+            order.append(op_id)
+        elif ev == "respond":
+            if op_id not in by_op:
+                raise HistoryIntegrityError(f"response for unknown op {op_id}")
+            record = by_op[op_id]
+            if record.answered:
+                raise HistoryIntegrityError(f"duplicate response for op {op_id}")
+            record.response_tick = rec["t"]
+            record.answered = True
+            if record.kind == "read":
+                record.returned = rec["val"]
+        elif op_id not in by_op:
+            raise HistoryIntegrityError(f"unanswered marker for unknown op {op_id}")
+        elif by_op[op_id].answered:
+            raise HistoryIntegrityError(f"unanswered marker for answered op {op_id}")
     return History([by_op[op_id] for op_id in order])
 
 
@@ -267,7 +263,7 @@ class CheckReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        ta = "inf" if math.isinf(self.empirical_ta) else int(self.empirical_ta)
+        ta = "inf" if math.isinf(self.empirical_ta) else self.empirical_ta
         return {
             "empirical_ta": ta,
             "empirical_tc_min": self.empirical_tc_min,

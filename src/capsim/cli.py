@@ -23,13 +23,21 @@ from .kernel import SimulationError, run_scenario
 from .trace import Trace, TraceParseError
 
 
+def _emit(text: str, path) -> None:
+    """Write to ``path``, or to stdout when there is none."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _cmd_simulate(args) -> int:
     config = ScenarioConfig.read(args.config)
-    trace = run_scenario(config)
-    if args.output:
-        trace.write(args.output)
-    else:
-        sys.stdout.write(trace.to_jsonl())
+    _emit(run_scenario(config).to_jsonl(), args.output)
     return 0
 
 
@@ -66,12 +74,7 @@ def _cmd_frontier(args) -> int:
     base = load_json_object(args.config)
     deadlines = [int(part) for part in args.deadlines.split(",") if part != ""]
     rows = frontier_sweep(args.tp, deadlines, base)
-    text = frontier_csv(rows)
-    if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(frontier_csv(rows), args.output)
     return 0 if all(row.bound_ok for row in rows) else 1
 
 

@@ -5,8 +5,14 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 
-from .partitions import PartitionSchedule
+from .partitions import LinkOutage, PartitionSchedule
+
+# size caps: no single field may make a run allocate or loop without bound
+MAX_NODES = 1024
+MAX_HORIZON = 10**6
+MAX_GEN_OPS = 10**6
 
 
 class ConfigError(ValueError):
@@ -22,9 +28,115 @@ def load_json_object(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc.msg}") from exc
+    except RecursionError:
+        raise ConfigError(f"{path} is nested too deeply to read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must contain a JSON object")
     return data
+
+
+# The JSON types, as the Python types json.load gives for each. bool is
+# not an int here: JSON true is not 1, and 1.5 or "3" is no tick.
+INT = frozenset({int})
+OPT = frozenset({int, type(None)})
+NUMBER = frozenset({int, float})
+STR = frozenset({str})
+_WORDS = {INT: "an integer", OPT: "an integer or null", NUMBER: "a number", STR: "a string"}
+
+REQUIRED, OPTIONAL = True, False
+
+# A field table describes a JSON object: each key maps to (the keyword it
+# fills, its kind, whether it must be present). A kind is a JSON type, a
+# field table, or [kind] for a list of values of that kind.
+STRATEGY_FIELDS = {
+    "kind": ("kind", STR, REQUIRED),
+    "G": ("anti_entropy_period", INT, OPTIONAL),
+    "R": ("retransmit_period", INT, OPTIONAL),
+    "D": ("deadline", INT, OPTIONAL),
+}
+OUTAGE_FIELDS = {key: (key, INT, REQUIRED) for key in ("a", "b", "start", "end")}
+OP_FIELDS = {
+    "t": ("t", INT, REQUIRED),
+    "node": ("node", INT, REQUIRED),
+    "kind": ("kind", STR, REQUIRED),
+    "key": ("key", STR, REQUIRED),
+    "val": ("val", OPT, OPTIONAL),
+}
+GEN_FIELDS = {
+    "ops": ("ops", INT, OPTIONAL),
+    "keys": ("keys", [STR], OPTIONAL),
+    "read_fraction": ("read_fraction", NUMBER, OPTIONAL),
+    "span": ("span", [INT], OPTIONAL),
+}
+CONFIG_FIELDS = {
+    "nodes": ("node_count", INT, REQUIRED),
+    "horizon": ("horizon", INT, REQUIRED),
+    "latency": ("message_latency", INT, OPTIONAL),
+    "seed": ("rng_seed", INT, OPTIONAL),
+    "partitions": ("partitions", [OUTAGE_FIELDS], OPTIONAL),
+    "strategy": ("strategy", STRATEGY_FIELDS, OPTIONAL),
+    "workload": ("workload", [OP_FIELDS], OPTIONAL),
+    "workload_gen": ("workload_gen", GEN_FIELDS, OPTIONAL),
+}
+# harness.ProofReplaySpec
+PROOF_FIELDS = {
+    "strategy": ("strategy", STRATEGY_FIELDS, REQUIRED),
+    "tp": ("tp", INT, REQUIRED),
+    "claimed_tc": ("claimed_tc", INT, REQUIRED),
+    "claimed_ta": ("claimed_ta", INT, REQUIRED),
+    "nodes": ("node_count", INT, OPTIONAL),
+    **{key: (key, INT, OPTIONAL) for key in ("t_start", "n_a", "n_b", "latency", "horizon")},
+}
+# the base of harness.frontier_sweep
+FRONTIER_FIELDS = {
+    **{key: (key, INT, OPTIONAL) for key in ("latency", "seed", "G", "noise_reads")},
+    "strategy": ("strategy", {"G": ("G", INT, OPTIONAL)}, OPTIONAL),
+}
+
+
+def _describe(value) -> str:
+    text = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def read_json(value, kind, where: str):
+    """Type-check one JSON value against its kind; the only JSON -> Python step.
+
+    An object comes back as a dict of keywords: an absent optional field is
+    left out, so the dataclass default applies, and unknown fields are
+    ignored. Presence and JSON type are all it checks; the dataclass each
+    table feeds checks the ranges. ``where`` names the value in errors.
+    """
+    if type(kind) is dict:
+        if type(value) is not dict:
+            raise ConfigError(f"{where} must be an object, got {_describe(value)}")
+        out = {}
+        for key, (name, field_kind, required) in kind.items():
+            try:
+                field_value = value[key]
+            except KeyError:
+                if required:
+                    raise ConfigError(f"{where}: missing required field {key!r}") from None
+                continue
+            if type(field_value) in field_kind:  # a table or [kind] never holds a type
+                out[name] = field_value
+            else:
+                out[name] = read_json(field_value, field_kind, f"{where}.{key}")
+        return out
+    if type(kind) is list:
+        if type(value) is not list:
+            raise ConfigError(f"{where} must be a list, got {_describe(value)}")
+        items = []
+        append, item_kind = items.append, kind[0]
+        try:
+            for item in value:
+                append(read_json(item, item_kind, ""))
+        except ConfigError as exc:  # name the item only when it fails
+            raise ConfigError(f"{where}[{len(items)}]{exc}") from None
+        return items
+    if type(value) not in kind:
+        raise ConfigError(f"{where} must be {_WORDS[kind]}, got {_describe(value)}")
+    return value
 
 
 STRATEGY_KINDS = ("LocalFirst", "SyncAll", "HybridDeadline")
@@ -56,20 +168,11 @@ class StrategyParams:
             raise ConfigError("deadline must be >= 0")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "StrategyParams":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise ConfigError("strategy must be an object with a 'kind' field")
-        kind = d["kind"]
-        kwargs = {}
-        if "G" in d:
-            kwargs["anti_entropy_period"] = int(d["G"])
-        if "R" in d:
-            kwargs["retransmit_period"] = int(d["R"])
-        if "D" in d:
-            kwargs["deadline"] = int(d["D"])
-        if kind == "HybridDeadline" and "D" not in d:
+    def from_fields(cls, fields: dict) -> "StrategyParams":
+        """Build from ``read_json`` output; JSON must state D for HybridDeadline."""
+        if fields["kind"] == "HybridDeadline" and "deadline" not in fields:
             raise ConfigError("HybridDeadline requires a deadline 'D'")
-        return cls(kind=kind, **kwargs)
+        return cls(**fields)
 
     def to_dict(self) -> dict:
         d: dict = {"kind": self.kind}
@@ -94,7 +197,7 @@ class ClientOp:
     node: int
     kind: str  # "read" | "write"
     key: str
-    val: int | None
+    val: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in ("read", "write"):
@@ -110,17 +213,20 @@ def generate_workload(
 ) -> list[dict]:
     """Materialize a small seeded random workload from generator params.
 
-    Off unless the config asks for it; the deterministic RNG keeps the
-    resulting scenario reproducible from (gen, seed).
+    ``gen`` is ``read_json`` output for ``GEN_FIELDS``. Off unless the
+    config asks for it; the deterministic RNG keeps the resulting scenario
+    reproducible from (gen, seed).
     """
     rng = random.Random(seed)
-    count = int(gen.get("ops", 10))
-    keys = list(gen.get("keys", ["A"]))
-    read_fraction = float(gen.get("read_fraction", 0.5))
+    count = gen.get("ops", 10)
+    keys = gen.get("keys", ["A"])
+    read_fraction = gen.get("read_fraction", 0.5)
     span = gen.get("span", [0, max(horizon - 1, 0)])
-    lo, hi = int(span[0]), int(span[1])
-    if not keys or count < 0 or lo > hi:
-        raise ConfigError("invalid workload generator parameters")
+    if not keys or not 0 <= count <= MAX_GEN_OPS or len(span) != 2 or span[0] > span[1]:
+        raise ConfigError(
+            f"workload_gen needs ops in [0, {MAX_GEN_OPS}], a key and a span [lo, hi], lo <= hi"
+        )
+    lo, hi = span
     ops = []
     next_val = 1000
     for _ in range(count):
@@ -148,78 +254,55 @@ class ScenarioConfig:
 
     node_count: int
     horizon: int
-    strategy: StrategyParams
+    strategy: StrategyParams = StrategyParams("LocalFirst")
     message_latency: int = 1
     rng_seed: int = 0
     partitions: PartitionSchedule | None = None
     workload: tuple[ClientOp, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ConfigError("node_count must be >= 1")
+        if not 1 <= self.node_count <= MAX_NODES:
+            raise ConfigError(f"node_count must be in [1, {MAX_NODES}]")
         if self.message_latency < 1:
             raise ConfigError("message_latency must be >= 1 tick")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigError(f"horizon must be in [1, {MAX_HORIZON}]")
         if self.partitions is None:
             object.__setattr__(self, "partitions", PartitionSchedule(self.node_count))
         if self.partitions.node_count != self.node_count:
             raise ConfigError("partition schedule node count mismatch")
         object.__setattr__(self, "workload", tuple(self.workload))
+        nodes, horizon = self.node_count, self.horizon
         for op in self.workload:
-            if not 0 <= op.node < self.node_count:
+            if not 0 <= op.node < nodes:
                 raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
-            if op.t >= self.horizon:
+            if op.t >= horizon:
                 raise ConfigError(
                     f"op {op.op_id} at tick {op.t} is not before horizon {self.horizon}"
                 )
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        try:
-            node_count = int(d["nodes"])
-            horizon = int(d["horizon"])
-        except KeyError as exc:
-            raise ConfigError(f"config missing required field {exc.args[0]!r}") from exc
-        latency = int(d.get("latency", 1))
-        seed = int(d.get("seed", 0))
-        try:
-            partitions = PartitionSchedule.from_dicts(
-                node_count, d.get("partitions", [])
+        fields = read_json(d, CONFIG_FIELDS, "config")
+        ops = fields.get("workload", [])
+        gen = fields.pop("workload_gen", None)
+        if gen is not None and fields["node_count"] >= 1:  # else refused below
+            ops += generate_workload(
+                gen, fields.get("rng_seed", 0), fields["node_count"], fields["horizon"]
             )
-        except ValueError as exc:
-            raise ConfigError(f"bad partition schedule: {exc}") from exc
-        strategy = StrategyParams.from_dict(d.get("strategy", {"kind": "LocalFirst"}))
-        raw_ops = list(d.get("workload", []))
-        if "workload_gen" in d:
-            raw_ops += generate_workload(d["workload_gen"], seed, node_count, horizon)
-        entries = sorted(enumerate(raw_ops), key=lambda e: (int(e[1]["t"]), e[0]))
-        ops = []
-        for op_id, (_, raw) in enumerate(entries):
+        ops.sort(key=itemgetter("t"))  # stable: same-tick ops keep their input order
+        fields["workload"] = tuple([ClientOp(op_id, **op) for op_id, op in enumerate(ops)])
+        if "strategy" in fields:
+            fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
+        if "partitions" in fields:
             try:
-                ops.append(
-                    ClientOp(
-                        op_id=op_id,
-                        t=int(raw["t"]),
-                        node=int(raw["node"]),
-                        kind=raw["kind"],
-                        key=str(raw["key"]),
-                        val=None if raw.get("val") is None else int(raw["val"]),
-                    )
+                fields["partitions"] = PartitionSchedule(
+                    fields["node_count"],
+                    tuple(LinkOutage(**o) for o in fields["partitions"]),
                 )
-            except KeyError as exc:
-                raise ConfigError(
-                    f"workload entry {op_id} missing field {exc.args[0]!r}"
-                ) from exc
-        return cls(
-            node_count=node_count,
-            horizon=horizon,
-            strategy=strategy,
-            message_latency=latency,
-            rng_seed=seed,
-            partitions=partitions,
-            workload=tuple(ops),
-        )
+            except ValueError as exc:
+                raise ConfigError(f"bad partition schedule: {exc}") from exc
+        return cls(**fields)
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":

@@ -33,9 +33,16 @@ from .checker import (
     extract_history,
     min_consistency_bound,
 )
-from .config import ConfigError, ScenarioConfig, StrategyParams
+from .config import (
+    FRONTIER_FIELDS,
+    MAX_NODES,
+    PROOF_FIELDS,
+    ConfigError,
+    ScenarioConfig,
+    StrategyParams,
+    read_json,
+)
 from .kernel import run_scenario
-from .partitions import LinkOutage
 
 
 def bound_slack(params: StrategyParams, latency: int) -> int:
@@ -76,16 +83,14 @@ class ProofReplaySpec:
         if self.claimed_tc < 0 or self.claimed_ta < 0:
             raise ConfigError("claimed bounds must be non-negative")
         if self.claimed_tc + self.claimed_ta >= self.tp:
-            raise ConfigError(
-                "claimed_tc + claimed_ta must be smaller than the partition span"
-            )
+            raise ConfigError("claimed_tc + claimed_ta must be smaller than the partition span")
         if self.claimed_tc + self.claimed_ta > self.tp - 2:
             raise ConfigError(
                 "claim window cannot sit strictly inside the partition; "
                 "need claimed_tc + claimed_ta <= tp - 2"
             )
-        if self.node_count < 2:
-            raise ConfigError("need at least two nodes")
+        if not 2 <= self.node_count <= MAX_NODES:
+            raise ConfigError(f"node count must be in [2, {MAX_NODES}]")
         if not (0 <= self.n_a < self.node_count and 0 <= self.n_b < self.node_count):
             raise ConfigError("n_a and n_b must be node ids")
         if self.n_a == self.n_b:
@@ -99,27 +104,9 @@ class ProofReplaySpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReplaySpec":
-        try:
-            strategy = StrategyParams.from_dict(d["strategy"])
-            kwargs = dict(
-                strategy=strategy,
-                tp=int(d["tp"]),
-                claimed_tc=int(d["claimed_tc"]),
-                claimed_ta=int(d["claimed_ta"]),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"proof spec missing field {exc.args[0]!r}") from exc
-        for field_name, key in (
-            ("t_start", "t_start"),
-            ("n_a", "n_a"),
-            ("n_b", "n_b"),
-            ("node_count", "nodes"),
-            ("latency", "latency"),
-            ("horizon", "horizon"),
-        ):
-            if key in d:
-                kwargs[field_name] = int(d[key])
-        return cls(**kwargs)
+        fields = read_json(d, PROOF_FIELDS, "spec")
+        fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
+        return cls(**fields)
 
 
 def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
@@ -131,35 +118,18 @@ def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
     write/read pair lands inside the dead window.
     """
     end = spec.t_start + spec.tp
-    outages = tuple(
-        LinkOutage(spec.n_a, other, spec.t_start, end)
-        for other in range(spec.node_count)
-        if other != spec.n_a
-    )
     t = spec.t_start + 1
     warmup_tick = spec.t_start - spec.latency - 1
     workload = [
         {"t": warmup_tick, "node": spec.n_a, "kind": "write", "key": "A", "val": 100},
         {"t": t, "node": spec.n_a, "kind": "write", "key": "A", "val": 200},
-        {
-            "t": t + spec.claimed_tc,
-            "node": spec.n_b,
-            "kind": "read",
-            "key": "A",
-            "val": None,
-        },
+        {"t": t + spec.claimed_tc, "node": spec.n_b, "kind": "read", "key": "A", "val": None},
     ]
     horizon = spec.horizon
     if horizon is None:
         params = spec.strategy
-        horizon = (
-            end
-            + params.deadline
-            + params.retransmit_period
-            + params.anti_entropy_period
-            + 6 * spec.latency
-            + 4
-        )
+        horizon = end + params.deadline + params.retransmit_period + params.anti_entropy_period
+        horizon += 6 * spec.latency + 4
     return ScenarioConfig.from_dict(
         {
             "nodes": spec.node_count,
@@ -167,7 +137,9 @@ def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
             "horizon": horizon,
             "seed": 0,
             "partitions": [
-                {"a": o.a, "b": o.b, "start": o.start, "end": o.end} for o in outages
+                {"a": spec.n_a, "b": other, "start": spec.t_start, "end": end}
+                for other in range(spec.node_count)
+                if other != spec.n_a
             ],
             "strategy": spec.strategy.to_dict(),
             "workload": workload,
@@ -192,6 +164,7 @@ def proof_replay(spec: ProofReplaySpec) -> CheckReport:
 # -- frontier sweep ---------------------------------------------------
 
 FRONTIER_T_START = 10
+MAX_TP = 10**6  # size cap: the sweep's workload grows with tp
 FRONTIER_LEAD = 8
 FRONTIER_TAIL = 8
 _FRONTIER_KEY = "A"
@@ -211,14 +184,9 @@ class FrontierRow:
     bound_ok: bool
 
     def csv_cells(self) -> list[str]:
-        ta = "inf" if math.isinf(self.empirical_ta) else str(int(self.empirical_ta))
-        return [
-            self.label,
-            str(self.empirical_tc_min),
-            ta,
-            str(self.tp),
-            "true" if self.bound_ok else "false",
-        ]
+        ta = "inf" if math.isinf(self.empirical_ta) else str(self.empirical_ta)
+        ok = "true" if self.bound_ok else "false"
+        return [self.label, str(self.empirical_tc_min), ta, str(self.tp), ok]
 
 
 def build_frontier_workload(tp: int, t_start: int = FRONTIER_T_START) -> list[dict]:
@@ -229,18 +197,15 @@ def build_frontier_workload(tp: int, t_start: int = FRONTIER_T_START) -> list[di
     interleave on odd offsets. Values are distinct so the checker can
     attribute every read.
     """
-    ops = []
-    val = 10
-    for t in range(t_start - FRONTIER_LEAD, t_start + tp + FRONTIER_TAIL + 1, 2):
-        ops.append(
-            {"t": t, "node": _WRITE_NODE, "kind": "write", "key": _FRONTIER_KEY, "val": val}
-        )
-        val += 1
-    for t in range(t_start - FRONTIER_LEAD + 1, t_start + tp + FRONTIER_TAIL + 2, 2):
-        ops.append(
-            {"t": t, "node": _READ_NODE, "kind": "read", "key": _FRONTIER_KEY, "val": None}
-        )
-    return ops
+    writes = range(t_start - FRONTIER_LEAD, t_start + tp + FRONTIER_TAIL + 1, 2)
+    reads = range(t_start - FRONTIER_LEAD + 1, t_start + tp + FRONTIER_TAIL + 2, 2)
+    return [
+        {"t": t, "node": _WRITE_NODE, "kind": "write", "key": _FRONTIER_KEY, "val": val}
+        for val, t in enumerate(writes, start=10)
+    ] + [
+        {"t": t, "node": _READ_NODE, "kind": "read", "key": _FRONTIER_KEY, "val": None}
+        for t in reads
+    ]
 
 
 def build_frontier_config(
@@ -277,31 +242,6 @@ def build_frontier_config(
     return ScenarioConfig.from_dict(d)
 
 
-def _frontier_row(
-    label: str,
-    deadline: int | None,
-    tp: int,
-    strategy: StrategyParams,
-    latency: int,
-    seed: int,
-    horizon: int,
-    noise_reads: int,
-) -> FrontierRow:
-    config = build_frontier_config(
-        tp,
-        strategy,
-        latency=latency,
-        seed=seed,
-        horizon=horizon,
-        noise_reads=noise_reads,
-    )
-    history = extract_history(run_scenario(config))
-    tc = min_consistency_bound(history, time_ref="invoke")
-    ta = empirical_availability_bound(history)
-    ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
-    return FrontierRow(label, deadline, tc, ta, tp, ok)
-
-
 def frontier_sweep(
     tp: int,
     deadlines: list[int],
@@ -314,65 +254,35 @@ def frontier_sweep(
     pinned to one tick so a healed link carries backlogged rounds on
     the next tick; anything slower would owe its own slack term.
     """
-    base = base or {}
-    latency = int(base.get("latency", 1))
-    seed = int(base.get("seed", 0))
-    gossip = int(base.get("G", base.get("strategy", {}).get("G", 2)))
-    noise_reads = int(base.get("noise_reads", 0))
-    if tp < 1:
-        raise ConfigError("partition span must be >= 1")
+    base = read_json(base or {}, FRONTIER_FIELDS, "base")
+    latency = base.get("latency", 1)
+    seed = base.get("seed", 0)
+    gossip = base.get("G", base.get("strategy", {}).get("G", 2))
+    noise_reads = base.get("noise_reads", 0)
+    if not 1 <= tp <= MAX_TP:
+        raise ConfigError(f"partition span must be in [1, {MAX_TP}]")
     deadline_cap = tp + 2 * latency
-    cleaned = sorted(set(int(d) for d in deadlines))
+    cleaned = sorted(set(deadlines))
     for d in cleaned:
         if d < 0 or d > deadline_cap:
-            raise ConfigError(
-                f"deadline {d} outside the meaningful range [0, {deadline_cap}]"
-            )
-    horizon = (
-        FRONTIER_T_START
-        + tp
-        + FRONTIER_TAIL
-        + (max(cleaned) if cleaned else 0)
-        + 6 * latency
-        + 4
-    )
-    rows = [
-        _frontier_row(
-            "LocalFirst",
-            None,
-            tp,
-            StrategyParams("LocalFirst", anti_entropy_period=gossip),
-            latency,
-            seed,
-            horizon,
-            noise_reads,
-        )
+            raise ConfigError(f"deadline {d} outside the meaningful range [0, {deadline_cap}]")
+    horizon = FRONTIER_T_START + tp + FRONTIER_TAIL + max(cleaned, default=0) + 6 * latency + 4
+    strategies = [("LocalFirst", None, StrategyParams("LocalFirst", anti_entropy_period=gossip))]
+    strategies += [
+        (str(d), d, StrategyParams("HybridDeadline", retransmit_period=1, deadline=d))
+        for d in cleaned
     ]
-    for d in cleaned:
-        rows.append(
-            _frontier_row(
-                str(d),
-                d,
-                tp,
-                StrategyParams("HybridDeadline", retransmit_period=1, deadline=d),
-                latency,
-                seed,
-                horizon,
-                noise_reads,
-            )
+    strategies.append(("SyncAll", None, StrategyParams("SyncAll", retransmit_period=1)))
+    rows = []
+    for label, deadline, strategy in strategies:
+        config = build_frontier_config(
+            tp, strategy, latency=latency, seed=seed, horizon=horizon, noise_reads=noise_reads
         )
-    rows.append(
-        _frontier_row(
-            "SyncAll",
-            None,
-            tp,
-            StrategyParams("SyncAll", retransmit_period=1),
-            latency,
-            seed,
-            horizon,
-            noise_reads,
-        )
-    )
+        history = extract_history(run_scenario(config))
+        tc = min_consistency_bound(history, time_ref="invoke")
+        ta = empirical_availability_bound(history)
+        ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
+        rows.append(FrontierRow(label, deadline, tc, ta, tp, ok))
     return rows
 
 

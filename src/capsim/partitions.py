@@ -56,14 +56,6 @@ class PartitionSchedule:
             if o.b >= self.node_count:
                 raise ValueError(f"outage {o} references node >= {self.node_count}")
 
-    @classmethod
-    def from_dicts(cls, node_count: int, items: list[dict]) -> "PartitionSchedule":
-        outages = tuple(
-            LinkOutage(int(d["a"]), int(d["b"]), int(d["start"]), int(d["end"]))
-            for d in items
-        )
-        return cls(node_count, outages)
-
     def to_dicts(self) -> list[dict]:
         return [
             {"a": o.a, "b": o.b, "start": o.start, "end": o.end} for o in self.outages

@@ -12,27 +12,28 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .config import INT, OPT, STR
+
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
-# and how each value is written: "int" with %d, "str" as json.dumps writes
-# it (ASCII-escaped), "opt" as null or %d. A line is then byte for byte
-# json.dumps(record) + "\n".
-RECORD_FIELDS: dict[str, tuple[tuple[str, str], ...]] = {
-    "invoke": (
-        ("op", "int"), ("node", "int"), ("kind", "str"), ("key", "str"), ("val", "opt"),
-    ),
-    "respond": (("op", "int"), ("val", "opt")),
-    "send": (("src", "int"), ("dst", "int"), ("msg", "int")),
-    "deliver": (("src", "int"), ("dst", "int"), ("msg", "int")),
-    "drop": (("src", "int"), ("dst", "int"), ("msg", "int")),
-    "timer": (("node", "int"), ("timer", "str")),
-    "unanswered": (("op", "int"),),
+# with their JSON types, which also say how each value is written: INT
+# with %d, STR as json.dumps writes it (ASCII-escaped), OPT as null or %d.
+# A line is then byte for byte json.dumps(record) + "\n". The checker reads
+# records by the same types.
+RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
+    "invoke": (("op", INT), ("node", INT), ("kind", STR), ("key", STR), ("val", OPT)),
+    "respond": (("op", INT), ("val", OPT)),
+    "send": (("src", INT), ("dst", INT), ("msg", INT)),
+    "deliver": (("src", INT), ("dst", INT), ("msg", INT)),
+    "drop": (("src", INT), ("dst", INT), ("msg", INT)),
+    "timer": (("node", INT), ("timer", STR)),
+    "unanswered": (("op", INT),),
 }
 
-# per encoding: the template slot and the expression that fills it from r
+# per type: the template slot and the expression that fills it from r
 _SLOTS = {
-    "int": ("%d", "r[{0!r}]"),
-    "str": ("%s", "quoted[r[{0!r}]]"),
-    "opt": ("%s", '("null" if r[{0!r}] is None else "%d" % r[{0!r}])'),
+    INT: ("%d", "r[{0!r}]"),
+    STR: ("%s", "quoted[r[{0!r}]]"),
+    OPT: ("%s", '("null" if r[{0!r}] is None else "%d" % r[{0!r}])'),
 }
 
 _JSON_SPACE = " \t\n\r"
@@ -50,13 +51,13 @@ class TraceParseError(ValueError):
 
 def _compile(ev: str):
     """Build ``<ev>_record(t, seq, ...)`` and register the writer of its line."""
-    fields = (("t", "int"), ("seq", "int"), *RECORD_FIELDS[ev])
+    fields = (("t", INT), ("seq", INT), *RECORD_FIELDS[ev])
     names = [name for name, _ in fields]
     items = [f"{name!r}: {name}" for name in names]
-    slots = [f'"{name}": {_SLOTS[encoding][0]}' for name, encoding in fields]
+    slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in fields]
     items.insert(2, f"'ev': {ev!r}")
     slots.insert(2, f'"ev": "{ev}"')
-    values = [_SLOTS[encoding][1].format(name) for name, encoding in fields]
+    values = [_SLOTS[kind][1].format(name) for name, kind in fields]
     template = "{" + ", ".join(slots) + "}\n"
     source = (
         f"def {ev}_record({', '.join(names)}):\n"
@@ -92,6 +93,8 @@ class Trace:
     """An ordered list of trace records with byte-stable serialization."""
 
     records: list[dict] = field(default_factory=list)
+    # file lines the reader skipped as blank, ascending; see line_no
+    blank_lines: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def to_jsonl(self) -> str:
         quoted, lines = _Quoted(), _LINES
@@ -109,16 +112,19 @@ class Trace:
         whitespace is stripped from both ends and what remains must be a
         single JSON value, decoded by one ``raw_decode`` call.
         """
-        records = []
+        records, blank_lines = [], []
         append = records.append
         for line_no, line in enumerate(text.split("\n"), start=1):
             line = line.strip(_JSON_SPACE)
             if not line:
+                blank_lines.append(line_no)
                 continue
             try:
                 record, end = _raw_decode(line)
                 if end != len(line):
                     raise ValueError
+            except RecursionError:
+                raise TraceParseError(line_no, "value nested too deeply") from None
             except ValueError:
                 # failure path only: json.loads rejects the line too, and
                 # words why ("Extra data", a byte-order mark, ...)
@@ -133,12 +139,21 @@ class Trace:
                 missing = next(name for name in ("t", "seq", "ev") if name not in record)
                 raise TraceParseError(line_no, f"missing field {missing!r}")
             append(record)
-        return cls(records)
+        return cls(records, blank_lines)
 
     @classmethod
     def read(cls, path) -> "Trace":
         with open(path, encoding="utf-8") as fh:
             return cls.from_jsonl(fh.read())
+
+    def line_no(self, index: int) -> int:
+        """The file line of ``records[index]``, counting skipped blank lines."""
+        line = index + 1
+        for blank in self.blank_lines:
+            if blank > line:
+                break
+            line += 1
+        return line
 
     def __iter__(self):
         return iter(self.records)

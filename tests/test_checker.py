@@ -270,6 +270,19 @@ class TestExtractHistory:
                 Trace.from_jsonl('{"t": 2, "seq": 0, "ev": "invoke", "op": 0}\n')
             )
 
+    def test_errors_name_the_file_line_past_blank_lines(self):
+        invoke = (
+            '{"t": 2, "seq": 0, "ev": "invoke", "op": 0, "node": 0, '
+            '"kind": "scan", "key": "A", "val": null}\n'
+        )
+        with pytest.raises(TraceParseError, match=r"^line 3: bad op kind 'scan'$"):
+            extract_history(Trace.from_jsonl("\n\n" + invoke))
+        timer = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}\n'
+        respond = '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": 1.5}\n'
+        text = timer + " \n" + invoke.replace("scan", "read") + "\n\r\n" + respond
+        with pytest.raises(TraceParseError, match=r"^line 6: respond.val must be an integer"):
+            extract_history(Trace.from_jsonl(text))
+
 
 class TestBoundHolds:
     def test_zero_span_is_always_covered(self):

@@ -1,0 +1,294 @@
+"""The input contract: any JSON given to any subcommand exits 0, 1 or 2.
+
+Bad input exits 2 with a single ``config error:`` or ``trace error:``
+line on stderr; no input may escape as a Python traceback or be coerced
+into a different value.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capsim.cli import main
+from capsim.config import (
+    CONFIG_FIELDS,
+    FRONTIER_FIELDS,
+    MAX_GEN_OPS,
+    MAX_HORIZON,
+    MAX_NODES,
+    PROOF_FIELDS,
+    ScenarioConfig,
+)
+from capsim.harness import MAX_TP
+from capsim.kernel import run_scenario
+
+CONFIG = {
+    "nodes": 2,
+    "horizon": 20,
+    "latency": 1,
+    "seed": 0,
+    "partitions": [{"a": 0, "b": 1, "start": 8, "end": 12}],
+    "strategy": {"kind": "HybridDeadline", "R": 2, "D": 3},
+    "workload": [
+        {"t": 2, "node": 0, "kind": "write", "key": "A", "val": 1},
+        {"t": 9, "node": 1, "kind": "read", "key": "A", "val": None},
+    ],
+    "workload_gen": {"ops": 4, "keys": ["A", "B"], "read_fraction": 0.5, "span": [0, 15]},
+}
+SPEC = {
+    "strategy": {"kind": "LocalFirst", "G": 4},
+    "tp": 20,
+    "claimed_tc": 5,
+    "claimed_ta": 5,
+    "t_start": 5,
+    "n_a": 0,
+    "n_b": 1,
+    "nodes": 2,
+    "latency": 1,
+    "horizon": 40,
+}
+BASE = {"latency": 1, "seed": 0, "G": 2, "noise_reads": 2, "strategy": {"G": 2}}
+TRACE = [
+    json.loads(line)
+    for line in run_scenario(ScenarioConfig.from_dict(CONFIG)).to_jsonl().splitlines()
+]
+
+# argv after the subcommand's input path
+COMMANDS = {
+    "simulate": [],
+    "tp": [],
+    "prove": [],
+    "frontier": ["--tp", "4", "--deadlines", "0,2"],
+    "check": ["--tc", "2", "--ta", "2", "--tp", "3"],
+}
+
+
+def run(command, text, *flags):
+    """Run ``capsim <command> <file holding text> <flags>``: (exit code, stderr)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, path, *COMMANDS[command], *flags])
+    return code, err.getvalue()
+
+
+def trace_text(records):
+    return "".join(json.dumps(r) + "\n" for r in records)
+
+
+_DELETE = object()  # as a field value: drop the field
+
+
+def with_field(doc, path, value):
+    """A deep copy of ``doc`` with the field at ``path`` set to ``value``."""
+    if not path:
+        return doc if value is _DELETE else value
+    doc = copy.deepcopy(doc)
+    *parents, last = path
+    target = doc
+    for step in parents:
+        target = target[step]
+    if value is _DELETE:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+# (subcommand, input text, the whole of stderr); each exited 1 with a
+# traceback or exited 0 on a silently coerced value before the reader
+REGRESSIONS = {
+    "nodes null": (
+        "simulate", {"nodes": None}, "config error: config.nodes must be an integer, got null"
+    ),
+    "workload item not an object": (
+        "simulate", {"workload": [5]}, "config error: config.workload[0] must be an object, got 5"
+    ),
+    "partitions an object": (
+        "simulate", {"partitions": {"a": 1}},
+        "config error: config.partitions must be a list, got an object",
+    ),
+    "workload_gen a number": (
+        "simulate", {"workload_gen": 3}, "config error: config.workload_gen must be an object, got 3"
+    ),
+    "workload_gen span of one tick": (
+        "simulate", {"workload_gen": {"span": [5]}},
+        "config error: workload_gen needs ops in [0, 1000000], a key and a span [lo, hi], lo <= hi",
+    ),
+    "infinite horizon": (
+        "simulate", '"horizon": 1e400', "config error: config.horizon must be an integer, got Infinity"
+    ),
+    "float val": (
+        "simulate", ("workload", 0, "val", 1.5),
+        "config error: config.workload[0].val must be an integer or null, got 1.5",
+    ),
+    "bool val": (
+        "simulate", ("workload", 0, "val", True),
+        "config error: config.workload[0].val must be an integer or null, got true",
+    ),
+    "float nodes": ("simulate", {"nodes": 2.7}, "config error: config.nodes must be an integer, got 2.7"),
+    "string horizon": (
+        "simulate", {"horizon": "20"}, 'config error: config.horizon must be an integer, got "20"'
+    ),
+    "int key": (
+        "simulate", ("workload", 0, "key", 7), "config error: config.workload[0].key must be a string, got 7"
+    ),
+    "list key": (
+        "simulate", ("workload", 0, "key", ["A"]),
+        "config error: config.workload[0].key must be a string, got a list",
+    ),
+    "string keys": (
+        "simulate", {"workload": [], "workload_gen": {"keys": "AB"}},
+        'config error: config.workload_gen.keys must be a list, got "AB"',
+    ),
+    "frontier base strategy a number": (
+        "frontier", {"strategy": 5}, "config error: base.strategy must be an object, got 5"
+    ),
+    "frontier base bool G": ("frontier", {"G": True}, "config error: base.G must be an integer, got true"),
+    "frontier base float latency": (
+        "frontier", {"latency": 1.9}, "config error: base.latency must be an integer, got 1.9"
+    ),
+    "proof spec float tp": (
+        "prove", {**SPEC, "tp": 10.5}, "config error: spec.tp must be an integer, got 10.5"
+    ),
+    "proof spec bool claimed_ta": (
+        "prove", {**SPEC, "claimed_ta": True}, "config error: spec.claimed_ta must be an integer, got true"
+    ),
+    "trace tick null": ("check", None, "trace error: line 1: invoke.t must be an integer, got null"),
+}
+
+
+def regression_input(command, change):
+    base = {"nodes": 2, "horizon": 20, "workload": copy.deepcopy(CONFIG["workload"])}
+    if command == "check":
+        invoke = {"t": None, "seq": 0, "ev": "invoke", "op": 0, "node": 0, "kind": "read",
+                  "key": "A", "val": None}
+        return trace_text([invoke])
+    if isinstance(change, str):  # raw JSON text, for literals json.dumps never writes
+        return json.dumps(base).replace('"horizon": 20', change)
+    if isinstance(change, tuple):
+        return json.dumps(with_field(base, change[:-1], change[-1]))
+    if command == "frontier":
+        return json.dumps(change)
+    return json.dumps(change if command == "prove" else {**base, **change})
+
+
+@pytest.mark.parametrize("name", list(REGRESSIONS))
+def test_bad_input_exits_two_with_one_line(name):
+    command, change, message = REGRESSIONS[name]
+    assert run(command, regression_input(command, change)) == (2, message + "\n")
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_deeply_nested_json_exits_two_on_every_subcommand(command):
+    code, err = run(command, "[" * 100_000 + "]" * 100_000)
+    assert code == 2
+    if command == "check":
+        assert err == "trace error: line 1: value nested too deeply\n"
+    else:
+        assert err.startswith("config error: ") and err.endswith(" is nested too deeply to read\n")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["simulate", "frontier"])
+def test_unwritable_output_path_exits_two_naming_it(command, tmp_path, capsys):
+    source = tmp_path / "input.json"
+    source.write_text(json.dumps(CONFIG if command == "simulate" else BASE))
+    target = tmp_path / "missing" / "out.txt"
+    assert main([command, str(source), *COMMANDS[command], "-o", str(target)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot write {target}: No such file or directory\n"
+
+
+def test_caps_refuse_oversized_fields():
+    cases = [
+        ("simulate", {**CONFIG, "nodes": MAX_NODES + 1}, f"node_count must be in [1, {MAX_NODES}]"),
+        ("simulate", {**CONFIG, "horizon": MAX_HORIZON + 1}, f"horizon must be in [1, {MAX_HORIZON}]"),
+        ("simulate", with_field(CONFIG, ("workload_gen", "ops"), MAX_GEN_OPS + 1),
+         f"ops in [0, {MAX_GEN_OPS}]"),
+        ("prove", {**SPEC, "nodes": MAX_NODES + 1}, f"node count must be in [2, {MAX_NODES}]"),
+    ]
+    for command, doc, message in cases:
+        code, err = run(command, json.dumps(doc))
+        assert code == 2 and message in err and err.count("\n") == 1
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        path = os.path.join(tmp, "base.json")
+        with open(path, "w") as fh:
+            fh.write("{}")
+        assert main(["frontier", path, "--tp", str(MAX_TP + 1), "--deadlines", "0"]) == 2
+    assert err.getvalue() == f"config error: partition span must be in [1, {MAX_TP}]\n"
+
+
+def test_valid_inputs_still_run():
+    for command, doc in (("simulate", CONFIG), ("tp", CONFIG), ("prove", SPEC)):
+        assert run(command, json.dumps(doc)) == (0, "")
+    assert run("frontier", json.dumps(BASE)) in ((0, ""), (1, ""))
+    assert run("check", trace_text(TRACE)) in ((0, ""), (1, ""))
+
+
+def test_readme_lists_every_field_the_reader_knows():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Config format")[1].split("\n## ")[0]
+
+    def paths(table, prefix=""):
+        for key, (_, kind, _) in table.items():
+            yield prefix + key
+            if isinstance(kind, list):
+                kind, key = kind[0], key + "[]"
+            if isinstance(kind, dict):
+                yield from paths(kind, f"{prefix}{key}.")
+
+    for table in (CONFIG_FIELDS, PROOF_FIELDS, FRONTIER_FIELDS):
+        for path in paths(table):
+            assert f"`{path}`" in section, path
+
+
+# -- fuzzing: one field of a valid input replaced by any JSON value -------
+
+
+def _paths(doc, prefix=()):
+    """Every path into ``doc``, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for step, value in items:
+        yield from _paths(value, prefix + (step,))
+
+
+TARGETS = [
+    *((command, CONFIG, path) for command in ("simulate", "tp") for path in _paths(CONFIG)),
+    *(("prove", SPEC, path) for path in _paths(SPEC)),
+    *(("frontier", BASE, path) for path in _paths(BASE)),
+    *(("check", TRACE, path) for path in _paths(TRACE) if len(path) == 2),
+]
+
+# small values, negatives, and values just past each cap
+INTS = st.integers(-3, 40) | st.sampled_from(
+    sorted({MAX_NODES + 1, MAX_HORIZON + 1, MAX_GEN_OPS + 1, MAX_TP + 1})
+)
+JSON = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(TARGETS), JSON | st.just(_DELETE))
+def test_any_field_replaced_by_any_json_keeps_the_exit_code_contract(target, value):
+    command, doc, path = target
+    changed = with_field(doc, path, value)
+    code, err = run(command, trace_text(changed) if command == "check" else json.dumps(changed))
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and "Traceback" not in err
