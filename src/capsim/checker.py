@@ -33,6 +33,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import product
+from operator import itemgetter
 from typing import NamedTuple
 
 from .config import INT, REQUIRED, ConfigError, read_json
@@ -122,6 +124,21 @@ _OP_FIELDS = {
     for ev, fields in RECORD_FIELDS.items()
     if ev in ("invoke", "respond", "unanswered")
 }
+# per operation kind: a getter for those fields in table order, and every
+# tuple of Python types they may hold, which is what read_json accepts
+_OP_READERS = {
+    ev: (itemgetter(*table), set(product(*(kind for _, kind, _ in table.values()))))
+    for ev, table in _OP_FIELDS.items()
+}
+
+
+def _malformed(trace: Trace, index: int, rec: dict, ev: str) -> TraceParseError:
+    """Failure path only: the typed field reader words what is wrong."""
+    try:
+        read_json(rec, _OP_FIELDS[ev], ev)
+    except ConfigError as exc:
+        return TraceParseError(trace.line_no(index), str(exc))
+    raise AssertionError(f"read_json accepted a record the fast path refused: {rec!r}")
 
 
 def extract_history(trace: Trace) -> History:
@@ -132,22 +149,25 @@ def extract_history(trace: Trace) -> History:
         ev = rec.get("ev")
         if ev != "invoke" and ev != "respond" and ev != "unanswered":
             continue  # send/deliver/drop/timer are transport records, not operations
+        get, types = _OP_READERS[ev]
         try:
-            read_json(rec, _OP_FIELDS[ev], ev)
-        except ConfigError as exc:
-            raise TraceParseError(trace.line_no(index), str(exc)) from None
-        op_id = rec["op"]
+            values = get(rec)
+        except KeyError:
+            raise _malformed(trace, index, rec, ev) from None
+        if tuple(map(type, values)) not in types:
+            raise _malformed(trace, index, rec, ev)
+        op_id = values[1]
         if ev == "invoke":
+            t, _, node, kind, key, val = values
             if op_id in by_op:
                 raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
-            kind = rec["kind"]
-            if kind not in ("read", "write"):
+            if kind != "read" and kind != "write":
                 raise TraceParseError(trace.line_no(index), f"bad op kind {kind!r}")
-            record = OperationRecord(op_id, kind, rec["key"], rec["node"], rec["t"])
+            record = OperationRecord(op_id, kind, key, node, t)
             if kind == "write":
-                if rec["val"] is None:
+                if val is None:
                     raise TraceParseError(trace.line_no(index), "write invoke without a value")
-                record.written = rec["val"]
+                record.written = val
             by_op[op_id] = record
             order.append(op_id)
         elif ev == "respond":
@@ -156,10 +176,10 @@ def extract_history(trace: Trace) -> History:
             record = by_op[op_id]
             if record.answered:
                 raise HistoryIntegrityError(f"duplicate response for op {op_id}")
-            record.response_tick = rec["t"]
+            record.response_tick = values[0]
             record.answered = True
             if record.kind == "read":
-                record.returned = rec["val"]
+                record.returned = values[2]
         elif op_id not in by_op:
             raise HistoryIntegrityError(f"unanswered marker for unknown op {op_id}")
         elif by_op[op_id].answered:

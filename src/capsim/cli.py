@@ -17,7 +17,7 @@ from .checker import (
     check,
     extract_history,
 )
-from .config import ConfigError, ScenarioConfig, load_json_object
+from .config import ConfigError, ScenarioConfig, describe, load_json_object
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from .kernel import SimulationError, run_scenario
 from .trace import Trace, TraceParseError
@@ -47,6 +47,8 @@ def _cmd_check(args) -> int:
         history = extract_history(trace)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.trace}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"{args.trace} is not UTF-8 text") from None
     report = check(history, args.tc, args.ta, time_ref=args.time_ref)
     print(report.to_json())
     code = 0 if report.clean else 1
@@ -72,7 +74,12 @@ def _cmd_prove(args) -> int:
 
 def _cmd_frontier(args) -> int:
     base = load_json_object(args.config)
-    deadlines = [int(part) for part in args.deadlines.split(",") if part != ""]
+    deadlines = []
+    for part in filter(None, args.deadlines.split(",")):
+        try:
+            deadlines.append(int(part))
+        except ValueError:
+            raise ConfigError(f"--deadlines: cannot read {describe(part)} as an integer") from None
     rows = frontier_sweep(args.tp, deadlines, base)
     _emit(frontier_csv(rows), args.output)
     return 0 if all(row.bound_ok for row in rows) else 1

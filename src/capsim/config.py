@@ -30,6 +30,10 @@ def load_json_object(path) -> dict:
         raise ConfigError(f"{path} is not valid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ConfigError(f"{path} is nested too deeply to read") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+    except ValueError:  # json's one other refusal: an integer past Python's digit limit
+        raise ConfigError(f"{path} holds an integer too long to read") from None
     if not isinstance(data, dict):
         raise ConfigError(f"{path} must contain a JSON object")
     return data
@@ -94,7 +98,7 @@ FRONTIER_FIELDS = {
 }
 
 
-def _describe(value) -> str:
+def describe(value) -> str:
     text = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
     return text if len(text) <= 40 else text[:37] + "..."
 
@@ -109,7 +113,7 @@ def read_json(value, kind, where: str):
     """
     if type(kind) is dict:
         if type(value) is not dict:
-            raise ConfigError(f"{where} must be an object, got {_describe(value)}")
+            raise ConfigError(f"{where} must be an object, got {describe(value)}")
         out = {}
         for key, (name, field_kind, required) in kind.items():
             try:
@@ -125,7 +129,7 @@ def read_json(value, kind, where: str):
         return out
     if type(kind) is list:
         if type(value) is not list:
-            raise ConfigError(f"{where} must be a list, got {_describe(value)}")
+            raise ConfigError(f"{where} must be a list, got {describe(value)}")
         items = []
         append, item_kind = items.append, kind[0]
         try:
@@ -135,7 +139,7 @@ def read_json(value, kind, where: str):
             raise ConfigError(f"{where}[{len(items)}]{exc}") from None
         return items
     if type(value) not in kind:
-        raise ConfigError(f"{where} must be {_WORDS[kind]}, got {_describe(value)}")
+        raise ConfigError(f"{where} must be {_WORDS[kind]}, got {describe(value)}")
     return value
 
 

@@ -12,7 +12,14 @@ strategy escapes; that is the point.
 
 ``frontier_sweep`` maps the achievable side of the tradeoff. One row
 per response deadline D, bracketed by the two extremes (LocalFirst as
-the instant-answer corner, SyncAll as the always-fresh corner). Rows
+the instant-answer corner, SyncAll as the always-fresh corner). The
+sweep runs two simulations, not one per row. A HybridDeadline(D) node
+sends and merges exactly what a SyncAll node does; D only decides when
+it answers. So ``probed_run`` runs SyncAll once with a probe timer per
+deadline, set where HybridDeadline sets its own, and each probe that
+fires on a still-open round records the answer HybridDeadline(D) would
+give. ``deadline_history`` then puts one deadline's answers into the
+SyncAll history, and the row is measured from that. Rows
 anchor staleness at the invoke tick: a deadline strategy spends its D
 ticks waiting for fresher data, and response-tick anchoring would bill
 that same wait twice, once as latency and once as staleness, hiding
@@ -23,10 +30,11 @@ stays the default everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .checker import (
     CheckReport,
+    History,
     bound_holds,
     check,
     empirical_availability_bound,
@@ -42,7 +50,8 @@ from .config import (
     StrategyParams,
     read_json,
 )
-from .kernel import run_scenario
+from .kernel import Simulation, run_scenario
+from .strategies import DeadlineProbeNode
 
 
 def bound_slack(params: StrategyParams, latency: int) -> int:
@@ -267,23 +276,53 @@ def frontier_sweep(
         if d < 0 or d > deadline_cap:
             raise ConfigError(f"deadline {d} outside the meaningful range [0, {deadline_cap}]")
     horizon = FRONTIER_T_START + tp + FRONTIER_TAIL + max(cleaned, default=0) + 6 * latency + 4
-    strategies = [("LocalFirst", None, StrategyParams("LocalFirst", anti_entropy_period=gossip))]
-    strategies += [
-        (str(d), d, StrategyParams("HybridDeadline", retransmit_period=1, deadline=d))
-        for d in cleaned
-    ]
-    strategies.append(("SyncAll", None, StrategyParams("SyncAll", retransmit_period=1)))
-    rows = []
-    for label, deadline, strategy in strategies:
-        config = build_frontier_config(
-            tp, strategy, latency=latency, seed=seed, horizon=horizon, noise_reads=noise_reads
-        )
-        history = extract_history(run_scenario(config))
+
+    def row(label: str, deadline: int | None, strategy: StrategyParams, history: History):
         tc = min_consistency_bound(history, time_ref="invoke")
         ta = empirical_availability_bound(history)
         ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
-        rows.append(FrontierRow(label, deadline, tc, ta, tp, ok))
+        return FrontierRow(label, deadline, tc, ta, tp, ok)
+
+    def config(strategy: StrategyParams) -> ScenarioConfig:
+        return build_frontier_config(
+            tp, strategy, latency=latency, seed=seed, horizon=horizon, noise_reads=noise_reads
+        )
+
+    local = StrategyParams("LocalFirst", anti_entropy_period=gossip)
+    rows = [row("LocalFirst", None, local, extract_history(run_scenario(config(local))))]
+    sync = StrategyParams("SyncAll", retransmit_period=1)
+    synced, answers = probed_run(config(sync), cleaned)
+    # a HybridDeadline row's slack is SyncAll's: no anti-entropy term
+    rows += [row(str(d), d, sync, deadline_history(synced, answers[d])) for d in cleaned]
+    rows.append(row("SyncAll", None, sync, synced))
     return rows
+
+
+def probed_run(config: ScenarioConfig, deadlines: list[int]) -> tuple[History, dict]:
+    """One run of the SyncAll ``config`` with a probe per deadline.
+
+    Returns its history and, per deadline D, ``{op: (tick, value)}`` for
+    the ops HybridDeadline(D) answers at its deadline.
+    """
+    answers: dict[int, dict] = {d: {} for d in deadlines}
+    nodes = [
+        DeadlineProbeNode(config.strategy, n, config.node_count, answers)
+        for n in range(config.node_count)
+    ]
+    return extract_history(Simulation(config, nodes).run()), answers
+
+
+def deadline_history(synced: History, answers: dict) -> History:
+    """One deadline's history, from SyncAll's and that deadline's answers.
+
+    An op its probe answered takes the probe's tick and value; every other
+    op keeps its SyncAll response, or stays unanswered.
+    """
+    return History([
+        replace(op, response_tick=a[0], returned=a[1], answered=True)
+        if (a := answers.get(op.op_id)) else op
+        for op in synced.records
+    ])
 
 
 def frontier_csv(rows: list[FrontierRow]) -> str:

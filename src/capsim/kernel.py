@@ -53,18 +53,21 @@ class Message:
 
     src: int
     dst: int
-    send_time: int
     payload: dict
     seq: int  # message id, unique per run
 
 
 class Simulation:
-    """One single-threaded run of a scenario up to its horizon."""
+    """One single-threaded run of a scenario up to its horizon.
 
-    def __init__(self, config: ScenarioConfig):
+    ``nodes`` replaces the nodes the config's strategy would build, one
+    per node id; the harness hands in probe nodes this way.
+    """
+
+    def __init__(self, config: ScenarioConfig, nodes: list[StrategyNode] | None = None):
         self.config = config
         self.schedule = config.partitions
-        self.nodes: list[StrategyNode] = [
+        self.nodes: list[StrategyNode] = nodes or [
             build_node(config.strategy, n, config.node_count)
             for n in range(config.node_count)
         ]
@@ -106,7 +109,7 @@ class Simulation:
         seq = len(self._records)
         self._append(tr.send_record(now, seq, node_id, dst, msg_id))
         if self.schedule.reachable(now, node_id, dst):
-            msg = Message(node_id, dst, now, action.payload, msg_id)
+            msg = Message(node_id, dst, action.payload, msg_id)
             self._push(now + self.config.message_latency, _DELIVER, msg)
         else:  # a dropped send never becomes a Message
             self._append(tr.drop_record(now, seq + 1, node_id, dst, msg_id))

@@ -23,6 +23,7 @@ and merges never move a key backwards.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from .config import StrategyParams
@@ -319,6 +320,46 @@ class HybridDeadlineNode(SyncAllNode):
             return []
         rnd.responded = True
         return [Respond(rnd.op_id, self._respond_value(rnd))]
+
+
+class DeadlineProbeNode(SyncAllNode):
+    """SyncAll that notes, per deadline D, what HybridDeadline(D) would answer.
+
+    D changes only when a HybridDeadline node answers, never what it sends
+    or merges. Where that node sets its deadline timer, this one sets a
+    non-sending timer per D; one that fires on a still-open round records
+    ``answers[D][op] = (tick, value)``. ``answers`` is shared by all nodes.
+    """
+
+    PROBE_PREFIX = "probe:"
+
+    def __init__(self, params: StrategyParams, node_id: int, node_count: int, answers: dict):
+        super().__init__(params, node_id, node_count)
+        self.answers = answers
+        # per deadline: its timer id, and its ops with a probe pending; timers
+        # of one delay fire in the order they were set, so the oldest is due
+        self._pending = {d: (f"{self.PROBE_PREFIX}{d}", deque()) for d in answers}
+
+    def on_invoke(self, op, now: int) -> list[Action]:
+        rnd, actions = self._start_round(op, now)
+        if rnd.op_id not in self.rounds:
+            return actions  # completed synchronously (no peers)
+        for deadline, (timer_id, pending) in self._pending.items():
+            if deadline == 0:
+                self.answers[0][op.op_id] = (now, self._respond_value(rnd))
+            else:
+                pending.append(op.op_id)
+                actions.append(SetTimer(deadline, timer_id))
+        return actions
+
+    def on_timer(self, timer_id: str, now: int) -> list[Action]:
+        if not timer_id.startswith(self.PROBE_PREFIX):
+            return super().on_timer(timer_id, now)
+        deadline = int(timer_id[len(self.PROBE_PREFIX):])
+        rnd = self.rounds.get(self._pending[deadline][1].popleft())
+        if rnd is not None:
+            self.answers[deadline][rnd.op_id] = (now, self._respond_value(rnd))
+        return []
 
 
 STRATEGY_NODES = {

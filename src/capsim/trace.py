@@ -132,6 +132,8 @@ class Trace:
                     json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+                except ValueError:  # an integer past Python's digit limit
+                    raise TraceParseError(line_no, "integer too long to read") from None
                 raise
             if not isinstance(record, dict):
                 raise TraceParseError(line_no, "record is not an object")

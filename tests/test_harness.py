@@ -1,18 +1,30 @@
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from capsim.checker import (
+    bound_holds,
+    empirical_availability_bound,
+    extract_history,
+    min_consistency_bound,
+)
 from capsim.config import ConfigError, StrategyParams
 from capsim.harness import (
     FRONTIER_T_START,
+    FRONTIER_TAIL,
+    FrontierRow,
     ProofReplaySpec,
     bound_slack,
     build_frontier_config,
     build_proof_config,
+    deadline_history,
     frontier_csv,
     frontier_sweep,
+    probed_run,
     proof_replay,
 )
-from capsim.kernel import run_scenario
+from capsim.kernel import Simulation, run_scenario
 
 
 LOCAL = StrategyParams("LocalFirst", anti_entropy_period=4)
@@ -146,3 +158,76 @@ class TestFrontierSweep:
             (op.node, op.kind) for op in config.workload
         }
         assert kinds_by_node == {(0, "write"), (1, "read")}
+
+
+# -- the probed sweep against one simulation per row -------------------
+
+
+def sweep_horizon(tp, deadlines, latency):
+    return FRONTIER_T_START + tp + FRONTIER_TAIL + max(deadlines) + 6 * latency + 4
+
+
+def oracle_histories(tp, deadlines, latency, seed, noise_reads, gossip):
+    """(label, deadline, strategy, history) per row, one full run each."""
+    horizon = sweep_horizon(tp, deadlines, latency)
+    strategies = [("LocalFirst", None, StrategyParams("LocalFirst", anti_entropy_period=gossip))]
+    strategies += [
+        (str(d), d, StrategyParams("HybridDeadline", retransmit_period=1, deadline=d))
+        for d in deadlines
+    ]
+    strategies.append(("SyncAll", None, StrategyParams("SyncAll", retransmit_period=1)))
+    for label, deadline, strategy in strategies:
+        config = build_frontier_config(
+            tp, strategy, latency=latency, seed=seed, horizon=horizon, noise_reads=noise_reads
+        )
+        yield label, deadline, strategy, extract_history(run_scenario(config))
+
+
+def oracle_row(tp, latency, label, deadline, strategy, history):
+    tc = min_consistency_bound(history, time_ref="invoke")
+    ta = empirical_availability_bound(history)
+    ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
+    return FrontierRow(label, deadline, tc, ta, tp, ok)
+
+
+def responses(history):
+    return [(op.op_id, op.answered, op.response_tick, op.returned) for op in history.records]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 46), max_size=5),
+    st.sampled_from([0, 5, 20]),
+    st.integers(0, 2**16),
+)
+def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_reads, seed):
+    cap = tp + 2 * latency
+    deadlines = sorted({0, cap, *(d for d in extra if d <= cap)})
+    base = {"latency": latency, "seed": seed, "noise_reads": noise_reads}
+    oracle = list(oracle_histories(tp, deadlines, latency, seed, noise_reads, gossip=2))
+    sync_config = build_frontier_config(
+        tp, oracle[-1][2], latency=latency, seed=seed,
+        horizon=sweep_horizon(tp, deadlines, latency), noise_reads=noise_reads,
+    )
+    synced, answers = probed_run(sync_config, deadlines)
+    assert responses(synced) == responses(oracle[-1][3])
+    for _, deadline, _, history in oracle[1:-1]:
+        assert responses(deadline_history(synced, answers[deadline])) == responses(history)
+    rows = [oracle_row(tp, latency, *entry) for entry in oracle]
+    assert frontier_sweep(tp, deadlines, base) == rows
+
+
+def test_one_sweep_runs_two_simulations(monkeypatch):
+    runs = []
+    run = Simulation.run
+
+    def counting_run(self):
+        runs.append(self.config.strategy.kind)
+        return run(self)
+
+    monkeypatch.setattr(Simulation, "run", counting_run)
+    rows = frontier_sweep(20, [0, 4, 8, 12, 16, 20, 22])
+    assert len(rows) == 9
+    assert runs == ["LocalFirst", "SyncAll"]

@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import os
+import sys
 import tempfile
 from pathlib import Path
 
@@ -85,6 +86,27 @@ def run(command, text, *flags):
 
 def trace_text(records):
     return "".join(json.dumps(r) + "\n" for r in records)
+
+
+class _Huge(int):
+    """An integer with a short repr, so that hypothesis can print its draws."""
+
+    def __repr__(self):
+        return "10**5000 - 1"
+
+
+HUGE = _Huge(10**5000 - 1)  # 5000 digits: past Python's default limit of 4300 for int <-> str
+
+
+@contextlib.contextmanager
+def digits_unlimited():
+    """Lift the int <-> str digit limit, so that json.dumps can write HUGE."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _DELETE = object()  # as a field value: drop the field
@@ -201,6 +223,39 @@ def test_deeply_nested_json_exits_two_on_every_subcommand(command):
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["tp", "frontier", "check"])
+def test_an_integer_past_the_digit_limit_exits_two_naming_the_input(command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    with digits_unlimited():
+        if command == "check":
+            path.write_text(trace_text(with_field(TRACE, (0, "seq"), HUGE)))
+        else:
+            path.write_text(json.dumps({**(BASE if command == "frontier" else CONFIG), "seed": HUGE}))
+    assert main([command, str(path), *COMMANDS[command]]) == 2
+    if command == "check":
+        assert capsys.readouterr().err == "trace error: line 1: integer too long to read\n"
+    else:
+        assert capsys.readouterr().err == f"config error: {path} holds an integer too long to read\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_a_file_that_is_not_utf8_exits_two_naming_it(command, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(b"\xff{}")
+    assert main([command, str(path), *COMMANDS[command]]) == 2
+    assert capsys.readouterr().err == f"config error: {path} is not UTF-8 text\n"
+
+
+@pytest.mark.parametrize(
+    "deadlines, shown",
+    [("1,x", '"x"'), ("0,1.5", '"1.5"'), ("0," + "9" * 5000, '"' + "9" * 36 + "...")],
+    ids=["letter", "fraction", "5000 digits"],
+)
+def test_a_deadline_that_is_no_integer_exits_two_naming_it(deadlines, shown):
+    message = f"config error: --deadlines: cannot read {shown} as an integer\n"
+    assert run("frontier", json.dumps(BASE), "--deadlines", deadlines) == (2, message)
+
+
 @pytest.mark.parametrize("command", ["simulate", "frontier"])
 def test_unwritable_output_path_exits_two_naming_it(command, tmp_path, capsys):
     source = tmp_path / "input.json"
@@ -273,9 +328,9 @@ TARGETS = [
     *(("check", TRACE, path) for path in _paths(TRACE) if len(path) == 2),
 ]
 
-# small values, negatives, and values just past each cap
+# small values, negatives, values just past each cap, and one past the digit limit
 INTS = st.integers(-3, 40) | st.sampled_from(
-    sorted({MAX_NODES + 1, MAX_HORIZON + 1, MAX_GEN_OPS + 1, MAX_TP + 1})
+    sorted({MAX_NODES + 1, MAX_HORIZON + 1, MAX_GEN_OPS + 1, MAX_TP + 1, HUGE})
 )
 JSON = st.recursive(
     st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=4),
@@ -289,6 +344,10 @@ JSON = st.recursive(
 def test_any_field_replaced_by_any_json_keeps_the_exit_code_contract(target, value):
     command, doc, path = target
     changed = with_field(doc, path, value)
-    code, err = run(command, trace_text(changed) if command == "check" else json.dumps(changed))
+    with digits_unlimited():
+        text = trace_text(changed) if command == "check" else json.dumps(changed)
+    code, err = run(command, text)
     assert code in (0, 1, 2)
     assert err.count("\n") <= 1 and "Traceback" not in err
+    if code == 2:
+        assert err.startswith(("config error: ", "trace error: ")), err

@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 
 from capsim.config import ScenarioConfig
 from capsim.kernel import Simulation, run_scenario
-from capsim.strategies import RegisterMap
+from capsim.strategies import DeadlineProbeNode, RegisterMap
+from capsim.trace import Trace
+
+from histgen import random_schedule
 
 
 def scenario(**overrides):
@@ -219,3 +222,84 @@ class TestHybridDeadline:
             invokes = {r["op"]: r["t"] for r in trace.records if r["ev"] == "invoke"}
             for op, rec in responses(trace).items():
                 assert rec["t"] - invokes[op] <= d
+
+
+class TestDeadlineProbe:
+    def test_probes_change_no_message_and_name_their_timers_with_strings(self):
+        cfg = scenario(
+            strategy={"kind": "SyncAll", "R": 1},
+            partitions=[{"a": 0, "b": 1, "start": 4, "end": 12}],
+            workload=[write(5, 0, 1), read(6, 1)],
+            horizon=30,
+        )
+        answers = {0: {}, 3: {}, 20: {}}
+        nodes = [DeadlineProbeNode(cfg.strategy, n, 2, answers) for n in range(2)]
+        probed = Simulation(cfg, nodes).run()
+
+        def without_timers(trace):
+            return [
+                {k: v for k, v in r.items() if k != "seq"}
+                for r in trace.records
+                if r["ev"] != "timer"
+            ]
+
+        assert without_timers(probed) == without_timers(run_scenario(cfg))
+        timers = [r["timer"] for r in probed.records if r["ev"] == "timer"]
+        probes = [t for t in timers if t != "retransmit"]
+        assert probes == ["probe:3", "probe:3", "probe:20", "probe:20"]
+        assert Trace.from_jsonl(probed.to_jsonl()).records == probed.records
+        # both rounds stay open until the heal at 12, so D=20 finds them done
+        assert answers == {0: {0: (5, None), 1: (6, None)}, 3: {0: (8, None), 1: (9, None)}, 20: {}}
+
+    def test_a_probe_answers_with_the_freshest_reply_of_an_open_round(self):
+        # node 1 misses the write at 4 and reads at 11; node 0's reply brings
+        # the write at 13, while node 2, cut off from 8, keeps the round open
+        def isolate(node, start, end):
+            return [{"a": node, "b": b, "start": start, "end": end} for b in range(3) if b != node]
+
+        doc = {
+            "nodes": 3,
+            "horizon": 30,
+            "partitions": isolate(1, 3, 11) + isolate(2, 8, 40),
+            "workload": [write(4, 0, 7), read(11, 1)],
+        }
+        config = scenario(**doc, strategy={"kind": "SyncAll", "R": 5})
+        answers = {3: {}, 5: {}}
+        nodes = [DeadlineProbeNode(config.strategy, n, 3, answers) for n in range(3)]
+        Simulation(config, nodes).run()
+        assert answers[3][1] == (14, 7) and answers[5][1] == (16, 7)
+        for d in answers:
+            hybrid = scenario(**doc, strategy={"kind": "HybridDeadline", "R": 5, "D": d})
+            got = responses(run_scenario(hybrid))[1]
+            assert (got["t"], got["val"]) == answers[d][1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**16),
+        st.integers(1, 2),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
+    )
+    def test_probes_answer_as_each_hybrid_deadline_run_does(self, seed, latency, period, deadlines):
+        # up to 4 nodes, so that replies also arrive while a round stays open
+        schedule, horizon = random_schedule(seed, max_nodes=4, horizon=80)
+        doc = {
+            "nodes": schedule.node_count,
+            "latency": latency,
+            "horizon": horizon,
+            "seed": seed,
+            "partitions": schedule.to_dicts(),
+            "workload_gen": {"ops": 16, "keys": ["A", "B"], "span": [0, horizon - 1]},
+        }
+        config = ScenarioConfig.from_dict({**doc, "strategy": {"kind": "SyncAll", "R": period}})
+        answers = {d: {} for d in deadlines}
+        nodes = [
+            DeadlineProbeNode(config.strategy, n, config.node_count, answers)
+            for n in range(config.node_count)
+        ]
+        synced = {op: (r["t"], r["val"]) for op, r in responses(Simulation(config, nodes).run()).items()}
+        for d in deadlines:
+            hybrid = {"kind": "HybridDeadline", "R": period, "D": d}
+            trace = run_scenario(ScenarioConfig.from_dict({**doc, "strategy": hybrid}))
+            expected = {op: (r["t"], r["val"]) for op, r in responses(trace).items()}
+            assert {**synced, **answers[d]} == expected
