@@ -7,66 +7,4 @@ actually achieved and verifies that staleness plus latency always
 covers the partition span (up to declared discrete-model slack).
 """
 
-from .checker import (
-    CheckReport,
-    History,
-    HistoryIntegrityError,
-    OperationRecord,
-    Violation,
-    bound_holds,
-    check,
-    empirical_availability_bound,
-    extract_history,
-    min_consistency_bound,
-    valid_read_values,
-)
-from .config import ClientOp, ConfigError, ScenarioConfig, StrategyParams
-from .harness import (
-    FrontierRow,
-    ProofReplaySpec,
-    bound_slack,
-    build_frontier_config,
-    build_proof_config,
-    frontier_csv,
-    frontier_sweep,
-    proof_replay,
-)
-from .kernel import Message, Simulation, SimulationError, run_scenario
-from .partitions import LinkOutage, PartitionSchedule
-from .trace import Trace, TraceParseError
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckReport",
-    "ClientOp",
-    "ConfigError",
-    "FrontierRow",
-    "History",
-    "HistoryIntegrityError",
-    "LinkOutage",
-    "Message",
-    "OperationRecord",
-    "PartitionSchedule",
-    "ProofReplaySpec",
-    "ScenarioConfig",
-    "Simulation",
-    "SimulationError",
-    "StrategyParams",
-    "Trace",
-    "TraceParseError",
-    "Violation",
-    "bound_holds",
-    "bound_slack",
-    "build_frontier_config",
-    "build_proof_config",
-    "check",
-    "empirical_availability_bound",
-    "extract_history",
-    "frontier_csv",
-    "frontier_sweep",
-    "min_consistency_bound",
-    "proof_replay",
-    "run_scenario",
-    "valid_read_values",
-]

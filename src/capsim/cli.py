@@ -42,13 +42,11 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        trace = Trace.read(args.trace)
-        history = extract_history(trace)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {args.trace}: {exc.strerror}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError(f"{args.trace} is not UTF-8 text") from None
+    for flag in ("tc", "ta", "tp", "slack"):
+        value = getattr(args, flag)
+        if value is not None and value < 0:
+            raise ConfigError(f"--{flag} must be >= 0, got {value}")
+    history = extract_history(Trace.read(args.trace))
     report = check(history, args.tc, args.ta, time_ref=args.time_ref)
     print(report.to_json())
     code = 0 if report.clean else 1

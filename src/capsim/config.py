@@ -19,19 +19,26 @@ class ConfigError(ValueError):
     """The scenario description is invalid."""
 
 
-def load_json_object(path) -> dict:
-    """Read a JSON file whose root must be an object; every failure is a ConfigError."""
+def read_text(path) -> str:
+    """The UTF-8 text of a file; every input file is read here."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
+
+
+def load_json_object(path) -> dict:
+    """Read a JSON file whose root must be an object; every failure is a ConfigError."""
+    text = read_text(path)
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc.msg}") from exc
     except RecursionError:
         raise ConfigError(f"{path} is nested too deeply to read") from None
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path} is not UTF-8 text") from None
     except ValueError:  # json's one other refusal: an integer past Python's digit limit
         raise ConfigError(f"{path} holds an integer too long to read") from None
     if not isinstance(data, dict):

@@ -15,10 +15,10 @@ per response deadline D, bracketed by the two extremes (LocalFirst as
 the instant-answer corner, SyncAll as the always-fresh corner). The
 sweep runs two simulations, not one per row. A HybridDeadline(D) node
 sends and merges exactly what a SyncAll node does; D only decides when
-it answers. So ``probed_run`` runs SyncAll once with a probe timer per
-deadline, set where HybridDeadline sets its own, and each probe that
-fires on a still-open round records the answer HybridDeadline(D) would
-give. ``deadline_history`` then puts one deadline's answers into the
+it answers. So ``probed_run`` runs HybridDeadline nodes once with every
+deadline: each deadline timer that fires on a still-open round records
+the answer HybridDeadline(D) would give, and the nodes answer as SyncAll
+does. ``deadline_history`` then puts one deadline's answers into the
 SyncAll history, and the row is measured from that. Rows
 anchor staleness at the invoke tick: a deadline strategy spends its D
 ticks waiting for fresher data, and response-tick anchoring would bill
@@ -51,7 +51,7 @@ from .config import (
     read_json,
 )
 from .kernel import Simulation, run_scenario
-from .strategies import DeadlineProbeNode
+from .strategies import HybridDeadlineNode
 
 
 def bound_slack(params: StrategyParams, latency: int) -> int:
@@ -299,14 +299,14 @@ def frontier_sweep(
 
 
 def probed_run(config: ScenarioConfig, deadlines: list[int]) -> tuple[History, dict]:
-    """One run of the SyncAll ``config`` with a probe per deadline.
+    """One run of the SyncAll ``config`` that notes every deadline's answers.
 
     Returns its history and, per deadline D, ``{op: (tick, value)}`` for
     the ops HybridDeadline(D) answers at its deadline.
     """
     answers: dict[int, dict] = {d: {} for d in deadlines}
     nodes = [
-        DeadlineProbeNode(config.strategy, n, config.node_count, answers)
+        HybridDeadlineNode(config.strategy, n, config.node_count, answers)
         for n in range(config.node_count)
     ]
     return extract_history(Simulation(config, nodes).run()), answers
@@ -315,7 +315,7 @@ def probed_run(config: ScenarioConfig, deadlines: list[int]) -> tuple[History, d
 def deadline_history(synced: History, answers: dict) -> History:
     """One deadline's history, from SyncAll's and that deadline's answers.
 
-    An op its probe answered takes the probe's tick and value; every other
+    An op answered at the deadline takes that tick and value; every other
     op keeps its SyncAll response, or stays unanswered.
     """
     return History([

@@ -61,7 +61,7 @@ class Simulation:
     """One single-threaded run of a scenario up to its horizon.
 
     ``nodes`` replaces the nodes the config's strategy would build, one
-    per node id; the harness hands in probe nodes this way.
+    per node id; the harness hands in deadline-probing nodes this way.
     """
 
     def __init__(self, config: ScenarioConfig, nodes: list[StrategyNode] | None = None):

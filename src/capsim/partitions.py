@@ -37,9 +37,6 @@ class LinkOutage:
             object.__setattr__(self, "a", lo)
             object.__setattr__(self, "b", hi)
 
-    def covers(self, t: int) -> bool:
-        return self.start <= t < self.end
-
 
 @dataclass(frozen=True)
 class PartitionSchedule:
@@ -60,17 +57,6 @@ class PartitionSchedule:
         return [
             {"a": o.a, "b": o.b, "start": o.start, "end": o.end} for o in self.outages
         ]
-
-    def link_up(self, t: int, a: int, b: int) -> bool:
-        """True when the direct link {a, b} is live at tick t.
-
-        Overlapping outages on the same pair union: the link is down
-        whenever any interval covers t.
-        """
-        if a == b:
-            raise ValueError("link_up requires two distinct nodes")
-        lo, hi = (a, b) if a < b else (b, a)
-        return not any(o.a == lo and o.b == hi and o.covers(t) for o in self.outages)
 
     @cached_property
     def _segments(self) -> tuple[list[int], list[list[int]]]:
@@ -105,8 +91,7 @@ class PartitionSchedule:
         """True when a path of live links joins a and b at tick t.
 
         This is the normative communication test, and what the simulator
-        uses to gate message delivery; ``link_up`` answers for the single
-        link {a, b}. Every pair is connected before tick 0.
+        uses to gate message delivery. Every pair is connected before tick 0.
         """
         if a == b:
             raise ValueError("reachable requires two distinct nodes")

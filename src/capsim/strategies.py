@@ -23,7 +23,6 @@ and merges never move a key backwards.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .config import StrategyParams
@@ -295,71 +294,51 @@ class HybridDeadlineNode(SyncAllNode):
     with whatever arrived by then; the round itself keeps retransmitting
     until every peer has acknowledged, so replication still converges
     after the network heals.
+
+    D changes only when the node answers, never what it sends or merges.
+    So with ``answers``, a dict of ``{D: {}}`` shared by all nodes, one
+    run serves every D in it: at each ``invoke + D`` that finds the round
+    still open the node records ``answers[D][op] = (tick, value)`` instead
+    of answering, and it answers as SyncAll does.
     """
 
     DEADLINE_PREFIX = "deadline:"
+
+    def __init__(
+        self, params: StrategyParams, node_id: int, node_count: int, answers: dict | None = None
+    ):
+        super().__init__(params, node_id, node_count)
+        self.answers = answers
+        self.deadlines = (params.deadline,) if answers is None else tuple(answers)
 
     def on_invoke(self, op, now: int) -> list[Action]:
         rnd, actions = self._start_round(op, now)
         if rnd.op_id not in self.rounds:
             return actions  # completed synchronously (no peers)
-        if self.params.deadline == 0:
-            rnd.responded = True
-            actions.append(Respond(rnd.op_id, self._respond_value(rnd)))
-        else:
-            actions.append(
-                SetTimer(self.params.deadline, f"{self.DEADLINE_PREFIX}{op.op_id}")
-            )
+        timer_id = f"{self.DEADLINE_PREFIX}{op.op_id}"
+        for deadline in self.deadlines:
+            if deadline == 0:
+                actions.extend(self._deadline_passed(rnd, now))
+            else:
+                actions.append(SetTimer(deadline, timer_id))
         return actions
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
         if not timer_id.startswith(self.DEADLINE_PREFIX):
             return super().on_timer(timer_id, now)
         rnd = self.rounds.get(int(timer_id[len(self.DEADLINE_PREFIX):]))
-        if rnd is None or rnd.responded:
+        if rnd is None:
+            return []  # the round completed, and SyncAll's answer stands
+        return self._deadline_passed(rnd, now)
+
+    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+        """Answer an open round with what has arrived, or note that answer."""
+        value = self._respond_value(rnd)
+        if self.answers is not None:
+            self.answers[now - rnd.invoke_tick][rnd.op_id] = (now, value)
             return []
         rnd.responded = True
-        return [Respond(rnd.op_id, self._respond_value(rnd))]
-
-
-class DeadlineProbeNode(SyncAllNode):
-    """SyncAll that notes, per deadline D, what HybridDeadline(D) would answer.
-
-    D changes only when a HybridDeadline node answers, never what it sends
-    or merges. Where that node sets its deadline timer, this one sets a
-    non-sending timer per D; one that fires on a still-open round records
-    ``answers[D][op] = (tick, value)``. ``answers`` is shared by all nodes.
-    """
-
-    PROBE_PREFIX = "probe:"
-
-    def __init__(self, params: StrategyParams, node_id: int, node_count: int, answers: dict):
-        super().__init__(params, node_id, node_count)
-        self.answers = answers
-        # per deadline: its timer id, and its ops with a probe pending; timers
-        # of one delay fire in the order they were set, so the oldest is due
-        self._pending = {d: (f"{self.PROBE_PREFIX}{d}", deque()) for d in answers}
-
-    def on_invoke(self, op, now: int) -> list[Action]:
-        rnd, actions = self._start_round(op, now)
-        if rnd.op_id not in self.rounds:
-            return actions  # completed synchronously (no peers)
-        for deadline, (timer_id, pending) in self._pending.items():
-            if deadline == 0:
-                self.answers[0][op.op_id] = (now, self._respond_value(rnd))
-            else:
-                pending.append(op.op_id)
-                actions.append(SetTimer(deadline, timer_id))
-        return actions
-
-    def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        if not timer_id.startswith(self.PROBE_PREFIX):
-            return super().on_timer(timer_id, now)
-        deadline = int(timer_id[len(self.PROBE_PREFIX):])
-        rnd = self.rounds.get(self._pending[deadline][1].popleft())
-        if rnd is not None:
-            self.answers[deadline][rnd.op_id] = (now, self._respond_value(rnd))
-        return []
+        return [Respond(rnd.op_id, value)]
 
 
 STRATEGY_NODES = {
@@ -370,8 +349,4 @@ STRATEGY_NODES = {
 
 
 def build_node(params: StrategyParams, node_id: int, node_count: int) -> StrategyNode:
-    try:
-        cls = STRATEGY_NODES[params.kind]
-    except KeyError:
-        raise ValueError(f"no strategy registered for kind {params.kind!r}") from None
-    return cls(params, node_id, node_count)
+    return STRATEGY_NODES[params.kind](params, node_id, node_count)

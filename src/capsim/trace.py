@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .config import INT, OPT, STR
+from .config import INT, OPT, STR, read_text
 
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
 # with their JSON types, which also say how each value is written: INT
@@ -145,8 +145,7 @@ class Trace:
 
     @classmethod
     def read(cls, path) -> "Trace":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_jsonl(fh.read())
+        return cls.from_jsonl(read_text(path))
 
     def line_no(self, index: int) -> int:
         """The file line of ``records[index]``, counting skipped blank lines."""
@@ -156,9 +155,3 @@ class Trace:
                 break
             line += 1
         return line
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self) -> int:
-        return len(self.records)

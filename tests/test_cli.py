@@ -168,3 +168,38 @@ def test_one_loader_words_a_non_object_config_the_same_on_every_route(tmp_path, 
         name, *flags = command.split()
         assert main([name, str(path), *flags]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+COMMANDS = {
+    "simulate": [],
+    "tp": [],
+    "prove": [],
+    "frontier": ["--tp", "4", "--deadlines", "1"],
+    "check": ["--tc", "0", "--ta", "0"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+])
+def test_an_unreadable_input_path_is_one_config_error_line(tmp_path, capsys, command, kind, reason):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    assert main([command, str(path), *COMMANDS[command]]) == 2
+    assert capsys.readouterr().err == f"config error: cannot read {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("flag", ["--tc", "--ta", "--tp", "--slack"])
+def test_check_refuses_a_negative_number_flag_before_reading_the_trace(tmp_path, capsys, flag):
+    flags = {"--tc": "0", "--ta": "0", flag: "-5"}
+    # the trace does not exist: the flag is refused before any read
+    args = ["check", str(tmp_path / "missing.jsonl")]
+    for name, value in flags.items():
+        args += [name, value]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {flag} must be >= 0, got -5\n"
+    assert captured.out == ""

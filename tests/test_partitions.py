@@ -14,34 +14,35 @@ def make(node_count, *outages):
 
 
 class TestLinkUp:
+    # on two nodes the direct link is the only path, so reachable is the link
     def test_empty_schedule_always_up(self):
-        sched = make(3)
-        assert all(sched.link_up(t, 0, 1) for t in range(50))
+        sched = make(2)
+        assert all(sched.reachable(t, 0, 1) for t in range(50))
 
     def test_half_open_boundaries(self):
         sched = make(2, (0, 1, 10, 25))
-        assert not sched.link_up(10, 0, 1)
-        assert not sched.link_up(24, 0, 1)
-        assert sched.link_up(25, 0, 1)
-        assert sched.link_up(9, 0, 1)
+        assert not sched.reachable(10, 0, 1)
+        assert not sched.reachable(24, 0, 1)
+        assert sched.reachable(25, 0, 1)
+        assert sched.reachable(9, 0, 1)
 
     def test_overlapping_outages_union(self):
         sched = make(2, (0, 1, 5, 10), (0, 1, 8, 15))
-        assert not sched.link_up(9, 0, 1)
-        assert not sched.link_up(12, 0, 1)
-        assert sched.link_up(15, 0, 1)
+        assert not sched.reachable(9, 0, 1)
+        assert not sched.reachable(12, 0, 1)
+        assert sched.reachable(15, 0, 1)
 
     def test_same_node_rejected(self):
         sched = make(2)
         with pytest.raises(ValueError):
-            sched.link_up(0, 1, 1)
+            sched.reachable(0, 1, 1)
 
 
 class TestReachable:
     def test_relay_path_survives_direct_cut(self):
         sched = make(3, (0, 1, 10, 25))
         assert sched.reachable(12, 0, 1)
-        assert not sched.link_up(12, 0, 1)
+        assert not make(2, (0, 1, 10, 25)).reachable(12, 0, 1)
 
     def test_full_bipartition_severs(self):
         sched = make(3, (0, 1, 10, 25), (0, 2, 10, 25))
@@ -99,7 +100,6 @@ def test_symmetry(sched_horizon, t):
     sched, _ = sched_horizon
     for a in range(sched.node_count):
         for b in range(a + 1, sched.node_count):
-            assert sched.link_up(t, a, b) == sched.link_up(t, b, a)
             assert sched.reachable(t, a, b) == sched.reachable(t, b, a)
 
 

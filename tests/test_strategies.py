@@ -1,11 +1,12 @@
 import itertools
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim.config import ScenarioConfig
 from capsim.kernel import Simulation, run_scenario
-from capsim.strategies import DeadlineProbeNode, RegisterMap
+from capsim.strategies import HybridDeadlineNode, RegisterMap
 from capsim.trace import Trace
 
 from histgen import random_schedule
@@ -27,6 +28,14 @@ def scenario(**overrides):
 
 def responses(trace):
     return {r["op"]: r for r in trace.records if r["ev"] == "respond"}
+
+
+def deadline_timers(trace):
+    return Counter(
+        (r["t"], r["node"], r["timer"])
+        for r in trace.records
+        if r["ev"] == "timer" and r["timer"].startswith("deadline:")
+    )
 
 
 def write(t, node, val, key="A"):
@@ -233,7 +242,7 @@ class TestDeadlineProbe:
             horizon=30,
         )
         answers = {0: {}, 3: {}, 20: {}}
-        nodes = [DeadlineProbeNode(cfg.strategy, n, 2, answers) for n in range(2)]
+        nodes = [HybridDeadlineNode(cfg.strategy, n, 2, answers) for n in range(2)]
         probed = Simulation(cfg, nodes).run()
 
         def without_timers(trace):
@@ -246,7 +255,7 @@ class TestDeadlineProbe:
         assert without_timers(probed) == without_timers(run_scenario(cfg))
         timers = [r["timer"] for r in probed.records if r["ev"] == "timer"]
         probes = [t for t in timers if t != "retransmit"]
-        assert probes == ["probe:3", "probe:3", "probe:20", "probe:20"]
+        assert probes == ["deadline:0", "deadline:1", "deadline:0", "deadline:1"]
         assert Trace.from_jsonl(probed.to_jsonl()).records == probed.records
         # both rounds stay open until the heal at 12, so D=20 finds them done
         assert answers == {0: {0: (5, None), 1: (6, None)}, 3: {0: (8, None), 1: (9, None)}, 20: {}}
@@ -265,7 +274,7 @@ class TestDeadlineProbe:
         }
         config = scenario(**doc, strategy={"kind": "SyncAll", "R": 5})
         answers = {3: {}, 5: {}}
-        nodes = [DeadlineProbeNode(config.strategy, n, 3, answers) for n in range(3)]
+        nodes = [HybridDeadlineNode(config.strategy, n, 3, answers) for n in range(3)]
         Simulation(config, nodes).run()
         assert answers[3][1] == (14, 7) and answers[5][1] == (16, 7)
         for d in answers:
@@ -294,12 +303,17 @@ class TestDeadlineProbe:
         config = ScenarioConfig.from_dict({**doc, "strategy": {"kind": "SyncAll", "R": period}})
         answers = {d: {} for d in deadlines}
         nodes = [
-            DeadlineProbeNode(config.strategy, n, config.node_count, answers)
+            HybridDeadlineNode(config.strategy, n, config.node_count, answers)
             for n in range(config.node_count)
         ]
-        synced = {op: (r["t"], r["val"]) for op, r in responses(Simulation(config, nodes).run()).items()}
+        probed = Simulation(config, nodes).run()
+        synced = {op: (r["t"], r["val"]) for op, r in responses(probed).items()}
+        hybrid_timers = Counter()
         for d in deadlines:
             hybrid = {"kind": "HybridDeadline", "R": period, "D": d}
             trace = run_scenario(ScenarioConfig.from_dict({**doc, "strategy": hybrid}))
             expected = {op: (r["t"], r["val"]) for op, r in responses(trace).items()}
             assert {**synced, **answers[d]} == expected
+            hybrid_timers += deadline_timers(trace)
+        # one timer path: the probed run sets each deadline timer a HybridDeadline(D) run does
+        assert deadline_timers(probed) == hybrid_timers
