@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .config import INT, REQUIRED, ConfigError, read_json
-from .trace import RECORD_FIELDS, Trace, TraceParseError
+from .trace import OPERATIONS, RECORD_FIELDS, Trace, TraceParseError, scan_operations
 
 INFINITE = math.inf
 
@@ -122,7 +122,7 @@ class History:
 _OP_FIELDS = {
     ev: {key: (key, kind, REQUIRED) for key, kind in (("t", INT), *fields)}
     for ev, fields in RECORD_FIELDS.items()
-    if ev in ("invoke", "respond", "unanswered")
+    if ev in OPERATIONS
 }
 # per operation kind: a getter for those fields in table order, and every
 # tuple of Python types they may hold, which is what read_json accepts
@@ -132,41 +132,56 @@ _OP_READERS = {
 }
 
 
-def _malformed(trace: Trace, index: int, rec: dict, ev: str) -> TraceParseError:
+def _malformed(line_no: int, rec: dict, ev: str) -> TraceParseError:
     """Failure path only: the typed field reader words what is wrong."""
     try:
         read_json(rec, _OP_FIELDS[ev], ev)
     except ConfigError as exc:
-        return TraceParseError(trace.line_no(index), str(exc))
+        return TraceParseError(line_no, str(exc))
     raise AssertionError(f"read_json accepted a record the fast path refused: {rec!r}")
 
 
-def extract_history(trace: Trace) -> History:
-    """Build a History from trace records, validating as we go."""
+def extract_history(source: str | Trace) -> History:
+    """Build a History from a trace's JSONL text or from a Trace, validating as we go.
+
+    Errors in text name its file line (see ``scan_operations``); a
+    Trace's records are numbered from 1, as the lines ``to_jsonl`` writes.
+    """
+    if isinstance(source, str):
+        ops = scan_operations(source)
+
+        def line_no(offset: int) -> int:
+            return source.count("\n", 0, offset) + 1
+
+    else:
+        ops = [(i, r["ev"], r) for i, r in enumerate(source.records) if r.get("ev") in OPERATIONS]
+
+        def line_no(index: int) -> int:
+            return index + 1
+
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
-    for index, rec in enumerate(trace.records):
-        ev = rec.get("ev")
-        if ev != "invoke" and ev != "respond" and ev != "unanswered":
-            continue  # send/deliver/drop/timer are transport records, not operations
-        get, types = _OP_READERS[ev]
-        try:
-            values = get(rec)
-        except KeyError:
-            raise _malformed(trace, index, rec, ev) from None
-        if tuple(map(type, values)) not in types:
-            raise _malformed(trace, index, rec, ev)
+    for where, ev, values in ops:
+        if type(values) is dict:
+            rec = values
+            get, types = _OP_READERS[ev]
+            try:
+                values = get(rec)
+            except KeyError:
+                raise _malformed(line_no(where), rec, ev) from None
+            if tuple(map(type, values)) not in types:
+                raise _malformed(line_no(where), rec, ev)
         op_id = values[1]
         if ev == "invoke":
             t, _, node, kind, key, val = values
             if op_id in by_op:
                 raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
             if kind != "read" and kind != "write":
-                raise TraceParseError(trace.line_no(index), f"bad op kind {kind!r}")
+                raise TraceParseError(line_no(where), f"bad op kind {kind!r}")
             record = OperationRecord(op_id, kind, key, node, t)
             if kind == "write":
                 if val is None:
-                    raise TraceParseError(trace.line_no(index), "write invoke without a value")
+                    raise TraceParseError(line_no(where), "write invoke without a value")
                 record.written = val
             by_op[op_id] = record
             order.append(op_id)

@@ -4,15 +4,18 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's record builder and line template are compiled from it.
+each kind's record builder, line template and line matcher are compiled
+from it.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import dataclass, field
 
-from .config import INT, OPT, STR, read_text
+from .config import INT, OPT, STR
 
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
 # with their JSON types, which also say how each value is written: INT
@@ -28,17 +31,31 @@ RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
     "timer": (("node", INT), ("timer", STR)),
     "unanswered": (("op", INT),),
 }
+# the kinds a history is built from; the others are transport records
+OPERATIONS = ("invoke", "respond", "unanswered")
 
-# per type: the template slot and the expression that fills it from r
+_INT = "-?(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
+# per type: the template slot, the expression that fills it from r, the text
+# that slot writes as (literal before, pattern of the value, literal after),
+# and the expression that reads the value back from its matched text. Each
+# pattern takes only text json.loads reads as that same value: a string is
+# printable ASCII without '"' or '\', so its text is its value.
 _SLOTS = {
-    INT: ("%d", "r[{0!r}]"),
-    STR: ("%s", "quoted[r[{0!r}]]"),
-    OPT: ("%s", '("null" if r[{0!r}] is None else "%d" % r[{0!r}])'),
+    INT: ("%d", "r[{0!r}]", ("", _INT, ""), "int({0})"),
+    STR: ("%s", "quoted[r[{0!r}]]", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
+    OPT: (
+        "%s",
+        '("null" if r[{0!r}] is None else "%d" % r[{0!r}])',
+        ("", "null|" + _INT, ""),
+        '(None if {0} == "null" else int({0}))',
+    ),
 }
 
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
 _LINES: dict = {}  # ev -> line(record, quoted), filled by _compile
+_TEMPLATES: dict = {}  # ev -> its line template, filled by _compile
+_HEAD = '{"t": %d, "seq": %d, "ev": "'  # how every template starts
 
 
 class TraceParseError(ValueError):
@@ -68,6 +85,7 @@ def _compile(ev: str):
     env = {"__name__": __name__}
     exec(source, env)
     _LINES[ev] = env["line"]
+    _TEMPLATES[ev] = template
     return env[f"{ev}_record"]
 
 
@@ -78,6 +96,131 @@ deliver_record = _compile("deliver")
 drop_record = _compile("drop")
 timer_record = _compile("timer")
 unanswered_record = _compile("unanswered")
+
+
+def _pattern(template: str, kinds, captured) -> str:
+    """A regex for exactly the text ``template`` writes; captured slots become groups."""
+    literals = re.split("%[ds]", template)
+    out = [re.escape(literals[0])]
+    for kind, group, literal in zip(kinds, captured, literals[1:]):
+        before, value, after = _SLOTS[kind][2]
+        value = f"({value})" if group else f"(?:{value})"
+        out += [re.escape(before), value, re.escape(after + literal)]
+    return "".join(out)
+
+
+@functools.cache
+def _matcher():
+    """The line matcher and its group readers, compiled on first use.
+
+    The pattern matches a run of transport lines, then at most one
+    operation line, each exactly as its template writes it. Group 1 is the
+    operation's t, then come each operation kind's fields and an empty
+    group named after the kind: it closes last, so ``lastgroup`` names the
+    kind that matched. ``readers[ev]`` turns the groups into that kind's
+    values in ``RECORD_FIELDS`` order, t first.
+    """
+    transport, operations, readers = [], [], {}
+    group = 1
+    for ev, template in _TEMPLATES.items():
+        fields = RECORD_FIELDS[ev]
+        kinds = [kind for _, kind in fields]
+        tail = _pattern(template[len(_HEAD) :], kinds, [ev in OPERATIONS] * len(kinds))
+        if ev not in OPERATIONS:
+            transport.append(tail)
+            continue
+        operations.append(f"{tail}(?P<{ev}>)")
+        names = ["t", *(name for name, _ in fields)]
+        groups = [1, *range(group + 1, group + 1 + len(fields))]
+        values = [_SLOTS[kind][3].format(name) for name, kind in zip(names, (INT, *kinds))]
+        source = (
+            f"def read(m):\n"
+            f"    {', '.join(names)} = m.group({', '.join(map(str, groups))})\n"
+            f"    return ({', '.join(values)},)\n"
+        )
+        env = {}
+        exec(source, env)
+        readers[ev] = env["read"]
+        group += len(fields) + 1
+    head = _pattern(_HEAD, (INT, INT), (False, False))
+    first = _pattern(_HEAD, (INT, INT), (True, False))
+    pattern = f"(?:{head}(?:{'|'.join(transport)}))*(?:{first}(?:{'|'.join(operations)}))?"
+    return re.compile(pattern).match, readers
+
+
+def _decode(line: str, line_no: int) -> dict | None:
+    """One line as a record, or None if it is blank.
+
+    A line is accepted exactly when ``json.loads`` accepts it: JSON
+    whitespace is stripped from both ends and what remains must be a
+    single JSON value, decoded by one ``raw_decode`` call.
+    """
+    line = line.strip(_JSON_SPACE)
+    if not line:
+        return None
+    try:
+        record, end = _raw_decode(line)
+        if end != len(line):
+            raise ValueError
+    except RecursionError:
+        raise TraceParseError(line_no, "value nested too deeply") from None
+    except ValueError:
+        # failure path only: json.loads rejects the line too, and
+        # words why ("Extra data", a byte-order mark, ...)
+        try:
+            json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
+        except ValueError:  # an integer past Python's digit limit
+            raise TraceParseError(line_no, "integer too long to read") from None
+        raise
+    if not isinstance(record, dict):
+        raise TraceParseError(line_no, "record is not an object")
+    if "t" not in record or "seq" not in record or "ev" not in record:
+        missing = next(name for name in ("t", "seq", "ev") if name not in record)
+        raise TraceParseError(line_no, f"missing field {missing!r}")
+    return record
+
+
+def scan_operations(text: str) -> list[tuple[int, str, tuple | dict]]:
+    """The operation records of a JSONL trace, in file order.
+
+    Every line is read as ``Trace.from_jsonl`` reads it and the first bad
+    line raises its error, but no dict is built for a line in the
+    writer's own form: the matcher checks it, a transport line is then
+    dropped and an operation line gives its typed values. Any other line
+    is decoded by ``json`` and an operation gives its dict. Each item is
+    (an offset into the line, ev, values or dict).
+    """
+    match, readers = _matcher()
+    ops = []
+    append = ops.append
+    pos, end = 0, len(text)
+    line_no, counted = 1, 0  # the number of the line at offset `counted`
+    while pos < end:
+        m = match(text, pos)
+        if m.end() > pos:
+            pos = m.end()
+            ev = m.lastgroup
+            if ev is not None:
+                append((m.start(1), ev, readers[ev](m)))
+            continue
+        # decode this line, then each next one that cannot be in the
+        # writer's form either, as it does not end in "}" (CRLF, padding)
+        stop = text.find("\n", pos)
+        while True:
+            if stop < 0:
+                stop = end
+            line_no += text.count("\n", counted, pos)
+            counted = pos
+            record = _decode(text[pos:stop], line_no)
+            if record is not None and record["ev"] in OPERATIONS:
+                append((pos, record["ev"], record))
+            pos = stop + 1
+            stop = text.find("\n", pos)
+            if stop < 0 or text[stop - 1] == "}":
+                break
+    return ops
 
 
 class _Quoted(dict):
@@ -93,8 +236,6 @@ class Trace:
     """An ordered list of trace records with byte-stable serialization."""
 
     records: list[dict] = field(default_factory=list)
-    # file lines the reader skipped as blank, ascending; see line_no
-    blank_lines: list[int] = field(default_factory=list, compare=False, repr=False)
 
     def to_jsonl(self) -> str:
         quoted, lines = _Quoted(), _LINES
@@ -106,52 +247,6 @@ class Trace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
-        """Parse one JSON object per LF-terminated line; blank lines are skipped.
-
-        A line is accepted exactly when ``json.loads`` accepts it: JSON
-        whitespace is stripped from both ends and what remains must be a
-        single JSON value, decoded by one ``raw_decode`` call.
-        """
-        records, blank_lines = [], []
-        append = records.append
-        for line_no, line in enumerate(text.split("\n"), start=1):
-            line = line.strip(_JSON_SPACE)
-            if not line:
-                blank_lines.append(line_no)
-                continue
-            try:
-                record, end = _raw_decode(line)
-                if end != len(line):
-                    raise ValueError
-            except RecursionError:
-                raise TraceParseError(line_no, "value nested too deeply") from None
-            except ValueError:
-                # failure path only: json.loads rejects the line too, and
-                # words why ("Extra data", a byte-order mark, ...)
-                try:
-                    json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise TraceParseError(line_no, f"invalid JSON: {exc.msg}") from None
-                except ValueError:  # an integer past Python's digit limit
-                    raise TraceParseError(line_no, "integer too long to read") from None
-                raise
-            if not isinstance(record, dict):
-                raise TraceParseError(line_no, "record is not an object")
-            if "t" not in record or "seq" not in record or "ev" not in record:
-                missing = next(name for name in ("t", "seq", "ev") if name not in record)
-                raise TraceParseError(line_no, f"missing field {missing!r}")
-            append(record)
-        return cls(records, blank_lines)
-
-    @classmethod
-    def read(cls, path) -> "Trace":
-        return cls.from_jsonl(read_text(path))
-
-    def line_no(self, index: int) -> int:
-        """The file line of ``records[index]``, counting skipped blank lines."""
-        line = index + 1
-        for blank in self.blank_lines:
-            if blank > line:
-                break
-            line += 1
-        return line
+        """Parse one JSON object per LF-terminated line; blank lines are skipped."""
+        lines = enumerate(text.split("\n"), start=1)
+        return cls([r for line_no, line in lines if (r := _decode(line, line_no)) is not None])

@@ -276,12 +276,12 @@ class TestExtractHistory:
             '"kind": "scan", "key": "A", "val": null}\n'
         )
         with pytest.raises(TraceParseError, match=r"^line 3: bad op kind 'scan'$"):
-            extract_history(Trace.from_jsonl("\n\n" + invoke))
+            extract_history("\n\n" + invoke)
         timer = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}\n'
         respond = '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": 1.5}\n'
         text = timer + " \n" + invoke.replace("scan", "read") + "\n\r\n" + respond
         with pytest.raises(TraceParseError, match=r"^line 6: respond.val must be an integer"):
-            extract_history(Trace.from_jsonl(text))
+            extract_history(text)
 
 
 class TestBoundHolds:

@@ -1,8 +1,13 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from capsim.trace import Trace, TraceParseError
+from capsim.checker import HistoryIntegrityError, extract_history
+from capsim.config import ScenarioConfig
+from capsim.kernel import run_scenario
+from capsim.trace import Trace, TraceParseError, scan_operations
 
 TIMER = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}'
 SEND = '{"t": 2, "seq": 1, "ev": "send", "src": 0, "dst": 1, "msg": 0}'
@@ -53,3 +58,131 @@ def test_reader_accepts_exactly_what_json_loads_accepts(text, error):
         assert error.endswith(loads_info.value.msg)
     else:
         json.loads(bad)  # valid JSON, rejected as a record
+
+
+# ---- check's reader: canonical lines matched, every other line decoded ----
+
+INVOKE = (
+    '{"t": 2, "seq": 0, "ev": "invoke", "op": OP, "node": 0, '
+    '"kind": "write", "key": KEY, "val": 5}\n'
+)
+
+
+def invoke(op="0", key='"A"'):
+    return INVOKE.replace("OP", op).replace("KEY", key)
+
+
+def outcome(read):
+    """The History a reader builds, or the class and text of what it raises."""
+    try:
+        return read()
+    except (TraceParseError, HistoryIntegrityError) as exc:
+        return type(exc), str(exc)
+
+
+# (trace text, how scan_operations takes its last operation: "matched",
+# "decoded", or None when reading fails or no operation is left)
+BORDER_CASES = {
+    "negative zero": (invoke("-0"), "matched"),
+    "leading zero": (invoke("01"), None),
+    "18 digits": (invoke("9" * 18), "matched"),
+    "19 digits": (invoke("9" * 19), "decoded"),
+    "4301 digits": (invoke("9" * 4301), None),
+    "float op": (invoke("1.0"), None),
+    "boolean op": (invoke("true"), None),
+    "escaped quote in a key": (invoke(key=r'"a\"b"'), "decoded"),
+    "raw non-ASCII key": (invoke(key='"é"'), "decoded"),
+    "escaped non-ASCII key": (invoke(key='"\\u00e9"'), "decoded"),
+    "trailing spaces": (invoke().replace("}\n", "}  \n"), "decoded"),
+    "crlf": (invoke().replace("\n", "\r\n"), "decoded"),
+    "no final newline": (invoke().rstrip("\n"), "decoded"),
+    "extra field": (invoke().replace("}\n", ', "x": 1}\n'), "decoded"),
+    "duplicated key": (invoke().replace('"val": 5', '"val": 5, "val": 6'), "decoded"),
+    "send from a string src": ('{"t": 1, "seq": 1, "ev": "send", "src": "x", "dst": 1, "msg": 0}\n', None),
+    "unknown ev": ('{"t": 1, "seq": 1, "ev": "scan"}\n', None),
+    "bad op kind": (invoke().replace('"write"', '"scan"'), None),
+    "write without a value": (invoke().replace('"val": 5', '"val": null'), None),
+    "negative tick": (invoke().replace('"t": 2', '"t": -1'), None),
+    "respond without invoke": ('{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n', None),
+    "respond value a string": (
+        invoke() + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": "x"}\n', None
+    ),
+    "bad line after a bad operation": (
+        '{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n{broken\n', None
+    ),
+    "matched respond after a decoded invoke": (
+        invoke().replace("\n", "\r\n") + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": null}\n',
+        "matched",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, path", BORDER_CASES.values(), ids=BORDER_CASES.keys())
+def test_text_reader_agrees_with_the_reference_reader(text, path):
+    expected = outcome(lambda: extract_history(Trace.from_jsonl(text)))
+    assert outcome(lambda: extract_history(text)) == expected
+    if path is not None:
+        *_, (_, _, values) = scan_operations(text)
+        assert type(values) is {"matched": tuple, "decoded": dict}[path]
+
+
+def _rewrite(line, rng):
+    """The same record in another JSON spelling: separators, key order,
+    padding, escaped key characters, CRLF."""
+    items = list(json.loads(line).items())
+    rng.shuffle(items)
+
+    def key(name):
+        if rng.random() < 0.3:
+            return '"' + "".join(f"\\u{ord(c):04x}" for c in name) + '"'
+        return json.dumps(name)
+
+    comma, colon = rng.choice([",", ", ", " ,\t"]), rng.choice([":", ": ", " : "])
+    body = comma.join(key(name) + colon + json.dumps(value) for name, value in items)
+    pad = lambda: rng.choice(["", " ", "\t", " \t "])  # noqa: E731
+    return pad() + "{" + body + "}" + pad() + rng.choice(["\n", "\r\n"])
+
+
+@given(
+    kind=st.sampled_from(["LocalFirst", "SyncAll", "HybridDeadline"]),
+    nodes=st.integers(min_value=1, max_value=4),
+    outages=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 39), st.integers(1, 60)),
+        max_size=3,
+    ),
+    ops=st.lists(
+        st.tuples(
+            st.integers(0, 39), st.integers(0, 3), st.booleans(),
+            st.sampled_from(["A", "B", 'q"', "é"]),
+        ),
+        max_size=8,
+    ),
+    rng=st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
+    # outages may outlast the horizon, so round-based strategies leave ops
+    # unanswered and the trace holds every operation kind
+    config = ScenarioConfig.from_dict({
+        "nodes": nodes, "latency": 1, "horizon": 40,
+        "strategy": {"kind": kind, "G": 3, "R": 2, "D": 4},
+        "partitions": [
+            {"a": a % nodes, "b": b % nodes, "start": start, "end": start + length}
+            for a, b, start, length in outages
+            if a % nodes != b % nodes
+        ],
+        "workload": [
+            {"t": t, "node": node % nodes, "kind": "write" if write else "read",
+             "key": key, "val": 1000 + i if write else None}
+            for i, (t, node, write, key) in enumerate(ops)
+        ],
+    })
+    trace = run_scenario(config)
+    expected = extract_history(trace)
+    text = trace.to_jsonl()
+    assert extract_history(text) == expected
+    rewritten = "".join(
+        _rewrite(line, rng) if rng.random() < 0.7 else line + "\n"
+        for line in text.split("\n")[:-1]
+    )
+    assert extract_history(rewritten) == expected
