@@ -145,19 +145,13 @@ def extract_history(source: str | Trace) -> History:
     """Build a History from a trace's JSONL text or from a Trace, validating as we go.
 
     Errors in text name its file line (see ``scan_operations``); a
-    Trace's records are numbered from 1, as the lines ``to_jsonl`` writes.
+    Trace's lines are numbered from 1, as ``to_jsonl`` writes them.
     """
-    if isinstance(source, str):
-        ops = scan_operations(source)
+    is_text = isinstance(source, str)
+    ops = scan_operations(source) if is_text else source.operations
 
-        def line_no(offset: int) -> int:
-            return source.count("\n", 0, offset) + 1
-
-    else:
-        ops = [(i, r["ev"], r) for i, r in enumerate(source.records) if r.get("ev") in OPERATIONS]
-
-        def line_no(index: int) -> int:
-            return index + 1
+    def line_no(where: int) -> int:  # a text offset, or a Trace's line index
+        return source.count("\n", 0, where) + 1 if is_text else where + 1
 
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []

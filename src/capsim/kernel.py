@@ -75,9 +75,9 @@ class Simulation:
         self._sched_seq = 0
         self._msg_seq = 0
         self.trace = tr.Trace()
-        # a record's seq is its position in the trace
-        self._records = self.trace.records
-        self._append = self._records.append
+        # a line's seq is its position in the trace
+        self._lines = self.trace.lines
+        self._append = self._lines.append
         self._answered: set[int] = set()
         self._now = 0
         self._ran = False
@@ -94,9 +94,9 @@ class Simulation:
         if action.op_id in self._answered:
             raise SimulationError(f"duplicate response for op {action.op_id}")
         self._answered.add(action.op_id)
-        self._append(
-            tr.respond_record(self._now, len(self._records), action.op_id, action.value)
-        )
+        now, seq = self._now, len(self._lines)
+        self._append(tr.respond_line(now, seq, action.op_id, action.value))
+        self.trace.operations.append((seq, "respond", (now, action.op_id, action.value)))
 
     def _do_send(self, node_id: int, action: Send) -> None:
         dst, now = action.dst, self._now
@@ -106,13 +106,13 @@ class Simulation:
             raise SimulationError(f"unknown destination {dst}")
         msg_id = self._msg_seq
         self._msg_seq = msg_id + 1
-        seq = len(self._records)
-        self._append(tr.send_record(now, seq, node_id, dst, msg_id))
+        seq = len(self._lines)
+        self._append(tr.send_line(now, seq, node_id, dst, msg_id))
         if self.schedule.reachable(now, node_id, dst):
             msg = Message(node_id, dst, action.payload, msg_id)
             self._push(now + self.config.message_latency, _DELIVER, msg)
         else:  # a dropped send never becomes a Message
-            self._append(tr.drop_record(now, seq + 1, node_id, dst, msg_id))
+            self._append(tr.drop_line(now, seq + 1, node_id, dst, msg_id))
 
     def _do_set_timer(self, node_id: int, action: SetTimer) -> None:
         if action.delay < 1:
@@ -150,8 +150,8 @@ class Simulation:
         self._ran = True
         for node in self.nodes:
             self._dispatch(node.node_id, (0, -1, _INIT, node.node_id), node.on_init)
-        workload = self.config.workload
-        records, append = self._records, self._append
+        workload, quoted = self.config.workload, self.trace.quoted
+        lines, append, add_operation = self._lines, self._append, self.trace.operations.append
         wi = 0
         while True:
             # inject client requests lazily so that, at equal ticks, they
@@ -168,21 +168,21 @@ class Simulation:
             self._now = time
             if tag == _INVOKE:
                 op: ClientOp = payload
-                append(tr.invoke_record(
-                    time, len(records), op.op_id, op.node, op.kind, op.key, op.val
-                ))
+                seq, op_id = len(lines), op.op_id
+                append(tr.invoke_line(time, seq, op_id, op.node, op.kind, op.key, op.val, quoted))
+                add_operation((seq, "invoke", (time, op_id, op.node, op.kind, op.key, op.val)))
                 node = self.nodes[op.node]
                 self._dispatch(op.node, event, node.on_invoke, op, time)
             elif tag == _DELIVER:
                 msg: Message = payload
-                append(tr.deliver_record(time, len(records), msg.src, msg.dst, msg.seq))
+                append(tr.deliver_line(time, len(lines), msg.src, msg.dst, msg.seq))
                 node = self.nodes[msg.dst]
                 self._dispatch(
                     msg.dst, event, node.on_message, msg.payload, msg.src, time
                 )
             else:
                 node_id, timer_id = payload
-                append(tr.timer_record(time, len(records), node_id, timer_id))
+                append(tr.timer_line(time, len(lines), node_id, timer_id, quoted))
                 node = self.nodes[node_id]
                 self._dispatch(node_id, event, node.on_timer, timer_id, time)
         horizon = self._now = self.config.horizon
@@ -191,12 +191,11 @@ class Simulation:
         while self._heap:
             _, _, tag, payload = heapq.heappop(self._heap)
             if tag == _DELIVER:
-                append(tr.drop_record(
-                    horizon, len(records), payload.src, payload.dst, payload.seq
-                ))
+                append(tr.drop_line(horizon, len(lines), payload.src, payload.dst, payload.seq))
         for op in workload:
             if op.op_id not in self._answered:
-                append(tr.unanswered_record(horizon, len(records), op.op_id))
+                add_operation((len(lines), "unanswered", (horizon, op.op_id)))
+                append(tr.unanswered_line(horizon, len(lines), op.op_id))
         return self.trace
 
 

@@ -4,7 +4,7 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's record builder, line template and line matcher are compiled
+each kind's line writer, line template and line matcher are compiled
 from it.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import json
 import re
-from dataclasses import dataclass, field
 
 from .config import INT, OPT, STR
 
@@ -35,17 +34,18 @@ RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
 OPERATIONS = ("invoke", "respond", "unanswered")
 
 _INT = "-?(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
-# per type: the template slot, the expression that fills it from r, the text
-# that slot writes as (literal before, pattern of the value, literal after),
-# and the expression that reads the value back from its matched text. Each
+# per type: the template slot, the expression that fills it from the
+# writer's argument (a STR through the trace's quoted cache), the text that
+# slot writes as (literal before, pattern of the value, literal after), and
+# the expression that reads the value back from its matched text. Each
 # pattern takes only text json.loads reads as that same value: a string is
 # printable ASCII without '"' or '\', so its text is its value.
 _SLOTS = {
-    INT: ("%d", "r[{0!r}]", ("", _INT, ""), "int({0})"),
-    STR: ("%s", "quoted[r[{0!r}]]", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
+    INT: ("%d", "{0}", ("", _INT, ""), "int({0})"),
+    STR: ("%s", "quoted[{0}]", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
     OPT: (
         "%s",
-        '("null" if r[{0!r}] is None else "%d" % r[{0!r}])',
+        '("null" if {0} is None else "%d" % {0})',
         ("", "null|" + _INT, ""),
         '(None if {0} == "null" else int({0}))',
     ),
@@ -53,7 +53,6 @@ _SLOTS = {
 
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
-_LINES: dict = {}  # ev -> line(record, quoted), filled by _compile
 _TEMPLATES: dict = {}  # ev -> its line template, filled by _compile
 _HEAD = '{"t": %d, "seq": %d, "ev": "'  # how every template starts
 
@@ -67,35 +66,30 @@ class TraceParseError(ValueError):
 
 
 def _compile(ev: str):
-    """Build ``<ev>_record(t, seq, ...)`` and register the writer of its line."""
+    """Build ``<ev>_line(t, seq, <fields>[, quoted])``, writing a record's line."""
     fields = (("t", INT), ("seq", INT), *RECORD_FIELDS[ev])
-    names = [name for name, _ in fields]
-    items = [f"{name!r}: {name}" for name in names]
+    names = [name for name, _ in fields] + ["quoted"] * any(kind is STR for _, kind in fields)
     slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in fields]
-    items.insert(2, f"'ev': {ev!r}")
     slots.insert(2, f'"ev": "{ev}"')
     values = [_SLOTS[kind][1].format(name) for name, kind in fields]
     template = "{" + ", ".join(slots) + "}\n"
     source = (
-        f"def {ev}_record({', '.join(names)}):\n"
-        f"    return {{{', '.join(items)}}}\n"
-        f"def line(r, quoted):\n"
+        f"def {ev}_line({', '.join(names)}):\n"
         f"    return {template!r} % ({', '.join(values)},)\n"
     )
     env = {"__name__": __name__}
     exec(source, env)
-    _LINES[ev] = env["line"]
     _TEMPLATES[ev] = template
-    return env[f"{ev}_record"]
+    return env[f"{ev}_line"]
 
 
-invoke_record = _compile("invoke")
-respond_record = _compile("respond")
-send_record = _compile("send")
-deliver_record = _compile("deliver")
-drop_record = _compile("drop")
-timer_record = _compile("timer")
-unanswered_record = _compile("unanswered")
+invoke_line = _compile("invoke")
+respond_line = _compile("respond")
+send_line = _compile("send")
+deliver_line = _compile("deliver")
+drop_line = _compile("drop")
+timer_line = _compile("timer")
+unanswered_line = _compile("unanswered")
 
 
 def _pattern(template: str, kinds, captured) -> str:
@@ -231,22 +225,34 @@ class _Quoted(dict):
         return text
 
 
-@dataclass
 class Trace:
-    """An ordered list of trace records with byte-stable serialization."""
+    """A trace's JSONL lines, and its operations typed for the history.
 
-    records: list[dict] = field(default_factory=list)
+    ``operations`` holds (line index, ev, values in ``RECORD_FIELDS``
+    order after t), as ``scan_operations`` reads them; ``from_jsonl``
+    keeps the lines as given and each operation's dict instead.
+    ``records`` decodes every line, for tests and tools.
+    """
+
+    def __init__(self) -> None:
+        self.lines: list[str] = []
+        self.operations: list[tuple[int, str, tuple | dict]] = []
+        self.quoted = _Quoted()  # per trace, so no run keeps another's strings
+
+    @property
+    def records(self) -> list[dict]:
+        return [_decode(line, line_no) for line_no, line in enumerate(self.lines, start=1)]
 
     def to_jsonl(self) -> str:
-        quoted, lines = _Quoted(), _LINES
-        return "".join([lines[r["ev"]](r, quoted) for r in self.records])
-
-    def write(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_jsonl())
+        return "".join(self.lines)
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
         """Parse one JSON object per LF-terminated line; blank lines are skipped."""
-        lines = enumerate(text.split("\n"), start=1)
-        return cls([r for line_no, line in lines if (r := _decode(line, line_no)) is not None])
+        trace = cls()
+        for line_no, line in enumerate(text.split("\n"), start=1):
+            if (record := _decode(line, line_no)) is not None:
+                if record["ev"] in OPERATIONS:
+                    trace.operations.append((len(trace.lines), record["ev"], record))
+                trace.lines.append(line + "\n")
+        return trace

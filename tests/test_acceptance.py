@@ -219,7 +219,7 @@ def test_criterion_7_determinism(tmp_path):
             reports = []
             for path in paths:
                 trace = run_scenario(config)
-                trace.write(path)
+                path.write_text(trace.to_jsonl(), encoding="utf-8", newline="\n")
                 history = extract_history(trace)
                 reports.append(check(history, 8, 8).to_json())
             assert paths[0].read_bytes() == paths[1].read_bytes()

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsim.config import ConfigError, ScenarioConfig
+from capsim.config import INT, STR, ConfigError, ScenarioConfig
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import SetTimer, StrategyNode
-from capsim.trace import Trace
+from capsim.trace import RECORD_FIELDS, Trace, scan_operations
 
 
 def scenario(**overrides):
@@ -300,11 +300,46 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
         strategy=strategy, workload=workload,
     ))
     text = trace.to_jsonl()
-    assert text == "".join(json.dumps(r) + "\n" for r in trace.records)
-    assert Trace.from_jsonl(text).records == trace.records
-    for line in text.split("\n")[:-1]:
-        assert line == json.dumps(json.loads(line))
-        assert not line[-1].isspace()
+    records = [json.loads(line) for line in trace.lines]
+    for seq, (line, record) in enumerate(zip(trace.lines, records)):
+        fields = (("t", INT), ("seq", INT), ("ev", STR), *RECORD_FIELDS[record["ev"]])
+        assert list(record) == [name for name, _ in fields]
+        assert all(type(record[name]) in types for name, types in fields)
+        assert line == json.dumps(record) + "\n"
+        assert record["seq"] == seq
+    assert text == "".join(trace.lines)
+    assert Trace.from_jsonl(text).records == trace.records == records
+    # the kernel's operations are what a reader of its text finds, typed
+    assert [(ev, values) for _, ev, values in trace.operations] == [
+        (ev, _typed(ev, values)) for _, ev, values in scan_operations(text)
+    ]
+    assert all(records[i]["ev"] == ev for i, ev, _ in trace.operations)
+
+
+def _typed(ev, values):
+    """An operation as scan_operations gives it, as values: a decoded
+    line's dict becomes its fields in RECORD_FIELDS order, t first."""
+    if type(values) is dict:
+        return tuple(values[name] for name in ("t", *(name for name, _ in RECORD_FIELDS[ev])))
+    return values
+
+
+# keys the writer must escape, each written through the trace's own cache
+ESCAPED_KEYS = {
+    "non-ASCII": "\u00e9", "quote": 'a"b', "backslash": "a\\b", "line separator": "\u2028",
+}
+
+
+@pytest.mark.parametrize("key", ESCAPED_KEYS.values(), ids=ESCAPED_KEYS.keys())
+def test_string_fields_are_written_as_json_dumps_writes_them(key):
+    write = {"t": 1, "node": 0, "kind": "write", "key": key, "val": 7}
+    trace = run_scenario(scenario(nodes=1, workload=[write]))
+    record = next(r for r in trace.records if r["ev"] == "invoke")
+    assert record["key"] == key
+    assert trace.lines[record["seq"]] == json.dumps(record) + "\n"
+    assert f'"key": {json.dumps(key)},' in trace.lines[record["seq"]]
+    assert trace.quoted.get(key) == json.dumps(key)
+    assert key not in run_scenario(scenario(nodes=1)).quoted
 
 
 class TestConfigValidation:
