@@ -110,6 +110,51 @@ def describe(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def _compile_reader(table: dict):
+    """Build ``read(value)``: ``read_json(value, table, ...)``'s dict, or None.
+
+    None stands for every refusal, and the caller words it through
+    ``read_json``. Presence and type are checked inline, field by field, so
+    an accepted object costs a few lookups; a field whose kind is a table
+    or a list is refused whenever it is present.
+    """
+    env = {"__name__": __name__}
+    required, optional = [], []
+    for i, (key, (name, kind, must)) in enumerate(table.items()):
+        test = "False"  # a table or [kind]: the generic branch reads it
+        if type(kind) is frozenset:
+            env.update((t.__name__, t) for t in kind)
+            test = " or ".join(sorted(
+                f"v{i} is None" if t is type(None) else f"type(v{i}) is {t.__name__}" for t in kind
+            ))
+        (required if must else optional).append((i, key, name, test))
+    source = ["def read(value):", "    if type(value) is not dict:", "        return None"]
+    if required:
+        source += ["    try:", *(f"        v{i} = value[{key!r}]" for i, key, _, _ in required),
+                   "    except KeyError:", "        return None",
+                   f"    if not ({' and '.join(f'({test})' for *_, test in required)}):",
+                   "        return None"]
+    source.append(f"    out = {{{', '.join(f'{name!r}: v{i}' for i, _, name, _ in required)}}}")
+    for i, key, name, test in optional:
+        source += [f"    if {key!r} in value:", f"        v{i} = value[{key!r}]",
+                   f"        if not ({test}):", "            return None",
+                   f"        out[{name!r}] = v{i}"]
+    source.append("    return out")
+    exec("\n".join(source) + "\n", env)
+    return env["read"]
+
+
+_READERS: dict[int, tuple[dict, object]] = {}  # id(table) -> (table, its reader)
+
+
+def _reader(table: dict):
+    """The compiled reader of ``table``, built on first use."""
+    entry = _READERS.get(id(table))
+    if entry is None:  # the entry holds the table, so its id is never reused
+        entry = _READERS[id(table)] = (table, _compile_reader(table))
+    return entry[1]
+
+
 def read_json(value, kind, where: str):
     """Type-check one JSON value against its kind; the only JSON -> Python step.
 
@@ -117,6 +162,8 @@ def read_json(value, kind, where: str):
     left out, so the dataclass default applies, and unknown fields are
     ignored. Presence and JSON type are all it checks; the dataclass each
     table feeds checks the ranges. ``where`` names the value in errors.
+    The items of a list of objects go through their table's compiled
+    reader; the generic object branch runs only to word a refusal.
     """
     if type(kind) is dict:
         if type(value) is not dict:
@@ -137,10 +184,15 @@ def read_json(value, kind, where: str):
     if type(kind) is list:
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {describe(value)}")
-        items = []
-        append, item_kind = items.append, kind[0]
+        item_kind, items = kind[0], []
+        if type(item_kind) is dict:  # each item through the table's compiled reader
+            items = list(map(_reader(item_kind), value))
+            if None not in items:
+                return items
+            del items[items.index(None):]  # the generic branch words the refusal
+        append = items.append
         try:
-            for item in value:
+            for item in value[len(items):]:
                 append(read_json(item, item_kind, ""))
         except ConfigError as exc:  # name the item only when it fails
             raise ConfigError(f"{where}[{len(items)}]{exc}") from None
@@ -199,7 +251,7 @@ class StrategyParams:
         return self.kind == "LocalFirst"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ClientOp:
     """One scripted client request."""
 

@@ -31,19 +31,19 @@ from .config import StrategyParams
 Version = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Respond:
     op_id: int
     value: int | None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Send:
     dst: int
     payload: dict
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SetTimer:
     delay: int
     timer_id: str

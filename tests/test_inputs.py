@@ -25,8 +25,12 @@ from capsim.config import (
     MAX_GEN_OPS,
     MAX_HORIZON,
     MAX_NODES,
+    OP_FIELDS,
+    OUTAGE_FIELDS,
     PROOF_FIELDS,
+    ConfigError,
     ScenarioConfig,
+    read_json,
 )
 from capsim.harness import MAX_TP
 from capsim.kernel import run_scenario
@@ -191,6 +195,73 @@ REGRESSIONS = {
 }
 
 
+def _write(**changes):
+    return {"t": 1, "node": 0, "kind": "write", "key": "A", "val": 1, **changes}
+
+
+# name -> (a config with more than one fault, the one error it gives): the
+# first fault in reading order wins, as it did before listed items had a
+# compiled reader
+MULTI_FAULT = {
+    "no nodes, op on node 9": (
+        {"nodes": 0, "workload": [_write(node=9)]}, "node_count must be in [1, 1024]",
+    ),
+    "bad outage, bad op kind": (
+        {"partitions": [{"a": 0, "b": 0, "start": 1, "end": 2}], "workload": [_write(kind="delete")]},
+        "op kind must be read or write, got 'delete'",
+    ),
+    "fractional tick, bad workload_gen": (
+        {"workload": [_write(t=1.5)], "workload_gen": {"span": [5]}},
+        "config.workload[0].t must be an integer, got 1.5",
+    ),
+    "missing t before bad node": (
+        {"workload": [{"node": "x", "kind": 5, "key": "A"}]},
+        "config.workload[0]: missing required field 't'",
+    ),
+    "bad node before missing key": (
+        {"workload": [{"t": 1, "node": "x", "kind": "read"}]},
+        'config.workload[0].node must be an integer, got "x"',
+    ),
+    "second op missing a field, third mistyped": (
+        {"workload": [_write(), {"t": 1}, _write(key=None)]},
+        "config.workload[1]: missing required field 'node'",
+    ),
+    "outage mistyped, op mistyped": (
+        {"partitions": [{"a": 0, "b": 1, "start": 1, "end": True}], "workload": [_write(val="1")]},
+        "config.partitions[0].end must be an integer, got true",
+    ),
+    "not an object among items": (
+        {"workload": [_write(), [], {}]}, "config.workload[1] must be an object, got a list",
+    ),
+    "extra keys and a null key": (
+        {"workload": [_write(extra=1, key=None)]},
+        "config.workload[0].key must be a string, got null",
+    ),
+    "write without value, op on node 9": (
+        {"workload": [_write(t=5, node=9), _write(t=2, val=None)]},
+        "write op 0 needs an integer value",
+    ),
+    "op past horizon, op on node 9": (
+        {"workload": [_write(t=12), _write(t=3, node=9)]}, "op 0 addresses unknown node 9",
+    ),
+    "negative tick, bad strategy": (
+        {"strategy": {"kind": "Quorum"}, "workload": [_write(t=-1)]}, "op tick must be non-negative",
+    ),
+    "outage past node count, zero latency": (
+        {"latency": 0, "partitions": [{"a": 0, "b": 5, "start": 1, "end": 2}]},
+        "bad partition schedule: outage LinkOutage(a=0, b=5, start=1, end=2) references node >= 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_FAULT))
+def test_a_config_with_several_faults_names_the_first(name):
+    change, message = MULTI_FAULT[name]
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig.from_dict({"nodes": 2, "horizon": 10, **change})
+    assert str(info.value) == message
+
+
 def regression_input(command, change):
     base = {"nodes": 2, "horizon": 20, "workload": copy.deepcopy(CONFIG["workload"])}
     if command == "check":
@@ -351,3 +422,66 @@ def test_any_field_replaced_by_any_json_keeps_the_exit_code_contract(target, val
     assert err.count("\n") <= 1 and "Traceback" not in err
     if code == 2:
         assert err.startswith(("config error: ", "trace error: ")), err
+
+
+# -- the reader of listed items against the generic object reader ---------
+
+LISTED = {
+    "config.workload": (OP_FIELDS, {"t": 1, "node": 0, "kind": "read", "key": "A", "val": None}),
+    "config.partitions": (OUTAGE_FIELDS, {"a": 0, "b": 1, "start": 2, "end": 5}),
+}
+# values no INT, STR or OPT slot takes all of: JSON true is no 1, 1.0 no tick
+WRONG = st.sampled_from([True, False, 1.0, "1", None, [], {}, 0, "A"])
+
+
+@st.composite
+def listed_items(draw):
+    """A list of op or outage items, some of them broken in a few ways."""
+    where = draw(st.sampled_from(sorted(LISTED)))
+    table, valid = LISTED[where]
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 7)) == 0:
+            items.append(draw(JSON.filter(lambda v: not isinstance(v, dict))))
+            continue
+        item = {key: draw(st.integers(-1, 3)) if type(value) is int else value
+                for key, value in valid.items()}
+        for _ in range(draw(st.integers(0, 2))):
+            key = draw(st.sampled_from(sorted(table)))
+            change = draw(st.sampled_from(["missing", "wrong", "extra"]))
+            if change == "missing":
+                item.pop(key, None)
+            elif change == "wrong":
+                item[key] = draw(WRONG)
+            else:
+                item[draw(st.text(max_size=3))] = draw(JSON)
+        items.append(item)
+    return where, table, items
+
+
+def _outcome(read):
+    try:
+        return read()
+    except ValueError as exc:  # a ConfigError, or describe() refusing HUGE
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _reference(items, table, where):
+    """The generic object reader over each item, naming the first that fails."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(read_json(item, table, ""))
+        except ConfigError as exc:
+            raise ConfigError(f"{where}[{i}]{exc}") from None
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(listed_items())
+def test_listed_items_read_as_the_object_reader_reads_each(drawn):
+    where, table, items = drawn
+    before = copy.deepcopy(items)
+    got = _outcome(lambda: read_json(items, [table], where))
+    assert got == _outcome(lambda: _reference(items, table, where))
+    assert items == before

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsim.config import INT, STR, ConfigError, ScenarioConfig
+from capsim.config import INT, STR, ConfigError, ScenarioConfig, StrategyParams
 from capsim.kernel import Simulation, SimulationError, run_scenario
-from capsim.strategies import SetTimer, StrategyNode
+from capsim.strategies import Respond, Send, SetTimer, StrategyNode
 from capsim.trace import RECORD_FIELDS, Trace, scan_operations
 
 
@@ -193,54 +193,92 @@ def test_timers_on_one_tick_fire_in_registration_order():
     assert fired == ["a", "b"]
 
 
-class _ZeroTimer(StrategyNode):
+class _Scripted(StrategyNode):
+    """A node whose handlers do what ``script`` says: each handler name
+    maps to the actions it returns or to the exception it raises."""
+
+    def __init__(self, node_id, script):
+        super().__init__(StrategyParams("LocalFirst"), node_id, 2)
+        self.script = script
+
+    def _act(self, handler):
+        step = self.script.get(handler, [])
+        if isinstance(step, Exception):
+            raise step
+        return list(step)
+
     def on_init(self):
-        return [SetTimer(0, "now")]
+        return self._act("init")
 
     def on_invoke(self, op, now):
-        return []
+        return self._act("invoke")
 
     def on_message(self, payload, src, now):
-        return []
+        return self._act("message")
 
     def on_timer(self, timer_id, now):
-        return []
+        return self._act("timer")
 
 
-def test_zero_delay_timer_is_rejected():
-    cfg = scenario(nodes=1, horizon=10)
-    sim = Simulation(cfg)
-    sim.nodes[0] = _ZeroTimer(cfg.strategy, 0, 1)
-    with pytest.raises(
-        SimulationError,
-        match="^timer delay must be >= 1 tick, got 0 while initializing node 0$",
-    ):
+# name -> (node 0's script, node 1's script, the whole error message); node
+# 0 holds op 0 at tick 3, and its first message to node 1 lands at tick 1
+KERNEL_ERRORS = {
+    "send to itself": (
+        {"init": [Send(0, {})]}, {},
+        "node 0 sent to itself while initializing node 0",
+    ),
+    "unknown destination": (
+        {"invoke": [Send(7, {})]}, {},
+        "unknown destination 7 while handling invoke of op 0 at tick 3",
+    ),
+    "zero timer delay": (
+        {"init": [SetTimer(2, "x")], "timer": [SetTimer(0, "y")]}, {},
+        "timer delay must be >= 1 tick, got 0 while handling timer 'x' on node 0 at tick 2",
+    ),
+    "duplicate response": (
+        {"invoke": [Respond(0, None), Respond(0, 5)]}, {},
+        "duplicate response for op 0 while handling invoke of op 0 at tick 3",
+    ),
+    "unknown action": (
+        {"init": [Send(1, {})]}, {"message": ["junk"]},
+        "unknown action 'junk' while handling message 0 at tick 1",
+    ),
+    "invoke handler raises": (
+        {"invoke": RuntimeError("boom")}, {},
+        "strategy failed while handling invoke of op 0 at tick 3: boom",
+    ),
+    "message handler raises": (
+        {"init": [Send(1, {})]}, {"message": RuntimeError("boom")},
+        "strategy failed while handling message 0 at tick 1: boom",
+    ),
+    "timer handler raises": (
+        {"init": [SetTimer(2, "x")], "timer": KeyError("k")}, {},
+        "strategy failed while handling timer 'x' on node 0 at tick 2: 'k'",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_ERRORS))
+def test_kernel_errors_name_the_event(name):
+    script_0, script_1, message = KERNEL_ERRORS[name]
+    cfg = scenario(workload=[{"t": 3, "node": 0, "kind": "read", "key": "A", "val": None}])
+    sim = Simulation(cfg, [_Scripted(0, script_0), _Scripted(1, script_1)])
+    with pytest.raises(SimulationError) as info:
         sim.run()
+    assert str(info.value) == message
 
 
-class _Exploding(StrategyNode):
-    def on_init(self):
-        return []
-
-    def on_invoke(self, op, now):
-        raise RuntimeError("boom")
-
-    def on_message(self, payload, src, now):
-        return []
-
-    def on_timer(self, timer_id, now):
-        return []
-
-
-def test_strategy_failure_names_the_event():
-    cfg = scenario(
-        nodes=1,
-        workload=[{"t": 3, "node": 0, "kind": "write", "key": "A", "val": 1}],
-    )
-    sim = Simulation(cfg)
-    sim.nodes[0] = _Exploding(cfg.strategy, 0, 1)
-    with pytest.raises(SimulationError, match="op 0 at tick 3"):
-        sim.run()
+@pytest.mark.parametrize(
+    "ids, message",
+    [((0,), "expected 2 nodes, got 1"), ((), "expected 2 nodes, got 0"),
+     ((0, 1, 2), "expected 2 nodes, got 3"), ((1, 0), "nodes[0] has node_id 1"),
+     ((0, 0), "nodes[1] has node_id 0")],
+    ids=["short", "empty", "long", "swapped", "repeated"],
+)
+def test_a_nodes_list_needs_one_node_per_id_in_order(ids, message):
+    with pytest.raises(SimulationError) as info:
+        Simulation(scenario(), [_Scripted(i, {}) for i in ids])
+    assert str(info.value) == message
 
 
 def test_unanswered_ops_are_marked_at_horizon():
