@@ -306,6 +306,20 @@ def generate_workload(
     return ops
 
 
+def _read_schedule(items: list[dict], node_count: int) -> PartitionSchedule:
+    """The schedule of ``read_json``'s outage items; a refusal names its item."""
+    outages = []
+    for i, item in enumerate(items):
+        for node in (item["a"], item["b"]):
+            if not 0 <= node < node_count:
+                raise ConfigError(f"config.partitions[{i}] addresses unknown node {node}")
+        try:
+            outages.append(LinkOutage(**item))
+        except ValueError as exc:
+            raise ConfigError(f"config.partitions[{i}]: {exc}") from None
+    return PartitionSchedule(node_count, tuple(outages))
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one deterministic run needs.
@@ -357,30 +371,10 @@ class ScenarioConfig:
         fields["workload"] = tuple([ClientOp(op_id, **op) for op_id, op in enumerate(ops)])
         if "strategy" in fields:
             fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
-        if "partitions" in fields:
-            try:
-                fields["partitions"] = PartitionSchedule(
-                    fields["node_count"],
-                    tuple(LinkOutage(**o) for o in fields["partitions"]),
-                )
-            except ValueError as exc:
-                raise ConfigError(f"bad partition schedule: {exc}") from exc
+        if "partitions" in fields and fields["node_count"] >= 1:  # else refused below
+            fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
         return cls(**fields)
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":
         return cls.from_dict(load_json_object(path))
-
-    def to_dict(self) -> dict:
-        return {
-            "nodes": self.node_count,
-            "latency": self.message_latency,
-            "horizon": self.horizon,
-            "seed": self.rng_seed,
-            "partitions": self.partitions.to_dicts(),
-            "strategy": self.strategy.to_dict(),
-            "workload": [
-                {"t": op.t, "node": op.node, "kind": op.kind, "key": op.key, "val": op.val}
-                for op in self.workload
-            ],
-        }

@@ -1,8 +1,12 @@
 """Deterministic virtual-time event loop.
 
-Time is a non-negative integer tick count. The queue pops events in
-nondecreasing (tick, seq) order, where seq is assigned at scheduling
-time, so identical configurations replay identically byte for byte.
+Time is a non-negative integer tick count. Queued events wait in one
+FIFO list per tick, a dict from tick to list plus a heap of the ticks
+that hold one, so queueing an event costs a dict lookup and an append.
+The loop takes the ticks in order; each runs its queued deliveries and
+timer firings in the order they were scheduled, then that tick's client
+requests in workload order, so identical configurations replay
+identically byte for byte.
 
 Scheduling rules the strategies rely on:
 
@@ -36,17 +40,21 @@ class SimulationError(RuntimeError):
     """A strategy misbehaved; the message names the triggering event."""
 
 
-def _context(event: tuple) -> str:
-    """Name a queue event for an error message; only failures build one."""
-    time, _, tag, payload = event
+def _context(now: int, event: tuple) -> str:
+    """Name a queued event for an error message; only failures build one."""
+    tag = event[0]
     if tag == _INIT:
-        return f"initializing node {payload}"
+        return f"initializing node {event[1]}"
     if tag == _INVOKE:
-        return f"handling invoke of op {payload.op_id} at tick {time}"
+        return f"handling invoke of op {event[1].op_id} at tick {now}"
     if tag == _DELIVER:
-        return f"handling message {payload[3]} at tick {time}"
-    node_id, timer_id = payload
-    return f"handling timer {timer_id!r} on node {node_id} at tick {time}"
+        return f"handling message {event[4]} at tick {now}"
+    return f"handling timer {event[2]!r} on node {event[1]} at tick {now}"
+
+
+def _refused(message: str, now: int, event: tuple) -> SimulationError:
+    """An invalid action's error, naming the event whose handler returned it."""
+    return SimulationError(f"{message} while {_context(now, event)}")
 
 
 class Simulation:
@@ -56,9 +64,9 @@ class Simulation:
     per node id, in id order; the harness hands in deadline-probing nodes
     this way.
 
-    A queued event is ``(tick, seq, tag, payload)``. A delivery's payload
-    is ``(src, dst, message payload, message id)``, an invoke's its
-    ``ClientOp``, a timer's ``(node id, timer id)``.
+    A queued event is a tuple led by its kind: ``(_DELIVER, src, dst,
+    message payload, message id)``, ``(_TIMER, node id, timer id)``,
+    ``(_INVOKE, ClientOp)`` or ``(_INIT, node id)``.
     """
 
     def __init__(self, config: ScenarioConfig, nodes: list[StrategyNode] | None = None):
@@ -73,67 +81,8 @@ class Simulation:
             if node.node_id != i:
                 raise SimulationError(f"nodes[{i}] has node_id {node.node_id}")
         self.nodes: list[StrategyNode] = nodes
-        self._node_count, self._latency = count, config.message_latency
-        self._heap: list[tuple[int, int, int, object]] = []
-        self._sched_seq = 0
-        self._msg_seq = 0
         self.trace = Trace()
-        # a line's seq is its position in the trace
-        self._lines = self.trace.lines
-        self._append = self._lines.append
-        self._add_operation = self.trace.operations.append
-        self._answered: set[int] = set()
-        self._now = 0
         self._ran = False
-
-    def _dispatch(self, node_id: int, event: tuple, handler, *args) -> None:
-        """Call a node's handler for ``event`` and carry out its actions."""
-        try:
-            actions = handler(*args)
-        except SimulationError:
-            raise
-        except Exception as exc:
-            raise SimulationError(
-                f"strategy failed while {_context(event)}: {exc}"
-            ) from exc
-        now, lines, append = self._now, self._lines, self._append
-        try:  # an invalid action raises without naming the event; add it here
-            for action in actions:  # the most frequent kinds first
-                if isinstance(action, Send):
-                    dst = action.dst
-                    if dst == node_id:
-                        raise SimulationError(f"node {node_id} sent to itself")
-                    if not 0 <= dst < self._node_count:
-                        raise SimulationError(f"unknown destination {dst}")
-                    msg_id, seq = self._msg_seq, len(lines)
-                    self._msg_seq = msg_id + 1
-                    append(send_line(now, seq, node_id, dst, msg_id))
-                    if self._reachable(now, node_id, dst):
-                        heappush(self._heap, (now + self._latency, self._sched_seq, _DELIVER,
-                                              (node_id, dst, action.payload, msg_id)))
-                        self._sched_seq += 1
-                    else:  # a dropped send is never queued
-                        append(drop_line(now, seq + 1, node_id, dst, msg_id))
-                elif isinstance(action, SetTimer):
-                    if action.delay < 1:
-                        raise SimulationError(f"timer delay must be >= 1 tick, got {action.delay}")
-                    heappush(self._heap, (now + action.delay, self._sched_seq, _TIMER,
-                                          (node_id, action.timer_id)))
-                    self._sched_seq += 1
-                elif isinstance(action, Respond):
-                    op_id, value = action.op_id, action.value
-                    if op_id in self._answered:
-                        raise SimulationError(f"duplicate response for op {op_id}")
-                    self._answered.add(op_id)
-                    seq = len(lines)
-                    append(respond_line(now, seq, op_id, value))
-                    self._add_operation((seq, "respond", (now, op_id, value)))
-                else:
-                    raise SimulationError(f"unknown action {action!r}")
-        except SimulationError as exc:
-            raise SimulationError(f"{exc} while {_context(event)}") from None
-
-    # -- main loop ----------------------------------------------------
 
     def run(self) -> Trace:
         if self._ran:
@@ -141,53 +90,103 @@ class Simulation:
         self._ran = True
         # looked up here and per event, so that wrappers installed on the
         # schedule's or the nodes' classes after construction take effect
-        self._reachable = self.schedule.reachable
-        for node in self.nodes:
-            self._dispatch(node.node_id, (0, -1, _INIT, node.node_id), node.on_init)
+        reachable = self.schedule.reachable
+        nodes, count, latency = self.nodes, self.config.node_count, self.config.message_latency
         workload, horizon = self.config.workload, self.config.horizon
-        quoted = self.trace.quoted
-        heap, nodes, dispatch = self._heap, self.nodes, self._dispatch
-        lines, append, add_operation = self._lines, self._append, self._add_operation
-        wi = 0
+        trace = self.trace
+        lines, quoted, add_operation = trace.lines, trace.quoted, trace.operations.append
+        append = lines.append  # a line's seq is its position in the trace
+        answered: set[int] = set()
+        # one FIFO list of events per tick, and a heap of the ticks that have one
+        buckets: dict[int, list[tuple]] = {0: [(_INIT, node.node_id) for node in nodes]}
+        ticks = [0]
+        msg_id = wi = 0
         while True:
-            # inject client requests lazily so that, at equal ticks, they
-            # dispatch after already-scheduled deliveries and timers
-            while wi < len(workload) and (not heap or workload[wi].t <= heap[0][0]):
-                heappush(heap, (workload[wi].t, self._sched_seq, _INVOKE, workload[wi]))
-                self._sched_seq += 1
-                wi += 1
-            if not heap or heap[0][0] >= horizon:
-                break
-            event = heappop(heap)
-            time, _, tag, payload = event
-            self._now = time
-            if tag == _DELIVER:
-                src, dst, body, msg_id = payload
-                append(deliver_line(time, len(lines), src, dst, msg_id))
-                dispatch(dst, event, nodes[dst].on_message, body, src, time)
-            elif tag == _TIMER:
-                node_id, timer_id = payload
-                append(timer_line(time, len(lines), node_id, timer_id, quoted))
-                dispatch(node_id, event, nodes[node_id].on_timer, timer_id, time)
+            if wi < len(workload) and (not ticks or workload[wi].t < ticks[0]):
+                now, events = workload[wi].t, []
+            elif ticks and ticks[0] < horizon:
+                now = heappop(ticks)
+                events = buckets.pop(now)
             else:
-                op: ClientOp = payload
-                seq, op_id = len(lines), op.op_id
-                append(invoke_line(time, seq, op_id, op.node, op.kind, op.key, op.val, quoted))
-                add_operation((seq, "invoke", (time, op_id, op.node, op.kind, op.key, op.val)))
-                dispatch(op.node, event, nodes[op.node].on_invoke, op, time)
-        self._now = horizon
+                break
+            # the tick's client requests dispatch after the events queued for it
+            while wi < len(workload) and workload[wi].t == now:
+                events.append((_INVOKE, workload[wi]))
+                wi += 1
+            for event in events:
+                tag = event[0]
+                if tag == _DELIVER:
+                    _, src, node_id, body, msg = event
+                    append(deliver_line(now, len(lines), src, node_id, msg))
+                    handler, args = nodes[node_id].on_message, (body, src, now)
+                elif tag == _TIMER:
+                    _, node_id, timer_id = event
+                    append(timer_line(now, len(lines), node_id, timer_id, quoted))
+                    handler, args = nodes[node_id].on_timer, (timer_id, now)
+                elif tag == _INVOKE:
+                    op: ClientOp = event[1]
+                    seq, node_id = len(lines), op.node
+                    append(invoke_line(now, seq, op.op_id, node_id, op.kind, op.key, op.val, quoted))
+                    add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, op.val)))
+                    handler, args = nodes[node_id].on_invoke, (op, now)
+                else:
+                    node_id = event[1]
+                    handler, args = nodes[node_id].on_init, ()
+                try:
+                    actions = handler(*args)
+                except SimulationError:
+                    raise
+                except Exception as exc:
+                    raise SimulationError(
+                        f"strategy failed while {_context(now, event)}: {exc}"
+                    ) from exc
+                for action in actions:  # the most frequent kinds first
+                    if isinstance(action, Send):
+                        dst = action.dst
+                        if dst == node_id:
+                            raise _refused(f"node {node_id} sent to itself", now, event)
+                        if not 0 <= dst < count:
+                            raise _refused(f"unknown destination {dst}", now, event)
+                        sent, msg_id, seq = msg_id, msg_id + 1, len(lines)
+                        append(send_line(now, seq, node_id, dst, sent))
+                        if not reachable(now, node_id, dst):  # a dropped send is never queued
+                            append(drop_line(now, seq + 1, node_id, dst, sent))
+                            continue
+                        queued, at = (_DELIVER, node_id, dst, action.payload, sent), now + latency
+                    elif isinstance(action, SetTimer):
+                        if action.delay < 1:
+                            raise _refused(
+                                f"timer delay must be >= 1 tick, got {action.delay}", now, event
+                            )
+                        queued, at = (_TIMER, node_id, action.timer_id), now + action.delay
+                    elif isinstance(action, Respond):
+                        op_id, value = action.op_id, action.value
+                        if op_id in answered:
+                            raise _refused(f"duplicate response for op {op_id}", now, event)
+                        answered.add(op_id)
+                        seq = len(lines)
+                        append(respond_line(now, seq, op_id, value))
+                        add_operation((seq, "respond", (now, op_id, value)))
+                        continue
+                    else:
+                        raise _refused(f"unknown action {action!r}", now, event)
+                    bucket = buckets.get(at)
+                    if bucket is None:
+                        buckets[at] = [queued]
+                        heappush(ticks, at)
+                    else:
+                        bucket.append(queued)
         # messages still in flight never arrive inside the observed window;
         # settle them as drops so every send has exactly one disposition
-        while heap:
-            _, _, tag, payload = heappop(heap)
-            if tag == _DELIVER:
-                src, dst, _, msg_id = payload
-                append(drop_line(horizon, len(lines), src, dst, msg_id))
+        for tick in sorted(buckets):
+            for event in buckets[tick]:
+                if event[0] == _DELIVER:
+                    append(drop_line(horizon, len(lines), event[1], event[2], event[4]))
         for op in workload:
-            if op.op_id not in self._answered:
+            if op.op_id not in answered:
                 add_operation((len(lines), "unanswered", (horizon, op.op_id)))
                 append(unanswered_line(horizon, len(lines), op.op_id))
-        return self.trace
+        return trace
 
 
 def run_scenario(config: ScenarioConfig) -> Trace:

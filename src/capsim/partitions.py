@@ -4,6 +4,16 @@ A schedule is a set of half-open outage intervals [start, end) on
 unordered node pairs. Two nodes can communicate at a tick when a path
 of live links connects them; the longest stretch any pair spends with
 no such path is the schedule's partition span.
+
+Both questions are answered from one table, built on the first query:
+the ticks at which the components of the live graph change, with a
+component label per node from each. It is updated boundary by boundary
+from the links that change there: a boundary costs O(n + changed links),
+plus the size and down links of a component it splits, rather than a
+scan of all node pairs, and memory grows with the number of component
+changes, not of boundaries. ``reachable`` is a
+bisection and a label comparison; ``max_partition_span`` visits only the
+pairs each change splits apart or joins again.
 """
 
 from __future__ import annotations
@@ -53,39 +63,85 @@ class PartitionSchedule:
             if o.b >= self.node_count:
                 raise ValueError(f"outage {o} references node >= {self.node_count}")
 
-    def to_dicts(self) -> list[dict]:
-        return [
-            {"a": o.a, "b": o.b, "start": o.start, "end": o.end} for o in self.outages
-        ]
-
     @cached_property
     def _segments(self) -> tuple[list[int], list[list[int]]]:
-        """Boundary ticks, and a component label per node for each segment.
+        """The ticks at which the components change, and a label per node from each on.
 
-        Segment i spans [bounds[i], bounds[i + 1]), the last one without
-        end; the live graph is constant inside a segment. Built on first
-        query rather than at construction, so reading a config stays cheap.
+        Segment i spans [ticks[i], ticks[i + 1]), the last one without end;
+        two nodes share a label exactly when a path of live links joins
+        them there. Before the first tick every node is in one component.
+        Built on first query rather than at construction, so reading a
+        config stays cheap.
+
+        At each boundary the links whose state changes are applied first.
+        An up link then merges two components, relabelling the smaller. A
+        down link inside one component keeps it whole when a live common
+        neighbour of its ends remains; otherwise the component is split,
+        as a whole, by one search of its complement graph (every pair of
+        its nodes is linked but the down ones). A boundary that merges or
+        splits nothing adds no segment.
         """
-        events: dict[int, list[tuple[int, int, int]]] = {0: []}
+        changes: dict[int, dict[tuple[int, int], int]] = {}
         for o in self.outages:
-            events.setdefault(o.start, []).append((o.a, o.b, 1))
-            events.setdefault(o.end, []).append((o.a, o.b, -1))
-        bounds = sorted(events)
-        # a count, not a flag: overlapping outages on one pair must all end
-        down: dict[tuple[int, int], int] = {}
+            for tick, step in ((o.start, 1), (o.end, -1)):
+                links = changes.setdefault(tick, {})
+                links[o.a, o.b] = links.get((o.a, o.b), 0) + step
         n = self.node_count
-        labels = []
-        for tick in bounds:
-            for a, b, step in events[tick]:
-                down[a, b] = down.get((a, b), 0) + step
-            label = list(range(n))
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if label[a] != label[b] and not down.get((a, b)):
-                        old, new = label[b], label[a]
-                        label = [new if x == old else x for x in label]
-            labels.append(label)
-        return bounds, labels
+        # a count per link, not a flag: overlapping outages on one pair must all end
+        count: dict[tuple[int, int], int] = {}
+        down: list[set[int]] = [set() for _ in range(n)]
+        label, members = [0] * n, {0: list(range(n))}
+        fresh = 1  # the next unused label
+        ticks: list[int] = []
+        labels: list[list[int]] = []
+        for tick in sorted(changes):
+            ups, downs = [], []
+            for (a, b), step in changes[tick].items():
+                before = count.get((a, b), 0)
+                count[a, b] = after = before + step
+                if not before and after:
+                    down[a].add(b)
+                    down[b].add(a)
+                    downs.append((a, b))
+                elif before and not after:
+                    down[a].discard(b)
+                    down[b].discard(a)
+                    ups.append((a, b))
+            changed = False
+            for a, b in ups:
+                small, big = label[a], label[b]
+                if small == big:
+                    continue
+                if len(members[small]) > len(members[big]):
+                    small, big = big, small
+                moved = members.pop(small)
+                for x in moved:
+                    label[x] = big
+                members[big] += moved
+                changed = True
+            for a, b in downs:
+                group = label[a]
+                if group != label[b]:
+                    continue
+                skip = down[a] | down[b]
+                if any(c not in skip for c in members[group] if c != a and c != b):
+                    continue  # a live common neighbour still joins a and b
+                parts = _complement_components(members.pop(group), down)
+                if len(parts) == 1:  # joined through a longer path
+                    members[group] = parts[0]
+                    continue
+                parts.sort(key=len)
+                members[group] = parts.pop()  # the largest part keeps its label
+                for part in parts:
+                    for x in part:
+                        label[x] = fresh
+                    members[fresh] = part
+                    fresh += 1
+                changed = True
+            if changed:
+                ticks.append(tick)
+                labels.append(label.copy())
+        return ticks, labels
 
     def reachable(self, t: int, a: int, b: int) -> bool:
         """True when a path of live links joins a and b at tick t.
@@ -95,8 +151,8 @@ class PartitionSchedule:
         """
         if a == b:
             raise ValueError("reachable requires two distinct nodes")
-        bounds, labels = self._segments
-        i = bisect_right(bounds, t) - 1
+        ticks, labels = self._segments
+        i = bisect_right(ticks, t) - 1
         return i < 0 or labels[i][a] == labels[i][b]
 
     def max_partition_span(self, horizon: int) -> int:
@@ -104,22 +160,53 @@ class PartitionSchedule:
 
         Measured per unordered pair over [0, horizon); runs of distinct
         pairs do not concatenate. Returns 0 when every pair stays
-        connected throughout, including the no-outage schedule.
+        connected throughout, including the no-outage schedule. A pair's
+        run starts at the segment that splits it and ends at the one that
+        joins it again, so only the pairs a segment changes are visited.
         """
-        n = self.node_count
         since: dict[tuple[int, int], int] = {}  # open run per cut pair
         best = 0
-        for start, label in zip(*self._segments):
+        before = [0] * self.node_count
+        for start, after in zip(*self._segments):
             if start >= horizon:
                 break
-            cut = {
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, n)
-                if label[i] != label[j]
-            }
-            for pair in since.keys() - cut:
+            for pair in _pairs_split(before, after):
+                since[pair] = start
+            for pair in _pairs_split(after, before):
                 best = max(best, start - since.pop(pair))
-            for pair in cut:
-                since.setdefault(pair, start)
+            before = after
         return max(best, horizon - min(since.values(), default=horizon))
+
+
+def _complement_components(group: list[int], down: list[set[int]]) -> list[list[int]]:
+    """The components of ``group`` when every pair in it is linked but the down ones.
+
+    Each node visited keeps from the unvisited rest only the nodes it has
+    a down link to, so the search costs O(len(group) + their down links).
+    """
+    rest, parts = set(group), []
+    while rest:
+        part = [rest.pop()]
+        for x in part:  # the list grows as the search reaches nodes
+            if not rest:
+                break
+            reached = rest - down[x]
+            if reached:
+                rest &= down[x]
+                part += reached
+        parts.append(part)
+    return parts
+
+
+def _pairs_split(before: list[int], after: list[int]):
+    """Yield each pair (x, y), x < y, that shares a label in ``before`` but not in ``after``."""
+    groups: dict[int, dict[int, list[int]]] = {}
+    for x, (old, new) in enumerate(zip(before, after)):
+        groups.setdefault(old, {}).setdefault(new, []).append(x)
+    for parts in groups.values():
+        parts = list(parts.values())
+        for i, xs in enumerate(parts):
+            for ys in parts[i + 1:]:
+                for x in xs:
+                    for y in ys:
+                        yield (x, y) if x < y else (y, x)

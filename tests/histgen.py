@@ -149,6 +149,12 @@ def min_tc_oracle(history: History, time_ref: str = "response") -> int:
 def random_schedule(
     seed: int, max_nodes: int = 4, horizon: int = 200
 ) -> tuple[PartitionSchedule, int]:
+    """Random single-link outages, then whole-node isolations (every link of
+    one node down over one interval) while the total stays within 12 outages.
+
+    Isolations make the cuts that split a component into more than two
+    parts, or leave the rest of a split component disconnected.
+    """
     rng = random.Random(seed)
     nodes = rng.randint(2, max_nodes)
     outages = []
@@ -162,6 +168,18 @@ def random_schedule(
         if end <= start:
             continue
         outages.append(LinkOutage(a, b, start, end))
+    for _ in range(rng.randint(0, 3)):
+        if len(outages) + nodes - 1 > 12:
+            break
+        node = rng.randrange(nodes)
+        # half the time where an earlier outage starts: one boundary then
+        # cuts a component into three or more parts
+        if outages and rng.random() < 0.5:
+            start = rng.choice(outages).start
+        else:
+            start = rng.randint(0, horizon - 1)
+        end = min(start + rng.randint(1, 80), horizon)
+        outages += [LinkOutage(node, other, start, end) for other in range(nodes) if other != node]
     return PartitionSchedule(nodes, tuple(outages)), horizon
 
 

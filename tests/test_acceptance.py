@@ -24,6 +24,7 @@ from capsim.harness import (
     ProofReplaySpec,
     bound_slack,
     build_frontier_config,
+    build_frontier_workload,
     build_proof_config,
     frontier_csv,
     frontier_sweep,
@@ -136,18 +137,22 @@ def _empirical(config):
 def test_criterion_4_corner_cases():
     with criterion(4, "corner cases"):
         gossip = 4
-        healthy = build_frontier_config(
+        frontier = build_frontier_config(
             10, StrategyParams("LocalFirst", anti_entropy_period=gossip)
         )
-        healthy = ScenarioConfig.from_dict({**healthy.to_dict(), "partitions": []})
         # same-tick cross-node reads exercise the one-tick propagation edge
         extra = [
             {"t": t, "node": 1, "kind": "read", "key": "A", "val": None}
             for t in range(2, 26, 2)
         ]
-        healthy = ScenarioConfig.from_dict(
-            {**healthy.to_dict(), "workload": healthy.to_dict()["workload"] + extra}
-        )
+        # the frontier scenario with its cut taken out
+        healthy = ScenarioConfig.from_dict({
+            "nodes": 2,
+            "latency": LATENCY,
+            "horizon": frontier.horizon,
+            "strategy": {"kind": "LocalFirst", "G": gossip},
+            "workload": build_frontier_workload(10) + extra,
+        })
         tc, ta = _empirical(healthy)
         assert ta == 0
         assert tc <= 2 * LATENCY + gossip

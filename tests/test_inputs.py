@@ -249,7 +249,7 @@ MULTI_FAULT = {
     ),
     "outage past node count, zero latency": (
         {"latency": 0, "partitions": [{"a": 0, "b": 5, "start": 1, "end": 2}]},
-        "bad partition schedule: outage LinkOutage(a=0, b=5, start=1, end=2) references node >= 2",
+        "config.partitions[0] addresses unknown node 5",
     ),
 }
 

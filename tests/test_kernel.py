@@ -193,6 +193,43 @@ def test_timers_on_one_tick_fire_in_registration_order():
     assert fired == ["a", "b"]
 
 
+class _TimerScript(StrategyNode):
+    """A node that returns ``script[name]`` at init and when timer ``name`` fires."""
+
+    def __init__(self, node_id, script):
+        super().__init__(StrategyParams("LocalFirst"), node_id, 2)
+        self.script = script
+
+    def on_init(self):
+        return self.script.get("init", [])
+
+    def on_invoke(self, op, now):
+        return []
+
+    def on_message(self, payload, src, now):
+        return []
+
+    def on_timer(self, timer_id, now):
+        return self.script.get(timer_id, [])
+
+
+def test_a_tick_runs_its_queued_events_in_scheduling_order_then_its_invokes():
+    # latency 2; everything below lands on tick 3, queued at ticks 0, 1, 1 and 2
+    cfg = scenario(latency=2, workload=[
+        {"t": 3, "node": 1, "kind": "read", "key": "A", "val": None},
+        {"t": 3, "node": 0, "kind": "read", "key": "A", "val": None},
+    ])
+    nodes = [
+        _TimerScript(0, {"init": [SetTimer(3, "first"), SetTimer(1, "x")],
+                         "x": [Send(1, {}), SetTimer(2, "third")]}),
+        _TimerScript(1, {"init": [SetTimer(2, "y")], "y": [SetTimer(1, "fourth")]}),
+    ]
+    records = Simulation(cfg, nodes).run().records
+    at_3 = [(r["ev"], r.get("timer", r.get("msg", r.get("op")))) for r in records if r["t"] == 3]
+    assert at_3 == [("timer", "first"), ("deliver", 0), ("timer", "third"),
+                    ("timer", "fourth"), ("invoke", 0), ("invoke", 1)]
+
+
 class _Scripted(StrategyNode):
     """A node whose handlers do what ``script`` says: each handler name
     maps to the actions it returns or to the exception it raises."""
@@ -254,6 +291,10 @@ KERNEL_ERRORS = {
     "timer handler raises": (
         {"init": [SetTimer(2, "x")], "timer": KeyError("k")}, {},
         "strategy failed while handling timer 'x' on node 0 at tick 2: 'k'",
+    ),
+    "handler raises SimulationError": (
+        {"invoke": SimulationError("replica state is corrupt")}, {},
+        "replica state is corrupt",
     ),
 }
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,62 @@ class TestMaxPartitionSpan:
         assert sched.max_partition_span(20) == 10
 
 
+def test_a_cut_can_leave_every_node_alone():
+    # the rest of a split component need not stay connected: at tick 2 the
+    # last two live links of {0, 1, 2} go down together
+    sched = make(3, (1, 2, 0, 6), (1, 2, 1, 8), (1, 2, 2, 8), (0, 2, 2, 8), (0, 1, 2, 28))
+    for t in range(-1, 30):
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert sched.reachable(t, a, b) == (not 2 <= t < 8) == reachable_oracle(sched, t, a, b)
+    assert sched.max_partition_span(30) == 6 == partition_span_oracle(sched, 30)
+
+
+def _components_oracle(node_count, down):
+    """A component id per node over the live links, built from scratch with
+    disjoint sets: each node in turn merges every set it has a live link
+    into, that is every set not wholly among its down links."""
+    sets = []
+    for x in range(node_count):
+        blocked = down.get(x, set())
+        linked = [s for s in sets if not s <= blocked]
+        sets = [s for s in sets if s <= blocked]
+        joined = max(linked, key=len, default=set())  # union by size
+        for s in linked:
+            if s is not joined:
+                joined |= s
+        joined.add(x)
+        sets.append(joined)
+    return {x: i for i, s in enumerate(sets) for x in s}
+
+
+def test_node_cap_schedule_matches_a_disjoint_set_oracle():
+    # 1024 nodes: two whole-node isolations in disjoint slots, 200 single links
+    rng = random.Random(1024)
+    n, horizon, iso_len = 1024, 2000, 100
+    outages, isolated = [], []
+    for slot_start in (0, 1000):
+        node, start = rng.randrange(n), slot_start + rng.randrange(800)
+        outages += [LinkOutage(node, x, start, start + iso_len) for x in range(n) if x != node]
+        isolated.append(node)
+    for _ in range(200):
+        a, b = rng.sample(range(n), 2)
+        start = rng.randrange(horizon - 100)
+        outages.append(LinkOutage(a, b, start, start + 100))
+    sched = PartitionSchedule(n, tuple(outages))
+    pairs = [rng.sample(range(n), 2) for _ in range(60)]
+    pairs += [(v, (v + step) % n) for v in isolated for step in (1, 500)]
+    for t in sorted({o.start for o in outages} | {o.end for o in outages}):
+        down = {}
+        for o in outages:
+            if o.start <= t < o.end:
+                down.setdefault(o.a, set()).add(o.b)
+                down.setdefault(o.b, set()).add(o.a)
+        component = _components_oracle(n, down)
+        for a, b in pairs:
+            assert sched.reachable(t, a, b) == (component[a] == component[b]), (t, a, b)
+    assert sched.max_partition_span(horizon) == iso_len
+
+
 @st.composite
 def schedules(draw):
     seed = draw(st.integers(min_value=0, max_value=10_000))
@@ -130,7 +188,7 @@ def test_monotone_union(sched_horizon, extra_seed):
 @given(st.integers(min_value=0, max_value=50_000), st.data())
 @settings(max_examples=60, deadline=None)
 def test_reachable_matches_per_tick_oracle(seed, data):
-    sched, horizon = random_schedule(seed, max_nodes=5, horizon=60)
+    sched, horizon = random_schedule(seed, max_nodes=8, horizon=60)
     if sched.outages:
         # a second interval overlapping one outage on the same pair
         o = data.draw(st.sampled_from(sched.outages))
@@ -149,7 +207,7 @@ def test_reachable_matches_per_tick_oracle(seed, data):
 @given(st.integers(min_value=0, max_value=50_000))
 @settings(max_examples=80, deadline=None)
 def test_span_matches_per_tick_oracle(seed):
-    sched, horizon = random_schedule(seed, max_nodes=4, horizon=120)
+    sched, horizon = random_schedule(seed, max_nodes=8, horizon=120)
     assert sched.max_partition_span(horizon) == partition_span_oracle(sched, horizon)
 
 

@@ -297,7 +297,9 @@ class TestDeadlineProbe:
             "latency": latency,
             "horizon": horizon,
             "seed": seed,
-            "partitions": schedule.to_dicts(),
+            "partitions": [
+                {"a": o.a, "b": o.b, "start": o.start, "end": o.end} for o in schedule.outages
+            ],
             "workload_gen": {"ops": 16, "keys": ["A", "B"], "span": [0, horizon - 1]},
         }
         config = ScenarioConfig.from_dict({**doc, "strategy": {"kind": "SyncAll", "R": period}})
