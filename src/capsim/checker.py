@@ -33,12 +33,9 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import product
-from operator import itemgetter
 from typing import NamedTuple
 
-from .config import INT, REQUIRED, ConfigError, read_json
-from .trace import OPERATIONS, RECORD_FIELDS, Trace, TraceParseError, scan_operations
+from .trace import Trace, TraceParseError, scan_operations
 
 INFINITE = math.inf
 
@@ -111,34 +108,8 @@ class History:
     def index(self, key: str) -> KeyIndex:
         return self._index.get(key, _NO_WRITES)
 
-    def writes(self, key: str) -> list[OperationRecord]:
-        return self.index(key).writes
-
     def reads(self) -> list[OperationRecord]:
         return [r for r in self.records if r.kind == "read"]
-
-
-# the fields of the operation records read here, typed by trace.RECORD_FIELDS
-_OP_FIELDS = {
-    ev: {key: (key, kind, REQUIRED) for key, kind in (("t", INT), *fields)}
-    for ev, fields in RECORD_FIELDS.items()
-    if ev in OPERATIONS
-}
-# per operation kind: a getter for those fields in table order, and every
-# tuple of Python types they may hold, which is what read_json accepts
-_OP_READERS = {
-    ev: (itemgetter(*table), set(product(*(kind for _, kind, _ in table.values()))))
-    for ev, table in _OP_FIELDS.items()
-}
-
-
-def _malformed(line_no: int, rec: dict, ev: str) -> TraceParseError:
-    """Failure path only: the typed field reader words what is wrong."""
-    try:
-        read_json(rec, _OP_FIELDS[ev], ev)
-    except ConfigError as exc:
-        return TraceParseError(line_no, str(exc))
-    raise AssertionError(f"read_json accepted a record the fast path refused: {rec!r}")
 
 
 def extract_history(source: str | Trace) -> History:
@@ -156,15 +127,6 @@ def extract_history(source: str | Trace) -> History:
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
     for where, ev, values in ops:
-        if type(values) is dict:
-            rec = values
-            get, types = _OP_READERS[ev]
-            try:
-                values = get(rec)
-            except KeyError:
-                raise _malformed(line_no(where), rec, ev) from None
-            if tuple(map(type, values)) not in types:
-                raise _malformed(line_no(where), rec, ev)
         op_id = values[1]
         if ev == "invoke":
             t, _, node, kind, key, val = values

@@ -20,9 +20,9 @@ class ConfigError(ValueError):
 
 
 def read_text(path) -> str:
-    """The UTF-8 text of a file; every input file is read here."""
+    """The UTF-8 text of a file, line endings as stored; every input file is read here."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             return fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc

@@ -78,9 +78,6 @@ class RegisterMap:
     def items(self) -> list[tuple[str, int, Version]]:
         return [(k, v, ver) for k, (v, ver) in sorted(self._cells.items())]
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RegisterMap) and self._cells == other._cells
-
 
 class StrategyNode:
     """Base class: owns the node's registers and its peer list."""

@@ -14,13 +14,13 @@ import functools
 import json
 import re
 
-from .config import INT, OPT, STR
+from .config import INT, OPT, REQUIRED, STR, ConfigError, read_json
 
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
 # with their JSON types, which also say how each value is written: INT
 # with %d, STR as json.dumps writes it (ASCII-escaped), OPT as null or %d.
-# A line is then byte for byte json.dumps(record) + "\n". The checker reads
-# records by the same types.
+# A line is then byte for byte json.dumps(record) + "\n". Operation records
+# are read back by the same types.
 RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
     "invoke": (("op", INT), ("node", INT), ("kind", STR), ("key", STR), ("val", OPT)),
     "respond": (("op", INT), ("val", OPT)),
@@ -32,6 +32,11 @@ RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
 }
 # the kinds a history is built from; the others are transport records
 OPERATIONS = ("invoke", "respond", "unanswered")
+# per operation kind: its read_json table, t first, then RECORD_FIELDS order
+_OPERATION_TABLES = {
+    ev: {name: (name, kind, REQUIRED) for name, kind in (("t", INT), *RECORD_FIELDS[ev])}
+    for ev in OPERATIONS
+}
 
 _INT = "-?(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
 # per type: the template slot, the expression that fills it from the
@@ -176,15 +181,23 @@ def _decode(line: str, line_no: int) -> dict | None:
     return record
 
 
-def scan_operations(text: str) -> list[tuple[int, str, tuple | dict]]:
+def _values(record: dict, ev: str, line_no: int) -> tuple:
+    """A decoded operation record's values in ``RECORD_FIELDS`` order, t first."""
+    try:
+        return tuple(read_json(record, _OPERATION_TABLES[ev], ev).values())
+    except ConfigError as exc:
+        raise TraceParseError(line_no, str(exc)) from None
+
+
+def scan_operations(text: str) -> list[tuple[int, str, tuple]]:
     """The operation records of a JSONL trace, in file order.
 
     Every line is read as ``Trace.from_jsonl`` reads it and the first bad
     line raises its error, but no dict is built for a line in the
     writer's own form: the matcher checks it, a transport line is then
     dropped and an operation line gives its typed values. Any other line
-    is decoded by ``json`` and an operation gives its dict. Each item is
-    (an offset into the line, ev, values or dict).
+    is decoded by ``json``, and an operation's dict is typed into the same
+    values. Each item is (an offset into the line, ev, values).
     """
     match, readers = _matcher()
     ops = []
@@ -208,8 +221,8 @@ def scan_operations(text: str) -> list[tuple[int, str, tuple | dict]]:
             line_no += text.count("\n", counted, pos)
             counted = pos
             record = _decode(text[pos:stop], line_no)
-            if record is not None and record["ev"] in OPERATIONS:
-                append((pos, record["ev"], record))
+            if record is not None and (ev := record["ev"]) in OPERATIONS:
+                append((pos, ev, _values(record, ev, line_no)))
             pos = stop + 1
             stop = text.find("\n", pos)
             if stop < 0 or text[stop - 1] == "}":
@@ -230,13 +243,13 @@ class Trace:
 
     ``operations`` holds (line index, ev, values in ``RECORD_FIELDS``
     order after t), as ``scan_operations`` reads them; ``from_jsonl``
-    keeps the lines as given and each operation's dict instead.
-    ``records`` decodes every line, for tests and tools.
+    keeps the lines as given. ``records`` decodes every line, for tests
+    and tools.
     """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
-        self.operations: list[tuple[int, str, tuple | dict]] = []
+        self.operations: list[tuple[int, str, tuple]] = []
         self.quoted = _Quoted()  # per trace, so no run keeps another's strings
 
     @property
@@ -252,7 +265,7 @@ class Trace:
         trace = cls()
         for line_no, line in enumerate(text.split("\n"), start=1):
             if (record := _decode(line, line_no)) is not None:
-                if record["ev"] in OPERATIONS:
-                    trace.operations.append((len(trace.lines), record["ev"], record))
+                if (ev := record["ev"]) in OPERATIONS:
+                    trace.operations.append((len(trace.lines), ev, _values(record, ev, line_no)))
                 trace.lines.append(line + "\n")
         return trace

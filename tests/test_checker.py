@@ -224,7 +224,7 @@ class TestExtractHistory:
         history = extract_history(run_scenario(cfg))
         assert len(history.records) == 2
         assert history.records[1].returned == 7
-        assert history.writes("A")[0].written == 7
+        assert history.index("A").writes[0].written == 7
 
     def test_unanswered_marker_reflects_in_the_record(self):
         trace = Trace.from_jsonl(
@@ -336,7 +336,7 @@ def test_zero_budget_reduces_to_latest_write_at_response(seed):
         if not read.answered:
             continue
         writes = [
-            w for w in history.writes(read.key) if w.invoke_tick <= read.response_tick
+            w for w in history.index(read.key).writes if w.invoke_tick <= read.response_tick
         ]
         latest = writes[-1].written if writes else None
         assert (read.op_id in flagged) == (read.returned != latest)
@@ -350,7 +350,7 @@ def test_latest_write_is_always_legal(seed, tc):
         if not read.answered:
             continue
         T = read.response_tick
-        writes = [x for x in history.writes(read.key) if x.invoke_tick <= T]
+        writes = [x for x in history.index(read.key).writes if x.invoke_tick <= T]
         latest = writes[-1].written if writes else None
         assert latest in valid_read_values(history, read.key, T, tc)
 

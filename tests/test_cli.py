@@ -203,3 +203,20 @@ def test_check_refuses_a_negative_number_flag_before_reading_the_trace(tmp_path,
     captured = capsys.readouterr()
     assert captured.err == f"config error: {flag} must be >= 0, got -5\n"
     assert captured.out == ""
+
+
+def test_check_splits_trace_lines_on_lf_only(tmp_path, capsys):
+    # CR is JSON whitespace inside a line, so it neither ends one nor breaks it
+    invoke = (
+        '{"t": 2, "seq": 0, "ev": "invoke", "op": 0, "node": 0,\r '
+        '"kind": "read", "key": "A", "val": null}'
+    )
+    respond = '{"t": 2, "seq": 1, "ev": "respond", "op": 0, "val": null}'
+    trace = tmp_path / "cr.jsonl"
+    trace.write_bytes(f"{invoke}\n{respond}\n".encode())
+    assert main(["check", str(trace), "--tc", "0", "--ta", "0"]) == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["violations"] == []
+    # CR-only endings leave one line of two objects, as the reference reader reads it
+    trace.write_bytes(f"{respond}\r{respond}\r".encode())
+    assert main(["check", str(trace), "--tc", "0", "--ta", "0"]) == 2
+    assert capsys.readouterr().err == "trace error: line 1: invalid JSON: Extra data\n"

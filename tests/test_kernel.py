@@ -390,17 +390,9 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
     assert Trace.from_jsonl(text).records == trace.records == records
     # the kernel's operations are what a reader of its text finds, typed
     assert [(ev, values) for _, ev, values in trace.operations] == [
-        (ev, _typed(ev, values)) for _, ev, values in scan_operations(text)
+        (ev, values) for _, ev, values in scan_operations(text)
     ]
     assert all(records[i]["ev"] == ev for i, ev, _ in trace.operations)
-
-
-def _typed(ev, values):
-    """An operation as scan_operations gives it, as values: a decoded
-    line's dict becomes its fields in RECORD_FIELDS order, t first."""
-    if type(values) is dict:
-        return tuple(values[name] for name in ("t", *(name for name, _ in RECORD_FIELDS[ev])))
-    return values
 
 
 # keys the writer must escape, each written through the trace's own cache

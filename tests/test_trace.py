@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capsim.trace as trace_module
 from capsim.checker import HistoryIntegrityError, extract_history
+from capsim.cli import main
 from capsim.config import ScenarioConfig
 from capsim.kernel import run_scenario
 from capsim.trace import Trace, TraceParseError, scan_operations
@@ -118,12 +120,69 @@ BORDER_CASES = {
 
 
 @pytest.mark.parametrize("text, path", BORDER_CASES.values(), ids=BORDER_CASES.keys())
-def test_text_reader_agrees_with_the_reference_reader(text, path):
+def test_text_reader_agrees_with_the_reference_reader(text, path, monkeypatch):
     expected = outcome(lambda: extract_history(Trace.from_jsonl(text)))
     assert outcome(lambda: extract_history(text)) == expected
     if path is not None:
-        *_, (_, _, values) = scan_operations(text)
-        assert type(values) is {"matched": tuple, "decoded": dict}[path]
+        decode, decoded = trace_module._decode, []  # the number of each line decoded
+
+        def spy(line, line_no):
+            decoded.append(line_no)
+            return decode(line, line_no)
+
+        monkeypatch.setattr(trace_module, "_decode", spy)
+        *_, (where, _, values) = scan_operations(text)
+        last = text.count("\n", 0, where) + 1
+        assert ("decoded" if last in decoded else "matched") == path
+        assert type(values) is tuple
+
+
+RESPOND_0 = '{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n'
+READ_INVOKE = (
+    '{"t": 2, "seq": 1, "ev": "invoke", "op": 1, "node": 0, '
+    '"kind": "read", "key": "A", "val": null}\n'
+)
+
+# (trace text, check's whole stderr): every line is read, JSON then field
+# types, and the first line that fails is reported; history errors only after
+MULTI_FAULT_CASES = {
+    "history error, then a type error": (
+        RESPOND_0 + READ_INVOKE.replace('"t": 2', '"t": null'),
+        "line 2: invoke.t must be an integer, got null",
+    ),
+    "type error, then a JSON error": (
+        invoke().replace('"val": 5', '"val": "x"') + "{broken\n",
+        'line 1: invoke.val must be an integer or null, got "x"',
+    ),
+    "history error, then a JSON error": (
+        RESPOND_0 + "{broken\n",
+        "line 2: invalid JSON: Expecting property name enclosed in double quotes",
+    ),
+    "JSON error, then a type error": (
+        "[1]\n" + READ_INVOKE.replace('"op": 1', '"op": "1"'),
+        "line 1: record is not an object",
+    ),
+    "bad op kind, then a missing field": (
+        invoke().replace('"write"', '"scan"') + RESPOND_0.replace(', "val": 1', ""),
+        "line 2: respond: missing required field 'val'",
+    ),
+    "history error, then a type error past blank lines": (
+        "\n" + RESPOND_0 + "\n\n" + READ_INVOKE.replace('"key": "A"', '"key": 7'),
+        "line 5: invoke.key must be a string, got 7",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, error", MULTI_FAULT_CASES.values(), ids=MULTI_FAULT_CASES.keys()
+)
+def test_a_trace_with_several_faults_reports_its_first_bad_line(text, error, tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--tc", "0", "--ta", "0"]) == 2
+    assert capsys.readouterr().err == f"trace error: {error}\n"
+    expected = (TraceParseError, error)
+    assert outcome(lambda: extract_history(Trace.from_jsonl(text))) == expected
 
 
 def _rewrite(line, rng):
