@@ -115,13 +115,13 @@ class History:
 def extract_history(source: str | Trace) -> History:
     """Build a History from a trace's JSONL text or from a Trace, validating as we go.
 
-    Errors in text name its file line (see ``scan_operations``); a
-    Trace's lines are numbered from 1, as ``to_jsonl`` writes them.
+    Errors name the file line, from text (see ``scan_operations``) or
+    from a Trace, which keys each operation by its file line.
     """
     is_text = isinstance(source, str)
     ops = scan_operations(source) if is_text else source.operations
 
-    def line_no(where: int) -> int:  # a text offset, or a Trace's line index
+    def line_no(where: int) -> int:  # a text offset, or a Trace's 0-based file line
         return source.count("\n", 0, where) + 1 if is_text else where + 1
 
     by_op: dict[int, OperationRecord] = {}

@@ -30,11 +30,12 @@ stays the default everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .checker import (
     CheckReport,
     History,
+    OperationRecord,
     bound_holds,
     check,
     empirical_availability_bound,
@@ -316,10 +317,12 @@ def deadline_history(synced: History, answers: dict) -> History:
     """One deadline's history, from SyncAll's and that deadline's answers.
 
     An op answered at the deadline takes that tick and value; every other
-    op keeps its SyncAll response, or stays unanswered.
+    op keeps its SyncAll response, or stays unanswered. Answered ops get
+    new records, so ``synced`` is never changed.
     """
     return History([
-        replace(op, response_tick=a[0], returned=a[1], answered=True)
+        OperationRecord(op.op_id, op.kind, op.key, op.node, op.invoke_tick, a[0], op.written,
+                        a[1], True)
         if (a := answers.get(op.op_id)) else op
         for op in synced.records
     ])

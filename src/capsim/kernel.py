@@ -28,12 +28,11 @@ from heapq import heappop, heappush
 
 from .config import ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
-from .trace import (
-    Trace, deliver_line, drop_line, invoke_line, respond_line, send_line, timer_line,
-    unanswered_line,
-)
+from .trace import TEMPLATES, Trace, invoke_line, respond_line, timer_line, unanswered_line
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
+# lines of integers only, written straight from trace.py's templates
+SEND_LINE, DELIVER_LINE, DROP_LINE = TEMPLATES["send"], TEMPLATES["deliver"], TEMPLATES["drop"]
 
 
 class SimulationError(RuntimeError):
@@ -88,8 +87,9 @@ class Simulation:
         if self._ran:
             raise SimulationError("a Simulation object runs once; build a new one")
         self._ran = True
-        # looked up here and per event, so that wrappers installed on the
-        # schedule's or the nodes' classes after construction take effect
+        # reachable is looked up per run and each handler per event, so that
+        # wrappers installed on the schedule's or the nodes' classes after
+        # construction take effect
         reachable = self.schedule.reachable
         nodes, count, latency = self.nodes, self.config.node_count, self.config.message_latency
         workload, horizon = self.config.workload, self.config.horizon
@@ -115,25 +115,24 @@ class Simulation:
                 wi += 1
             for event in events:
                 tag = event[0]
-                if tag == _DELIVER:
-                    _, src, node_id, body, msg = event
-                    append(deliver_line(now, len(lines), src, node_id, msg))
-                    handler, args = nodes[node_id].on_message, (body, src, now)
-                elif tag == _TIMER:
-                    _, node_id, timer_id = event
-                    append(timer_line(now, len(lines), node_id, timer_id, quoted))
-                    handler, args = nodes[node_id].on_timer, (timer_id, now)
-                elif tag == _INVOKE:
-                    op: ClientOp = event[1]
-                    seq, node_id = len(lines), op.node
-                    append(invoke_line(now, seq, op.op_id, node_id, op.kind, op.key, op.val, quoted))
-                    add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, op.val)))
-                    handler, args = nodes[node_id].on_invoke, (op, now)
-                else:
-                    node_id = event[1]
-                    handler, args = nodes[node_id].on_init, ()
-                try:
-                    actions = handler(*args)
+                try:  # one handler call per event; the line writers before it cannot raise
+                    if tag == _DELIVER:
+                        _, src, node_id, body, msg = event
+                        append(DELIVER_LINE % (now, len(lines), src, node_id, msg))
+                        actions = nodes[node_id].on_message(body, src, now)
+                    elif tag == _TIMER:
+                        _, node_id, timer_id = event
+                        append(timer_line(now, len(lines), node_id, timer_id, quoted))
+                        actions = nodes[node_id].on_timer(timer_id, now)
+                    elif tag == _INVOKE:
+                        op: ClientOp = event[1]
+                        seq, node_id = len(lines), op.node
+                        append(invoke_line(now, seq, op.op_id, node_id, op.kind, op.key, op.val, quoted))
+                        add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, op.val)))
+                        actions = nodes[node_id].on_invoke(op, now)
+                    else:
+                        node_id = event[1]
+                        actions = nodes[node_id].on_init()
                 except SimulationError:
                     raise
                 except Exception as exc:
@@ -141,25 +140,26 @@ class Simulation:
                         f"strategy failed while {_context(now, event)}: {exc}"
                     ) from exc
                 for action in actions:  # the most frequent kinds first
-                    if isinstance(action, Send):
+                    kind = type(action)
+                    if kind is Send:
                         dst = action.dst
                         if dst == node_id:
                             raise _refused(f"node {node_id} sent to itself", now, event)
                         if not 0 <= dst < count:
                             raise _refused(f"unknown destination {dst}", now, event)
                         sent, msg_id, seq = msg_id, msg_id + 1, len(lines)
-                        append(send_line(now, seq, node_id, dst, sent))
+                        append(SEND_LINE % (now, seq, node_id, dst, sent))
                         if not reachable(now, node_id, dst):  # a dropped send is never queued
-                            append(drop_line(now, seq + 1, node_id, dst, sent))
+                            append(DROP_LINE % (now, seq + 1, node_id, dst, sent))
                             continue
                         queued, at = (_DELIVER, node_id, dst, action.payload, sent), now + latency
-                    elif isinstance(action, SetTimer):
+                    elif kind is SetTimer:
                         if action.delay < 1:
                             raise _refused(
                                 f"timer delay must be >= 1 tick, got {action.delay}", now, event
                             )
                         queued, at = (_TIMER, node_id, action.timer_id), now + action.delay
-                    elif isinstance(action, Respond):
+                    elif kind is Respond:
                         op_id, value = action.op_id, action.value
                         if op_id in answered:
                             raise _refused(f"duplicate response for op {op_id}", now, event)
@@ -181,7 +181,7 @@ class Simulation:
         for tick in sorted(buckets):
             for event in buckets[tick]:
                 if event[0] == _DELIVER:
-                    append(drop_line(horizon, len(lines), event[1], event[2], event[4]))
+                    append(DROP_LINE % (horizon, len(lines), event[1], event[2], event[4]))
         for op in workload:
             if op.op_id not in answered:
                 add_operation((len(lines), "unanswered", (horizon, op.op_id)))

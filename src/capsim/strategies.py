@@ -19,6 +19,12 @@ to execute. Three strategies cover the staleness/latency spectrum:
 Registers resolve conflicting writes last-writer-wins: versions are
 ordered lexicographically by (write tick, writer id, per-writer seq)
 and merges never move a key backwards.
+
+Payloads live in memory only (the trace never holds one) and carry
+versions as tuples. One payload may be shared by every send and every
+retransmit of a round, and an idle node's timer re-arm is one action
+list built once, so a handler must never mutate a payload it receives
+or an action list it is given.
 """
 
 from __future__ import annotations
@@ -120,68 +126,44 @@ class LocalFirstNode(StrategyNode):
         if op.kind == "write":
             version = self.next_version(now)
             self.registers.merge(op.key, op.val, version)
-            actions: list[Action] = [Respond(op.op_id, None)]
-            update = {
-                "type": "update",
-                "key": op.key,
-                "val": op.val,
-                "ver": list(version),
-            }
-            actions.extend(Send(peer, update) for peer in self.peers)
-            return actions
+            update = {"type": "update", "key": op.key, "val": op.val, "ver": version}
+            return [Respond(op.op_id, None)] + [Send(peer, update) for peer in self.peers]
         return [Respond(op.op_id, self.registers.value(op.key))]
 
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
         kind = payload.get("type")
         if kind == "update":
-            self.registers.merge(payload["key"], payload["val"], tuple(payload["ver"]))
+            self.registers.merge(payload["key"], payload["val"], payload["ver"])
             return []
         if kind == "digest":
             for key, val, ver in payload["entries"]:
-                self.registers.merge(key, val, tuple(ver))
+                self.registers.merge(key, val, ver)
             return []
         raise ValueError(f"unknown message type {kind!r}")
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        entries = [[k, v, list(ver)] for k, v, ver in self.registers.items()]
-        digest = {"type": "digest", "entries": entries}
+        digest = {"type": "digest", "entries": self.registers.items()}
         actions: list[Action] = [Send(peer, digest) for peer in self.peers]
         actions.append(SetTimer(self.params.anti_entropy_period, self.GOSSIP_TIMER))
         return actions
 
 
-@dataclass
+@dataclass(slots=True)
 class _Round:
-    """An in-flight request round on its coordinating node."""
+    """An in-flight request round on its coordinating node.
+
+    ``waiting`` maps each peer that has not acknowledged yet, in id
+    order, to the send of the round's request to it, built once.
+    """
 
     op_id: int
     kind: str
     key: str
-    value: int | None
-    version: Version | None
-    waiting: set[int]
+    waiting: dict[int, Send]
     invoke_tick: int
     responded: bool = False
     best_val: int | None = None
     best_ver: Version | None = None
-
-    def note_reply(self, val: int | None, ver: list | None) -> None:
-        if ver is None:
-            return
-        version = tuple(ver)
-        if self.best_ver is None or version > self.best_ver:
-            self.best_val, self.best_ver = val, version
-
-    def request_payload(self) -> dict:
-        if self.kind == "write":
-            return {
-                "type": "wreq",
-                "op": self.op_id,
-                "key": self.key,
-                "val": self.value,
-                "ver": list(self.version),
-            }
-        return {"type": "rreq", "op": self.op_id, "key": self.key}
 
 
 class SyncAllNode(StrategyNode):
@@ -199,11 +181,10 @@ class SyncAllNode(StrategyNode):
     def __init__(self, params: StrategyParams, node_id: int, node_count: int):
         super().__init__(params, node_id, node_count)
         self.rounds: dict[int, _Round] = {}
+        self._rearm = [SetTimer(params.retransmit_period, self.RETRANSMIT_TIMER)]
 
     def on_init(self) -> list[Action]:
-        if not self.peers:
-            return []
-        return [SetTimer(self.params.retransmit_period, self.RETRANSMIT_TIMER)]
+        return self._rearm if self.peers else []
 
     def _respond_value(self, rnd: _Round) -> int | None:
         if rnd.kind == "write":
@@ -221,67 +202,56 @@ class SyncAllNode(StrategyNode):
         return [Respond(rnd.op_id, self._respond_value(rnd))]
 
     def _start_round(self, op, now: int) -> tuple[_Round, list[Action]]:
-        version = None
         if op.kind == "write":
             version = self.next_version(now)
             self.registers.merge(op.key, op.val, version)
-        rnd = _Round(
-            op_id=op.op_id,
-            kind=op.kind,
-            key=op.key,
-            value=op.val,
-            version=version,
-            waiting=set(self.peers),
-            invoke_tick=now,
-        )
+            request = {"type": "wreq", "op": op.op_id, "key": op.key, "val": op.val, "ver": version}
+        else:
+            request = {"type": "rreq", "op": op.op_id, "key": op.key}
+        waiting = {peer: Send(peer, request) for peer in self.peers}
+        rnd = _Round(op.op_id, op.kind, op.key, waiting, now)
         self.rounds[op.op_id] = rnd
-        actions: list[Action] = [
-            Send(peer, rnd.request_payload()) for peer in sorted(rnd.waiting)
-        ]
-        if not rnd.waiting:
-            actions.extend(self._finish(rnd))
-        return rnd, actions
+        if not waiting:
+            return rnd, self._finish(rnd)
+        return rnd, list(waiting.values())
 
     def on_invoke(self, op, now: int) -> list[Action]:
-        _, actions = self._start_round(op, now)
-        return actions
+        return self._start_round(op, now)[1]
 
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
         kind = payload.get("type")
         if kind == "wreq":
-            self.registers.merge(payload["key"], payload["val"], tuple(payload["ver"]))
+            self.registers.merge(payload["key"], payload["val"], payload["ver"])
             return [Send(src, {"type": "wack", "op": payload["op"]})]
         if kind == "rreq":
             val, ver = self.registers.get(payload["key"])
-            reply = {
-                "type": "rrep",
-                "op": payload["op"],
-                "key": payload["key"],
-                "val": val,
-                "ver": None if ver is None else list(ver),
-            }
-            return [Send(src, reply)]
+            return [Send(src, {"type": "rrep", "op": payload["op"], "val": val, "ver": ver})]
         if kind in ("wack", "rrep"):
             rnd = self.rounds.get(payload["op"])
             if rnd is None:
                 return []  # stale ack from a retransmission after completion
-            if kind == "rrep":
-                rnd.note_reply(payload["val"], payload["ver"])
-            rnd.waiting.discard(src)
+            if kind == "rrep" and (ver := payload["ver"]) is not None:
+                if rnd.best_ver is None or ver > rnd.best_ver:
+                    rnd.best_val, rnd.best_ver = payload["val"], ver
+            rnd.waiting.pop(src, None)
             if not rnd.waiting:
                 return self._finish(rnd)
             return []
         raise ValueError(f"unknown message type {kind!r}")
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        actions: list[Action] = []
-        for rnd in self.rounds.values():
-            payload = rnd.request_payload()
-            actions.extend(Send(peer, payload) for peer in sorted(rnd.waiting))
-        actions.append(
-            SetTimer(self.params.retransmit_period, self.RETRANSMIT_TIMER)
-        )
+        if timer_id != self.RETRANSMIT_TIMER:
+            return self._other_timer(timer_id, now)
+        if not self.rounds:
+            return self._rearm
+        actions: list[Action] = [
+            send for rnd in self.rounds.values() for send in rnd.waiting.values()
+        ]
+        actions.append(self._rearm[0])
         return actions
+
+    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
+        raise ValueError(f"unknown timer {timer_id!r}")
 
 
 class HybridDeadlineNode(SyncAllNode):
@@ -320,9 +290,7 @@ class HybridDeadlineNode(SyncAllNode):
                 actions.append(SetTimer(deadline, timer_id))
         return actions
 
-    def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        if not timer_id.startswith(self.DEADLINE_PREFIX):
-            return super().on_timer(timer_id, now)
+    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
         rnd = self.rounds.get(int(timer_id[len(self.DEADLINE_PREFIX):]))
         if rnd is None:
             return []  # the round completed, and SyncAll's answer stands

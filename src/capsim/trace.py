@@ -4,8 +4,8 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's line writer, line template and line matcher are compiled
-from it.
+each kind's line template (``TEMPLATES``) and line matcher, and the line
+writers the kernel calls, are compiled from it.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ _SLOTS = {
 
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
-_TEMPLATES: dict = {}  # ev -> its line template, filled by _compile
+TEMPLATES: dict = {}  # ev -> its line template, filled by _compile
 _HEAD = '{"t": %d, "seq": %d, "ev": "'  # how every template starts
 
 
@@ -84,17 +84,18 @@ def _compile(ev: str):
     )
     env = {"__name__": __name__}
     exec(source, env)
-    _TEMPLATES[ev] = template
+    TEMPLATES[ev] = template
     return env[f"{ev}_line"]
 
 
 invoke_line = _compile("invoke")
 respond_line = _compile("respond")
-send_line = _compile("send")
-deliver_line = _compile("deliver")
-drop_line = _compile("drop")
 timer_line = _compile("timer")
 unanswered_line = _compile("unanswered")
+# send, deliver and drop lines hold only integers, so the kernel fills
+# their TEMPLATES itself, with the same % their writers would apply
+for _ev in ("send", "deliver", "drop"):
+    _compile(_ev)
 
 
 def _pattern(template: str, kinds, captured) -> str:
@@ -121,7 +122,7 @@ def _matcher():
     """
     transport, operations, readers = [], [], {}
     group = 1
-    for ev, template in _TEMPLATES.items():
+    for ev, template in TEMPLATES.items():
         fields = RECORD_FIELDS[ev]
         kinds = [kind for _, kind in fields]
         tail = _pattern(template[len(_HEAD) :], kinds, [ev in OPERATIONS] * len(kinds))
@@ -241,10 +242,11 @@ class _Quoted(dict):
 class Trace:
     """A trace's JSONL lines, and its operations typed for the history.
 
-    ``operations`` holds (line index, ev, values in ``RECORD_FIELDS``
-    order after t), as ``scan_operations`` reads them; ``from_jsonl``
-    keeps the lines as given. ``records`` decodes every line, for tests
-    and tools.
+    ``operations`` holds (0-based file line, ev, values in
+    ``RECORD_FIELDS`` order after t), as ``scan_operations`` reads them;
+    a written trace's file line is its index in ``lines``, while
+    ``from_jsonl`` keeps the lines as given but skips blank ones.
+    ``records`` decodes every line, for tests and tools.
     """
 
     def __init__(self) -> None:
@@ -266,6 +268,6 @@ class Trace:
         for line_no, line in enumerate(text.split("\n"), start=1):
             if (record := _decode(line, line_no)) is not None:
                 if (ev := record["ev"]) in OPERATIONS:
-                    trace.operations.append((len(trace.lines), ev, _values(record, ev, line_no)))
+                    trace.operations.append((line_no - 1, ev, _values(record, ev, line_no)))
                 trace.lines.append(line + "\n")
         return trace

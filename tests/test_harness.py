@@ -215,6 +215,8 @@ def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_r
     assert responses(synced) == responses(oracle[-1][3])
     for _, deadline, _, history in oracle[1:-1]:
         assert responses(deadline_history(synced, answers[deadline])) == responses(history)
+    # each deadline's history is built beside the SyncAll one, never in it
+    assert responses(synced) == responses(oracle[-1][3])
     rows = [oracle_row(tp, latency, *entry) for entry in oracle]
     assert frontier_sweep(tp, deadlines, base) == rows
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim.config import INT, STR, ConfigError, ScenarioConfig, StrategyParams
+from capsim.harness import frontier_csv, frontier_sweep
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import Respond, Send, SetTimer, StrategyNode
 from capsim.trace import RECORD_FIELDS, Trace, scan_operations
@@ -444,3 +446,74 @@ class TestConfigValidation:
             scenario(
                 workload=[{"t": 1, "node": 0, "kind": "write", "key": "A", "val": None}]
             )
+
+
+# sha256 of to_jsonl() per (strategy, latency, outages) on the GOLDEN_*
+# scenarios below, and of two frontier CSVs: any change to the kernel or
+# the strategies that moves one trace byte or one CSV cell fails here
+GOLDEN_STRATEGIES = {
+    "LocalFirst": {"kind": "LocalFirst", "G": 3},
+    "SyncAll": {"kind": "SyncAll", "R": 2},
+    "HybridDeadline": {"kind": "HybridDeadline", "R": 2, "D": 5},
+}
+GOLDEN_OUTAGES = {
+    "none": [],
+    # staggered link outages: node 0 is cut off in [20, 35), node 1 in [35, 40)
+    "links": [
+        {"a": a, "b": b, "start": start, "end": end}
+        for a, b, start, end in ((0, 1, 10, 40), (0, 2, 15, 35), (0, 3, 20, 50),
+                                 (1, 2, 30, 60), (1, 3, 35, 55))
+    ],
+    "isolation": [{"a": 3, "b": other, "start": 15, "end": 45} for other in range(3)],
+}
+GOLDEN_TRACES = {
+    ("LocalFirst", 1, "none"): "e56d80ece0f8654def42a740aae318d05f8ad0cbbe1ff2bc0b65f348a0386a72",
+    ("LocalFirst", 1, "links"): "74eb1c9f6457dcf7a0d6039ed4f7c7b7d2a2a5d0d42e9c6efb22bbb947cee452",
+    ("LocalFirst", 1, "isolation"): "25d1b24976217745ea90bccf05500d2a85fbe7e237c1715d9250267bfc90e535",
+    ("LocalFirst", 2, "none"): "333e3d4c73fc8380d80b796a8798e595b81b76cc1b84ccd6906d40e6a384895f",
+    ("LocalFirst", 2, "links"): "30fd12d5c96a5827c8b6785b9a4c17b60f6d295c6e7ea4baad8337ec56311350",
+    ("LocalFirst", 2, "isolation"): "f62b39d2a670979b675486287e1f6b9ccd7154c3367b69615522b57fc77c0230",
+    ("LocalFirst", 3, "none"): "8ef166d7c32c335e759dfb951614c0f4110f78ef3253e0af7287b18137236799",
+    ("LocalFirst", 3, "links"): "cf560d1699a124a978002a05f0591e2ba296db033fe7df9956a219ee2be53404",
+    ("LocalFirst", 3, "isolation"): "474d183b0b611ca5a20f38c6a5d93c12069a0db2dda3cc9ed35cadaddbcf8c3d",
+    ("SyncAll", 1, "none"): "1a41e841c97d0b9fee578b7250cfb328c9c1dd0acebaf6ea082ac510e9631581",
+    ("SyncAll", 1, "links"): "70543f44da31097a1210e3aa0f549919d867051d7a696abada9035db24931d39",
+    ("SyncAll", 1, "isolation"): "302d150fe1d634dfe92b6d7c066538d2ccda8adeaeacf83a1efda95e17d9aaf9",
+    ("SyncAll", 2, "none"): "a8f47960c98306951fd2eb9a72cbc8c8450638263173a32d46ef9b072de7d298",
+    ("SyncAll", 2, "links"): "332ec74c6365d82d626365ae9ea6d9cfa6224dca5b4c20b3a495bb37fe04c0e2",
+    ("SyncAll", 2, "isolation"): "f236f86ddc927e342ef61d86d0c8adeccb32e74a002c6a9c370eaa0415385dcc",
+    ("SyncAll", 3, "none"): "ba70e3c01946a28e4c8f08a41b60f7c3640eb296241ccbd03c4f05979d25e146",
+    ("SyncAll", 3, "links"): "e0fb6962cdff32e61e65c2dd610b81b48e2a93e2afd8023ccec470769506aa32",
+    ("SyncAll", 3, "isolation"): "33bffa0d726c85dd085eb60e8f47501842fa8e42c09d7fb5615cc7e52e470134",
+    ("HybridDeadline", 1, "none"): "44d9e554d0758a0fb5f47f3d515f6dbc29ea5149b6daec6622793de53a415df6",
+    ("HybridDeadline", 1, "links"): "984683ba15fca8539af61428d9a88b757ca675e0dea24699431b34ec8c55262e",
+    ("HybridDeadline", 1, "isolation"): "3820a91dc9044e1f6d37c783b914d0390808868855893f8260528a27a103b5b5",
+    ("HybridDeadline", 2, "none"): "7a6ab8ef5c886b318c5d4af92e0d5f1d1f58119d9e427b0964312cfe7ca2800e",
+    ("HybridDeadline", 2, "links"): "9dae7cad806105bf6e99f8f1b0642ad7a3f28dfecab63caa2af117fc8e65bb43",
+    ("HybridDeadline", 2, "isolation"): "95004b4e77b31c29ac75ac8260146931a00529e5ef407d35d5eb04d2f48d115e",
+    ("HybridDeadline", 3, "none"): "69da353ad59edb07b2da40d73975ec2dc8579692d9ab98901fc3400620019c30",
+    ("HybridDeadline", 3, "links"): "4073e563e0a64127393054b9ea2a1edcf18ce2e18a76b6d383dc8c43eec96253",
+    ("HybridDeadline", 3, "isolation"): "4281b68d0557fe40427dd2fed9c8b41924e2044d1242bd5434eab24cf9e76599",
+}
+GOLDEN_FRONTIERS = [
+    (12, list(range(0, 17, 2)), {"latency": 2, "noise_reads": 10},
+     "0d4c1d3c0ddb144aa5f058aba4cd2e0d2ba3b069da7b2e6506de80e3934ba03f"),
+    (20, [0, 3, 9, 15, 24], {"latency": 2, "noise_reads": 25, "seed": 3, "G": 3},
+     "d9147b27ccbf227d5b381cb78fa82cbb8b3f70ff8df93b1eb558ab32f90b45ff"),
+]
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_trace_and_frontier_digests():
+    for (kind, latency, outages), digest in GOLDEN_TRACES.items():
+        cfg = ScenarioConfig.from_dict({
+            "nodes": 4, "latency": latency, "horizon": 80, "seed": latency * 7 + len(kind),
+            "partitions": GOLDEN_OUTAGES[outages], "strategy": GOLDEN_STRATEGIES[kind],
+            "workload_gen": {"ops": 30, "keys": ["A", "B"], "span": [0, 60]},
+        })
+        assert _sha256(run_scenario(cfg).to_jsonl()) == digest, (kind, latency, outages)
+    for tp, deadlines, base, digest in GOLDEN_FRONTIERS:
+        assert _sha256(frontier_csv(frontier_sweep(tp, deadlines, base))) == digest, tp

@@ -104,6 +104,10 @@ BORDER_CASES = {
     "unknown ev": ('{"t": 1, "seq": 1, "ev": "scan"}\n', None),
     "bad op kind": (invoke().replace('"write"', '"scan"'), None),
     "write without a value": (invoke().replace('"val": 5', '"val": null'), None),
+    "bad op kind after blank lines": ("\n\n" + invoke().replace('"write"', '"scan"'), None),
+    "write without a value after blank lines": (
+        "\n \n" + invoke().replace('"val": 5', '"val": null'), None
+    ),
     "negative tick": (invoke().replace('"t": 2', '"t": -1'), None),
     "respond without invoke": ('{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n', None),
     "respond value a string": (
