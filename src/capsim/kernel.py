@@ -26,13 +26,16 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .config import ClientOp, ScenarioConfig
+from .config import OPT, ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
-from .trace import TEMPLATES, Trace, invoke_line, respond_line, timer_line, unanswered_line
+from .trace import TEMPLATES, Trace
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
-# lines of integers only, written straight from trace.py's templates
-SEND_LINE, DELIVER_LINE, DROP_LINE = TEMPLATES["send"], TEMPLATES["deliver"], TEMPLATES["drop"]
+# every line is filled in place from trace.py's templates: a string slot
+# from the trace's quoted cache, an optional integer as "null" or "%d" % v
+INVOKE_LINE, RESPOND_LINE, SEND_LINE, DELIVER_LINE, DROP_LINE, TIMER_LINE, UNANSWERED_LINE = (
+    TEMPLATES[ev] for ev in ("invoke", "respond", "send", "deliver", "drop", "timer", "unanswered")
+)
 
 
 class SimulationError(RuntimeError):
@@ -115,20 +118,21 @@ class Simulation:
                 wi += 1
             for event in events:
                 tag = event[0]
-                try:  # one handler call per event; the line writers before it cannot raise
+                try:  # one handler call per event; the line fills before it cannot raise
                     if tag == _DELIVER:
                         _, src, node_id, body, msg = event
                         append(DELIVER_LINE % (now, len(lines), src, node_id, msg))
                         actions = nodes[node_id].on_message(body, src, now)
                     elif tag == _TIMER:
                         _, node_id, timer_id = event
-                        append(timer_line(now, len(lines), node_id, timer_id, quoted))
+                        append(TIMER_LINE % (now, len(lines), node_id, quoted[timer_id]))
                         actions = nodes[node_id].on_timer(timer_id, now)
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
-                        seq, node_id = len(lines), op.node
-                        append(invoke_line(now, seq, op.op_id, node_id, op.kind, op.key, op.val, quoted))
-                        add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, op.val)))
+                        seq, node_id, val = len(lines), op.node, op.val
+                        opt = "null" if val is None else "%d" % val
+                        append(INVOKE_LINE % (now, seq, op.op_id, node_id, quoted[op.kind], quoted[op.key], opt))
+                        add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, val)))
                         actions = nodes[node_id].on_invoke(op, now)
                     else:
                         node_id = event[1]
@@ -163,9 +167,12 @@ class Simulation:
                         op_id, value = action.op_id, action.value
                         if op_id in answered:
                             raise _refused(f"duplicate response for op {op_id}", now, event)
+                        if type(value) not in OPT:
+                            raise _refused(f"response value for op {op_id} must be an integer "
+                                           f"or null, got {value!r}", now, event)
                         answered.add(op_id)
                         seq = len(lines)
-                        append(respond_line(now, seq, op_id, value))
+                        append(RESPOND_LINE % (now, seq, op_id, "null" if value is None else "%d" % value))
                         add_operation((seq, "respond", (now, op_id, value)))
                         continue
                     else:
@@ -185,7 +192,7 @@ class Simulation:
         for op in workload:
             if op.op_id not in answered:
                 add_operation((len(lines), "unanswered", (horizon, op.op_id)))
-                append(unanswered_line(horizon, len(lines), op.op_id))
+                append(UNANSWERED_LINE % (horizon, len(lines), op.op_id))
         return trace
 
 

@@ -4,8 +4,8 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's line template (``TEMPLATES``) and line matcher, and the line
-writers the kernel calls, are compiled from it.
+each kind's line template (``TEMPLATES``), which the kernel fills in
+place, and the line matcher that reads it back are built from it.
 """
 
 from __future__ import annotations
@@ -39,26 +39,19 @@ _OPERATION_TABLES = {
 }
 
 _INT = "-?(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
-# per type: the template slot, the expression that fills it from the
-# writer's argument (a STR through the trace's quoted cache), the text that
-# slot writes as (literal before, pattern of the value, literal after), and
-# the expression that reads the value back from its matched text. Each
-# pattern takes only text json.loads reads as that same value: a string is
-# printable ASCII without '"' or '\', so its text is its value.
+# per type: the template slot, the text that slot writes as (literal
+# before, pattern of the value, literal after), and the expression that
+# reads the value back from its matched text. Each pattern takes only text
+# json.loads reads as that same value: a string is printable ASCII without
+# '"' or '\', so its text is its value.
 _SLOTS = {
-    INT: ("%d", "{0}", ("", _INT, ""), "int({0})"),
-    STR: ("%s", "quoted[{0}]", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
-    OPT: (
-        "%s",
-        '("null" if {0} is None else "%d" % {0})',
-        ("", "null|" + _INT, ""),
-        '(None if {0} == "null" else int({0}))',
-    ),
+    INT: ("%d", ("", _INT, ""), "int({0})"),
+    STR: ("%s", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
+    OPT: ("%s", ("", "null|" + _INT, ""), '(None if {0} == "null" else int({0}))'),
 }
 
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
-TEMPLATES: dict = {}  # ev -> its line template, filled by _compile
 _HEAD = '{"t": %d, "seq": %d, "ev": "'  # how every template starts
 
 
@@ -70,43 +63,30 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-def _compile(ev: str):
-    """Build ``<ev>_line(t, seq, <fields>[, quoted])``, writing a record's line."""
+def _template(ev: str) -> str:
+    """``ev``'s line template: ``template % (t, seq, *fields)`` writes its
+    line, given each STR field as ``json.dumps`` writes it and each OPT
+    field as ``"null"`` or ``"%d" % value``."""
     fields = (("t", INT), ("seq", INT), *RECORD_FIELDS[ev])
-    names = [name for name, _ in fields] + ["quoted"] * any(kind is STR for _, kind in fields)
     slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in fields]
     slots.insert(2, f'"ev": "{ev}"')
-    values = [_SLOTS[kind][1].format(name) for name, kind in fields]
-    template = "{" + ", ".join(slots) + "}\n"
-    source = (
-        f"def {ev}_line({', '.join(names)}):\n"
-        f"    return {template!r} % ({', '.join(values)},)\n"
-    )
-    env = {"__name__": __name__}
-    exec(source, env)
-    TEMPLATES[ev] = template
-    return env[f"{ev}_line"]
+    return "{" + ", ".join(slots) + "}\n"
 
 
-invoke_line = _compile("invoke")
-respond_line = _compile("respond")
-timer_line = _compile("timer")
-unanswered_line = _compile("unanswered")
-# send, deliver and drop lines hold only integers, so the kernel fills
-# their TEMPLATES itself, with the same % their writers would apply
-for _ev in ("send", "deliver", "drop"):
-    _compile(_ev)
+TEMPLATES = {ev: _template(ev) for ev in RECORD_FIELDS}
 
 
 def _pattern(template: str, kinds, captured) -> str:
-    """A regex for exactly the text ``template`` writes; captured slots become groups."""
-    literals = re.split("%[ds]", template)
+    """A regex for exactly the text ``template`` writes, a final LF also as
+    CRLF; captured slots become groups."""
+    body = template.removesuffix("\n")
+    literals = re.split("%[ds]", body)
     out = [re.escape(literals[0])]
     for kind, group, literal in zip(kinds, captured, literals[1:]):
-        before, value, after = _SLOTS[kind][2]
+        before, value, after = _SLOTS[kind][1]
         value = f"({value})" if group else f"(?:{value})"
         out += [re.escape(before), value, re.escape(after + literal)]
-    return "".join(out)
+    return "".join(out) + ("\r?\n" if body != template else "")
 
 
 @functools.cache
@@ -132,7 +112,7 @@ def _matcher():
         operations.append(f"{tail}(?P<{ev}>)")
         names = ["t", *(name for name, _ in fields)]
         groups = [1, *range(group + 1, group + 1 + len(fields))]
-        values = [_SLOTS[kind][3].format(name) for name, kind in zip(names, (INT, *kinds))]
+        values = [_SLOTS[kind][2].format(name) for name, kind in zip(names, (INT, *kinds))]
         source = (
             f"def read(m):\n"
             f"    {', '.join(names)} = m.group({', '.join(map(str, groups))})\n"
@@ -195,10 +175,11 @@ def scan_operations(text: str) -> list[tuple[int, str, tuple]]:
 
     Every line is read as ``Trace.from_jsonl`` reads it and the first bad
     line raises its error, but no dict is built for a line in the
-    writer's own form: the matcher checks it, a transport line is then
-    dropped and an operation line gives its typed values. Any other line
-    is decoded by ``json``, and an operation's dict is typed into the same
-    values. Each item is (an offset into the line, ev, values).
+    writer's own form, LF or CRLF ended: the matcher checks it, a
+    transport line is then dropped and an operation line gives its typed
+    values. Any other line is decoded by ``json`` on its own, an
+    operation's dict typed into the same values, and the matcher takes
+    the next line. Each item is (an offset into the line, ev, values).
     """
     match, readers = _matcher()
     ops = []
@@ -213,21 +194,15 @@ def scan_operations(text: str) -> list[tuple[int, str, tuple]]:
             if ev is not None:
                 append((m.start(1), ev, readers[ev](m)))
             continue
-        # decode this line, then each next one that cannot be in the
-        # writer's form either, as it does not end in "}" (CRLF, padding)
         stop = text.find("\n", pos)
-        while True:
-            if stop < 0:
-                stop = end
-            line_no += text.count("\n", counted, pos)
-            counted = pos
-            record = _decode(text[pos:stop], line_no)
-            if record is not None and (ev := record["ev"]) in OPERATIONS:
-                append((pos, ev, _values(record, ev, line_no)))
-            pos = stop + 1
-            stop = text.find("\n", pos)
-            if stop < 0 or text[stop - 1] == "}":
-                break
+        if stop < 0:
+            stop = end
+        line_no += text.count("\n", counted, pos)
+        counted = pos
+        record = _decode(text[pos:stop], line_no)
+        if record is not None and (ev := record["ev"]) in OPERATIONS:
+            append((pos, ev, _values(record, ev, line_no)))
+        pos = stop + 1
     return ops
 
 

@@ -278,6 +278,21 @@ KERNEL_ERRORS = {
         {"invoke": [Respond(0, None), Respond(0, 5)]}, {},
         "duplicate response for op 0 while handling invoke of op 0 at tick 3",
     ),
+    "response value a float": (
+        {"invoke": [Respond(0, 1.5)]}, {},
+        "response value for op 0 must be an integer or null, got 1.5 "
+        "while handling invoke of op 0 at tick 3",
+    ),
+    "response value a string": (
+        {"invoke": [Respond(0, "x")]}, {},
+        "response value for op 0 must be an integer or null, got 'x' "
+        "while handling invoke of op 0 at tick 3",
+    ),
+    "response value a bool": (
+        {"invoke": [Respond(0, True)]}, {},
+        "response value for op 0 must be an integer or null, got True "
+        "while handling invoke of op 0 at tick 3",
+    ),
     "unknown action": (
         {"init": [Send(1, {})]}, {"message": ["junk"]},
         "unknown action 'junk' while handling message 0 at tick 1",
@@ -357,7 +372,7 @@ KEY_TEXT = st.text(
         max_size=4,
     ),
     ops=st.lists(
-        st.tuples(st.integers(0, 39), st.integers(0, 3), st.booleans(), KEY_TEXT),
+        st.tuples(st.integers(0, 39), st.integers(0, 3), st.booleans(), KEY_TEXT, st.integers()),
         max_size=8,
     ),
 )
@@ -372,8 +387,8 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
     ]
     workload = [
         {"t": t, "node": node % nodes, "kind": "write" if write else "read",
-         "key": key, "val": 1000 + i if write else None}
-        for i, (t, node, write, key) in enumerate(ops)
+         "key": key, "val": val if write else None}
+        for t, node, write, key, val in ops
     ]
     strategy = {"kind": kind, "G": 3, "R": 2, "D": 4}
     trace = run_scenario(scenario(

@@ -96,8 +96,12 @@ BORDER_CASES = {
     "raw non-ASCII key": (invoke(key='"é"'), "decoded"),
     "escaped non-ASCII key": (invoke(key='"\\u00e9"'), "decoded"),
     "trailing spaces": (invoke().replace("}\n", "}  \n"), "decoded"),
-    "crlf": (invoke().replace("\n", "\r\n"), "decoded"),
+    "crlf": (invoke().replace("\n", "\r\n"), "matched"),
+    "cr cr lf": (invoke().replace("\n", "\r\r\n"), "decoded"),
     "no final newline": (invoke().rstrip("\n"), "decoded"),
+    "crlf without a final newline": (
+        TIMER + "\r\n" + invoke().replace("\n", "\r"), "decoded"
+    ),
     "extra field": (invoke().replace("}\n", ', "x": 1}\n'), "decoded"),
     "duplicated key": (invoke().replace('"val": 5', '"val": 5, "val": 6'), "decoded"),
     "send from a string src": ('{"t": 1, "seq": 1, "ev": "send", "src": "x", "dst": 1, "msg": 0}\n', None),
@@ -117,8 +121,12 @@ BORDER_CASES = {
         '{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n{broken\n', None
     ),
     "matched respond after a decoded invoke": (
-        invoke().replace("\n", "\r\n") + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": null}\n',
+        invoke().replace("}\n", "}  \n") + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": null}\n',
         "matched",
+    ),
+    "crlf invoke then a padded respond": (
+        invoke().replace("\n", "\r\n") + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": null} \n',
+        "decoded",
     ),
 }
 
@@ -216,7 +224,7 @@ def _rewrite(line, rng):
     ops=st.lists(
         st.tuples(
             st.integers(0, 39), st.integers(0, 3), st.booleans(),
-            st.sampled_from(["A", "B", 'q"', "é"]),
+            st.sampled_from(["A", "B", 'q"', "é"]), st.integers(),
         ),
         max_size=8,
     ),
@@ -236,8 +244,8 @@ def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
         ],
         "workload": [
             {"t": t, "node": node % nodes, "kind": "write" if write else "read",
-             "key": key, "val": 1000 + i if write else None}
-            for i, (t, node, write, key) in enumerate(ops)
+             "key": key, "val": val if write else None}
+            for t, node, write, key, val in ops
         ],
     })
     trace = run_scenario(config)
