@@ -32,8 +32,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .trace import Trace, TraceParseError, scan_operations
 
@@ -46,43 +45,45 @@ class HistoryIntegrityError(ValueError):
     """The history contradicts itself; no verdict can be computed."""
 
 
-@dataclass
 class OperationRecord:
-    """One client operation as observed in the trace."""
+    """One client operation as observed in the trace.
 
-    op_id: int
-    kind: str  # "read" | "write"
-    key: str
-    node: int
-    invoke_tick: int
-    response_tick: int | None = None
-    written: int | None = None  # the value a write carried
-    returned: int | None = None  # the value a read response carried
-    answered: bool = False
+    ``kind`` is "read" or "write"; ``written`` is the value a write
+    carried and ``returned`` the value a read's response carried.
+    """
+
+    __slots__ = ("op_id", "kind", "key", "node", "invoke_tick", "response_tick", "written",
+                 "returned", "answered")
+
+    def __init__(self, op_id: int, kind: str, key: str, node: int, invoke_tick: int,
+                 response_tick: int | None = None, written: int | None = None,
+                 returned: int | None = None, answered: bool = False):
+        self.op_id, self.kind, self.key = op_id, kind, key
+        self.node, self.invoke_tick, self.response_tick = node, invoke_tick, response_tick
+        self.written, self.returned, self.answered = written, returned, answered
+
+    def __eq__(self, other):
+        if type(other) is not OperationRecord:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
-class KeyIndex(NamedTuple):
-    """One key's writes, indexed for bisection."""
-
-    writes: list[OperationRecord]  # version order: (invoke_tick, node, op_id)
-    ticks: list[int]  # the invoke tick of each write, nondecreasing
-    positions: dict[int, list[int]]  # written value -> its ascending write positions
-
+# one key's writes, indexed for bisection: the writes in version order
+# (invoke_tick, node, op_id), the invoke tick of each (nondecreasing), and
+# each written value's ascending write positions
+KeyIndex = namedtuple("KeyIndex", "writes ticks positions")
 
 _NO_WRITES = KeyIndex([], [], {})
 
 
-@dataclass
 class History:
     """Operation records plus a per-key index of the total write order."""
 
-    records: list[OperationRecord]
-    _index: dict[str, KeyIndex] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
+    def __init__(self, records: list[OperationRecord]):
+        self.records = records
         seen = set()
         by_key: dict[str, list[OperationRecord]] = {}
-        for rec in self.records:
+        for rec in records:
             if rec.op_id in seen:
                 raise HistoryIntegrityError(f"duplicate op id {rec.op_id}")
             seen.add(rec.op_id)
@@ -104,6 +105,11 @@ class History:
                 positions.setdefault(w.written, []).append(i)
             ticks = [w.invoke_tick for w in writes]
             self._index[key] = KeyIndex(writes, ticks, positions)
+
+    def __eq__(self, other):  # the index is a function of the records
+        if type(other) is not History:
+            return NotImplemented
+        return self.records == other.records
 
     def index(self, key: str) -> KeyIndex:
         return self._index.get(key, _NO_WRITES)
@@ -231,23 +237,22 @@ def min_consistency_bound(history: History, *, time_ref: str = "response") -> in
     return worst
 
 
-@dataclass(frozen=True)
-class Violation:
-    op_id: int
-    kind: str  # "availability" | "consistency" | "integrity"
-    detail: str
+class Violation(namedtuple("Violation", "op_id kind detail")):
+    """One failed op; ``kind`` is "availability", "consistency" or "integrity"."""
+
+    __slots__ = ()
 
     def to_dict(self) -> dict:
         return {"op": self.op_id, "kind": self.kind, "detail": self.detail}
 
 
-@dataclass
-class CheckReport:
-    """Verdict for one history against one declared pair of bounds."""
+class CheckReport(namedtuple("CheckReport", "empirical_ta empirical_tc_min violations")):
+    """Verdict for one history against one declared pair of bounds.
 
-    empirical_ta: float  # int-valued, or math.inf when something never answered
-    empirical_tc_min: int
-    violations: list[Violation]
+    ``empirical_ta`` is int-valued, or math.inf when something never answered.
+    """
+
+    __slots__ = ()
 
     @property
     def clean(self) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from collections import namedtuple
 from operator import itemgetter
 
 from .partitions import LinkOutage, PartitionSchedule
@@ -159,8 +159,8 @@ def read_json(value, kind, where: str):
     """Type-check one JSON value against its kind; the only JSON -> Python step.
 
     An object comes back as a dict of keywords: an absent optional field is
-    left out, so the dataclass default applies, and unknown fields are
-    ignored. Presence and JSON type are all it checks; the dataclass each
+    left out, so the class's default applies, and unknown fields are
+    ignored. Presence and JSON type are all it checks; the class each
     table feeds checks the ranges. ``where`` names the value in errors.
     The items of a list of objects go through their table's compiled
     reader; the generic object branch runs only to word a refusal.
@@ -205,8 +205,9 @@ def read_json(value, kind, where: str):
 STRATEGY_KINDS = ("LocalFirst", "SyncAll", "HybridDeadline")
 
 
-@dataclass(frozen=True)
-class StrategyParams:
+class StrategyParams(
+    namedtuple("StrategyParams", "kind anti_entropy_period retransmit_period deadline")
+):
     """Which replication strategy drives the nodes, and its knobs.
 
     ``anti_entropy_period`` (G) paces LocalFirst's digest gossip,
@@ -215,20 +216,19 @@ class StrategyParams:
     HybridDeadline node waits before answering with what it has.
     """
 
-    kind: str
-    anti_entropy_period: int = 4
-    retransmit_period: int = 2
-    deadline: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {self.kind!r}")
-        if self.anti_entropy_period < 1:
+    def __new__(cls, kind: str, anti_entropy_period: int = 4, retransmit_period: int = 2,
+                deadline: int = 0):
+        if kind not in STRATEGY_KINDS:
+            raise ConfigError(f"unknown strategy kind {kind!r}")
+        if anti_entropy_period < 1:
             raise ConfigError("anti-entropy period must be >= 1")
-        if self.retransmit_period < 1:
+        if retransmit_period < 1:
             raise ConfigError("retransmit period must be >= 1")
-        if self.deadline < 0:
+        if deadline < 0:
             raise ConfigError("deadline must be >= 0")
+        return super().__new__(cls, kind, anti_entropy_period, retransmit_period, deadline)
 
     @classmethod
     def from_fields(cls, fields: dict) -> "StrategyParams":
@@ -251,24 +251,20 @@ class StrategyParams:
         return self.kind == "LocalFirst"
 
 
-@dataclass(slots=True)
 class ClientOp:
     """One scripted client request."""
 
-    op_id: int
-    t: int
-    node: int
-    kind: str  # "read" | "write"
-    key: str
-    val: int | None = None
+    __slots__ = ("op_id", "t", "node", "kind", "key", "val")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("read", "write"):
-            raise ConfigError(f"op kind must be read or write, got {self.kind!r}")
-        if self.kind == "write" and not isinstance(self.val, int):
-            raise ConfigError(f"write op {self.op_id} needs an integer value")
-        if self.t < 0:
+    def __init__(self, op_id: int, t: int, node: int, kind: str, key: str, val: int | None = None):
+        if kind not in ("read", "write"):
+            raise ConfigError(f"op kind must be read or write, got {kind!r}")
+        if kind == "write" and not isinstance(val, int):
+            raise ConfigError(f"write op {op_id} needs an integer value")
+        if t < 0:
             raise ConfigError("op tick must be non-negative")
+        self.op_id, self.t, self.node = op_id, t, node
+        self.kind, self.key, self.val = kind, key, val
 
 
 def generate_workload(
@@ -320,7 +316,6 @@ def _read_schedule(items: list[dict], node_count: int) -> PartitionSchedule:
     return PartitionSchedule(node_count, tuple(outages))
 
 
-@dataclass(frozen=True)
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
@@ -329,34 +324,34 @@ class ScenarioConfig:
     clock forward.
     """
 
-    node_count: int
-    horizon: int
-    strategy: StrategyParams = StrategyParams("LocalFirst")
-    message_latency: int = 1
-    rng_seed: int = 0
-    partitions: PartitionSchedule | None = None
-    workload: tuple[ClientOp, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.node_count <= MAX_NODES:
+    def __init__(
+        self,
+        node_count: int,
+        horizon: int,
+        strategy: StrategyParams = StrategyParams("LocalFirst"),
+        message_latency: int = 1,
+        rng_seed: int = 0,
+        partitions: PartitionSchedule | None = None,
+        workload: tuple[ClientOp, ...] = (),
+    ):
+        if not 1 <= node_count <= MAX_NODES:
             raise ConfigError(f"node_count must be in [1, {MAX_NODES}]")
-        if self.message_latency < 1:
+        if message_latency < 1:
             raise ConfigError("message_latency must be >= 1 tick")
-        if not 1 <= self.horizon <= MAX_HORIZON:
+        if not 1 <= horizon <= MAX_HORIZON:
             raise ConfigError(f"horizon must be in [1, {MAX_HORIZON}]")
-        if self.partitions is None:
-            object.__setattr__(self, "partitions", PartitionSchedule(self.node_count))
-        if self.partitions.node_count != self.node_count:
+        if partitions is None:
+            partitions = PartitionSchedule(node_count)
+        if partitions.node_count != node_count:
             raise ConfigError("partition schedule node count mismatch")
-        object.__setattr__(self, "workload", tuple(self.workload))
-        nodes, horizon = self.node_count, self.horizon
-        for op in self.workload:
-            if not 0 <= op.node < nodes:
+        self.node_count, self.horizon, self.strategy = node_count, horizon, strategy
+        self.message_latency, self.rng_seed, self.partitions = message_latency, rng_seed, partitions
+        self.workload = workload = tuple(workload)
+        for op in workload:
+            if not 0 <= op.node < node_count:
                 raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
             if op.t >= horizon:
-                raise ConfigError(
-                    f"op {op.op_id} at tick {op.t} is not before horizon {self.horizon}"
-                )
+                raise ConfigError(f"op {op.op_id} at tick {op.t} is not before horizon {horizon}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":

@@ -30,7 +30,7 @@ stays the default everywhere else.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .checker import (
     CheckReport,
@@ -67,8 +67,13 @@ def bound_slack(params: StrategyParams, latency: int) -> int:
     return slack
 
 
-@dataclass(frozen=True)
-class ProofReplaySpec:
+class ProofReplaySpec(
+    namedtuple(
+        "ProofReplaySpec",
+        "strategy tp claimed_tc claimed_ta t_start n_a n_b node_count latency horizon",
+        defaults=(5, 0, 1, 2, 1, None),  # t_start, n_a, n_b, node_count, latency, horizon
+    )
+):
     """A claimed (staleness, latency) pair to refute under a partition.
 
     The claim must undercut the partition span by enough room to place
@@ -76,18 +81,10 @@ class ProofReplaySpec:
     outage; otherwise the scenario proves nothing and is rejected.
     """
 
-    strategy: StrategyParams
-    tp: int
-    claimed_tc: int
-    claimed_ta: int
-    t_start: int = 5
-    n_a: int = 0
-    n_b: int = 1
-    node_count: int = 2
-    latency: int = 1
-    horizon: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):  # the fields as named above, then the checks
+        self = super().__new__(cls, *args, **kwargs)
         if self.tp < 1:
             raise ConfigError("partition span must be >= 1")
         if self.claimed_tc < 0 or self.claimed_ta < 0:
@@ -111,6 +108,7 @@ class ProofReplaySpec:
             raise ConfigError("t_start too early for the warmup write to replicate")
         if self.horizon is not None and self.horizon < self.t_start + self.tp:
             raise ConfigError("horizon must cover the partition")
+        return self
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReplaySpec":
@@ -182,16 +180,15 @@ _WRITE_NODE = 0
 _READ_NODE = 1
 
 
-@dataclass(frozen=True)
-class FrontierRow:
-    """One strategy's empirical position against one partition span."""
+class FrontierRow(
+    namedtuple("FrontierRow", "label deadline empirical_tc_min empirical_ta tp bound_ok")
+):
+    """One strategy's empirical position against one partition span.
 
-    label: str  # "LocalFirst", "SyncAll", or the deadline as a string
-    deadline: int | None
-    empirical_tc_min: int
-    empirical_ta: float
-    tp: int
-    bound_ok: bool
+    ``label`` is "LocalFirst", "SyncAll", or the deadline as a string.
+    """
+
+    __slots__ = ()
 
     def csv_cells(self) -> list[str]:
         ta = "inf" if math.isinf(self.empirical_ta) else str(self.empirical_ta)

@@ -17,6 +17,9 @@ Scheduling rules the strategies rely on:
 * messages still in flight when the horizon closes settle as drops at
   the horizon, so every send has exactly one disposition in the trace,
 * timers fire delay >= 1 ticks later, in registration order on ties,
+* an action field the trace writes must have its type (an integer
+  destination and delay, bool excluded, a string timer id), or the run
+  is refused before the action writes a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -147,10 +150,10 @@ class Simulation:
                     kind = type(action)
                     if kind is Send:
                         dst = action.dst
+                        if type(dst) is not int or not 0 <= dst < count:  # a bool is no node id
+                            raise _refused(f"unknown destination {dst!r}", now, event)
                         if dst == node_id:
                             raise _refused(f"node {node_id} sent to itself", now, event)
-                        if not 0 <= dst < count:
-                            raise _refused(f"unknown destination {dst}", now, event)
                         sent, msg_id, seq = msg_id, msg_id + 1, len(lines)
                         append(SEND_LINE % (now, seq, node_id, dst, sent))
                         if not reachable(now, node_id, dst):  # a dropped send is never queued
@@ -158,11 +161,14 @@ class Simulation:
                             continue
                         queued, at = (_DELIVER, node_id, dst, action.payload, sent), now + latency
                     elif kind is SetTimer:
-                        if action.delay < 1:
-                            raise _refused(
-                                f"timer delay must be >= 1 tick, got {action.delay}", now, event
-                            )
-                        queued, at = (_TIMER, node_id, action.timer_id), now + action.delay
+                        delay, timer_id = action.delay, action.timer_id
+                        if type(delay) is not int or delay < 1:
+                            raise _refused(f"timer delay must be an integer >= 1 tick, "
+                                           f"got {delay!r}", now, event)
+                        if type(timer_id) is not str:
+                            raise _refused(f"timer id must be a string, got {timer_id!r}",
+                                           now, event)
+                        queued, at = (_TIMER, node_id, timer_id), now + delay
                     elif kind is Respond:
                         op_id, value = action.op_id, action.value
                         if op_id in answered:

@@ -19,49 +19,38 @@ pairs each change splits apart or joins again.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import cached_property
 
 
-@dataclass(frozen=True)
-class LinkOutage:
+class LinkOutage(namedtuple("LinkOutage", "a b start end")):
     """One symmetric outage on the link {a, b} over [start, end)."""
 
-    a: int
-    b: int
-    start: int
-    end: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"outage endpoints must differ, got {self.a}")
-        if self.a < 0 or self.b < 0:
+    def __new__(cls, a: int, b: int, start: int, end: int):
+        if a == b:
+            raise ValueError(f"outage endpoints must differ, got {a}")
+        if a < 0 or b < 0:
             raise ValueError("node ids must be non-negative")
-        if not self.start < self.end:
-            raise ValueError(f"empty outage interval [{self.start}, {self.end})")
-        if self.start < 0:
+        if not start < end:
+            raise ValueError(f"empty outage interval [{start}, {end})")
+        if start < 0:
             raise ValueError("outage start must be non-negative")
-        if self.a > self.b:
-            # store the unordered pair canonically
-            lo, hi = self.b, self.a
-            object.__setattr__(self, "a", lo)
-            object.__setattr__(self, "b", hi)
+        # store the unordered pair canonically
+        return super().__new__(cls, min(a, b), max(a, b), start, end)
 
 
-@dataclass(frozen=True)
 class PartitionSchedule:
     """All outages for a scenario, plus the size of the node set."""
 
-    node_count: int
-    outages: tuple[LinkOutage, ...] = field(default_factory=tuple)
-
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
+    def __init__(self, node_count: int, outages: tuple[LinkOutage, ...] = ()):
+        if node_count < 1:
             raise ValueError("node_count must be >= 1")
-        object.__setattr__(self, "outages", tuple(self.outages))
+        self.node_count, self.outages = node_count, tuple(outages)
         for o in self.outages:
-            if o.b >= self.node_count:
-                raise ValueError(f"outage {o} references node >= {self.node_count}")
+            if o.b >= node_count:
+                raise ValueError(f"outage {o} references node >= {node_count}")
 
     @cached_property
     def _segments(self) -> tuple[list[int], list[list[int]]]:

@@ -29,30 +29,31 @@ or an action list it is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import StrategyParams
 
 # version triple: (write_tick, writer node id, per-writer sequence)
 Version = tuple[int, int, int]
 
 
-@dataclass(slots=True)
 class Respond:
-    op_id: int
-    value: int | None
+    __slots__ = ("op_id", "value")
+
+    def __init__(self, op_id: int, value: int | None):
+        self.op_id, self.value = op_id, value
 
 
-@dataclass(slots=True)
 class Send:
-    dst: int
-    payload: dict
+    __slots__ = ("dst", "payload")
+
+    def __init__(self, dst: int, payload: dict):
+        self.dst, self.payload = dst, payload
 
 
-@dataclass(slots=True)
 class SetTimer:
-    delay: int
-    timer_id: str
+    __slots__ = ("delay", "timer_id")
+
+    def __init__(self, delay: int, timer_id: str):
+        self.delay, self.timer_id = delay, timer_id
 
 
 Action = Respond | Send | SetTimer
@@ -148,7 +149,6 @@ class LocalFirstNode(StrategyNode):
         return actions
 
 
-@dataclass(slots=True)
 class _Round:
     """An in-flight request round on its coordinating node.
 
@@ -156,14 +156,15 @@ class _Round:
     order, to the send of the round's request to it, built once.
     """
 
-    op_id: int
-    kind: str
-    key: str
-    waiting: dict[int, Send]
-    invoke_tick: int
-    responded: bool = False
-    best_val: int | None = None
-    best_ver: Version | None = None
+    __slots__ = ("op_id", "kind", "key", "waiting", "invoke_tick", "responded", "best_val",
+                 "best_ver")
+
+    def __init__(self, op_id: int, kind: str, key: str, waiting: dict[int, Send],
+                 invoke_tick: int, responded: bool = False, best_val: int | None = None,
+                 best_ver: Version | None = None):
+        self.op_id, self.kind, self.key = op_id, kind, key
+        self.waiting, self.invoke_tick, self.responded = waiting, invoke_tick, responded
+        self.best_val, self.best_ver = best_val, best_ver
 
 
 class SyncAllNode(StrategyNode):

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import capsim
 from capsim.cli import main
 from capsim.config import ConfigError, ScenarioConfig
 
@@ -220,3 +224,19 @@ def test_check_splits_trace_lines_on_lf_only(tmp_path, capsys):
     trace.write_bytes(f"{respond}\r{respond}\r".encode())
     assert main(["check", str(trace), "--tc", "0", "--ta", "0"]) == 2
     assert capsys.readouterr().err == "trace error: line 1: invalid JSON: Extra data\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
+    # every command runs in a fresh process and pays this import once; the
+    # modules are compared before and after it, so one a site hook preloads
+    # does not count
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    probe = (
+        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+        "import capsim.cli; print(*sorted(set(sys.modules) - before))"
+    )
+    added = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "capsim.cli" in added
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(added)

@@ -272,7 +272,8 @@ KERNEL_ERRORS = {
     ),
     "zero timer delay": (
         {"init": [SetTimer(2, "x")], "timer": [SetTimer(0, "y")]}, {},
-        "timer delay must be >= 1 tick, got 0 while handling timer 'x' on node 0 at tick 2",
+        "timer delay must be an integer >= 1 tick, got 0 "
+        "while handling timer 'x' on node 0 at tick 2",
     ),
     "duplicate response": (
         {"invoke": [Respond(0, None), Respond(0, 5)]}, {},
@@ -324,6 +325,49 @@ def test_kernel_errors_name_the_event(name):
     with pytest.raises(SimulationError) as info:
         sim.run()
     assert str(info.value) == message
+
+
+# name -> (outages, node 0's actions at init, the whole error message). The
+# trace writes a destination and a delay as integers and a timer id as a
+# string, so an action whose field has another type is refused before it
+# writes a line: else 1.5 and True would be written as 1, and 5 as an id.
+MALFORMED_ACTIONS = {
+    "fractional timer delay": (
+        [], [SetTimer(1.5, "x")],
+        "timer delay must be an integer >= 1 tick, got 1.5 while initializing node 0",
+    ),
+    "bool timer delay": (
+        [], [SetTimer(True, "x")],
+        "timer delay must be an integer >= 1 tick, got True while initializing node 0",
+    ),
+    "integer timer id": (
+        [], [SetTimer(1, 5)],
+        "timer id must be a string, got 5 while initializing node 0",
+    ),
+    "float destination under an outage": (
+        [{"a": 0, "b": 1, "start": 0, "end": 5}], [Send(1.0, {})],
+        "unknown destination 1.0 while initializing node 0",
+    ),
+    "float destination without outages": (
+        [], [Send(1.0, {})],
+        "unknown destination 1.0 while initializing node 0",
+    ),
+    "bool destination": (
+        [], [Send(True, {})],
+        "unknown destination True while initializing node 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ACTIONS))
+def test_kernel_refuses_a_malformed_action_field_before_any_line(name):
+    outages, actions, message = MALFORMED_ACTIONS[name]
+    nodes = [_Scripted(0, {"init": actions}), _Scripted(1, {})]
+    sim = Simulation(scenario(partitions=outages), nodes)
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    assert str(info.value) == message
+    assert sim.trace.lines == []
 
 
 @pytest.mark.parametrize(
