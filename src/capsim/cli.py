@@ -24,13 +24,15 @@ from .trace import TraceParseError
 
 
 def _emit(text: str, path) -> None:
-    """Write to ``path``, or to stdout when there is none."""
+    """Write to ``path``, or to stdout when there is none, in 64 KiB slices:
+    a text stream encodes what one write hands it into a copy of its own."""
+    slices = (text[start : start + (1 << 16)] for start in range(0, len(text), 1 << 16))
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.writelines(slices)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(slices)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 

@@ -6,7 +6,9 @@ that hold one, so queueing an event costs a dict lookup and an append.
 The loop takes the ticks in order; each runs its queued deliveries and
 timer firings in the order they were scheduled, then that tick's client
 requests in workload order, so identical configurations replay
-identically byte for byte.
+identically byte for byte. Each line is joined from the tick's stamp,
+formatted once per tick, its seq and pieces cut from trace.py's rests,
+so the line format is still stated once, in trace.py.
 
 Scheduling rules the strategies rely on:
 
@@ -18,8 +20,10 @@ Scheduling rules the strategies rely on:
   the horizon, so every send has exactly one disposition in the trace,
 * timers fire delay >= 1 ticks later, in registration order on ties,
 * an action field the trace writes must have its type (an integer
-  destination and delay, bool excluded, a string timer id), or the run
-  is refused before the action writes a line,
+  destination and delay, bool excluded, a string timer id), a response
+  must name an op an invoke has dispatched, and a workload op must have
+  an integer id and node and an integer or null value, or the run is
+  refused before the action or op writes a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -31,14 +35,21 @@ from heapq import heappop, heappush
 
 from .config import OPT, ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
-from .trace import TEMPLATES, Trace
+from .trace import RESTS, STAMP, TextCache, Trace
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
-# every line is filled in place from trace.py's templates: a string slot
-# from the trace's quoted cache, an optional integer as "null" or "%d" % v
-INVOKE_LINE, RESPOND_LINE, SEND_LINE, DELIVER_LINE, DROP_LINE, TIMER_LINE, UNANSWERED_LINE = (
-    TEMPLATES[ev] for ev in ("invoke", "respond", "send", "deliver", "drop", "timer", "unanswered")
+# A line is one f-string: its tick's stamp, its seq, and pieces cut from its
+# kind's rest in trace.py around values that are exact ints the loop checked,
+# "null" or the trace's quoted strings. A transport rest is filled up to its
+# msg slot once per link, a timer rest once per node and timer id.
+INVOKE_PARTS, RESPOND_PARTS, UNANSWERED_PARTS = (  # split at its %d and %s slots
+    RESTS[ev].replace("%s", "%d").split("%d") for ev in ("invoke", "respond", "unanswered")
 )
+SEND_HEAD, DELIVER_HEAD, DROP_HEAD = (
+    RESTS[ev].rpartition("%d")[0] for ev in ("send", "deliver", "drop")
+)
+LINK_END = RESTS["send"].rpartition("%d")[2]
+TIMER_REST = RESTS["timer"]
 
 
 class SimulationError(RuntimeError):
@@ -102,6 +113,14 @@ class Simulation:
         trace = self.trace
         lines, quoted, add_operation = trace.lines, trace.quoted, trace.operations.append
         append = lines.append  # a line's seq is its position in the trace
+        # per run, like quoted: each link's transport heads, keyed src * count
+        # + dst, and each timer's rest, keyed by its (equal) timer events
+        sends, delivers, drops = (TextCache(lambda link, head=head: head % divmod(link, count))
+                                  for head in (SEND_HEAD, DELIVER_HEAD, DROP_HEAD))
+        timers = TextCache(lambda event: TIMER_REST % (event[1], quoted[event[2]]))
+        inv_op, inv_node, inv_kind, inv_key, inv_val, inv_end = INVOKE_PARTS
+        resp_op, resp_val, resp_end = RESPOND_PARTS
+        invoked: set[int] = set()
         answered: set[int] = set()
         # one FIFO list of events per tick, and a heap of the ticks that have one
         buckets: dict[int, list[tuple]] = {0: [(_INIT, node.node_id) for node in nodes]}
@@ -115,27 +134,33 @@ class Simulation:
                 events = buckets.pop(now)
             else:
                 break
+            stamp = STAMP % now
             # the tick's client requests dispatch after the events queued for it
             while wi < len(workload) and workload[wi].t == now:
                 events.append((_INVOKE, workload[wi]))
                 wi += 1
             for event in events:
                 tag = event[0]
-                try:  # one handler call per event; the line fills before it cannot raise
+                try:  # one handler call per event; the line written before it cannot raise
                     if tag == _DELIVER:
                         _, src, node_id, body, msg = event
-                        append(DELIVER_LINE % (now, len(lines), src, node_id, msg))
+                        append(f"{stamp}{len(lines)}{delivers[src * count + node_id]}{msg}{LINK_END}")
                         actions = nodes[node_id].on_message(body, src, now)
                     elif tag == _TIMER:
                         _, node_id, timer_id = event
-                        append(TIMER_LINE % (now, len(lines), node_id, quoted[timer_id]))
+                        append(f"{stamp}{len(lines)}{timers[event]}")
                         actions = nodes[node_id].on_timer(timer_id, now)
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
-                        seq, node_id, val = len(lines), op.node, op.val
-                        opt = "null" if val is None else "%d" % val
-                        append(INVOKE_LINE % (now, seq, op.op_id, node_id, quoted[op.kind], quoted[op.key], opt))
-                        add_operation((seq, "invoke", (now, op.op_id, node_id, op.kind, op.key, val)))
+                        seq, op_id, node_id, val = len(lines), op.op_id, op.node, op.val
+                        if type(op_id) is not int or type(node_id) is not int or type(val) not in OPT:
+                            raise _refused(f"an op's id and node must be integers and its value "
+                                           f"an integer or null, got {op_id!r}, {node_id!r}, "
+                                           f"{val!r}", now, event)
+                        append(f"{stamp}{seq}{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[op.kind]}"
+                               f"{inv_key}{quoted[op.key]}{inv_val}{'null' if val is None else val}{inv_end}")
+                        add_operation((seq, "invoke", (now, op_id, node_id, op.kind, op.key, val)))
+                        invoked.add(op_id)
                         actions = nodes[node_id].on_invoke(op, now)
                     else:
                         node_id = event[1]
@@ -155,9 +180,9 @@ class Simulation:
                         if dst == node_id:
                             raise _refused(f"node {node_id} sent to itself", now, event)
                         sent, msg_id, seq = msg_id, msg_id + 1, len(lines)
-                        append(SEND_LINE % (now, seq, node_id, dst, sent))
+                        append(f"{stamp}{seq}{sends[node_id * count + dst]}{sent}{LINK_END}")
                         if not reachable(now, node_id, dst):  # a dropped send is never queued
-                            append(DROP_LINE % (now, seq + 1, node_id, dst, sent))
+                            append(f"{stamp}{seq + 1}{drops[node_id * count + dst]}{sent}{LINK_END}")
                             continue
                         queued, at = (_DELIVER, node_id, dst, action.payload, sent), now + latency
                     elif kind is SetTimer:
@@ -171,6 +196,8 @@ class Simulation:
                         queued, at = (_TIMER, node_id, timer_id), now + delay
                     elif kind is Respond:
                         op_id, value = action.op_id, action.value
+                        if type(op_id) is not int or op_id not in invoked:  # a bool is no op id
+                            raise _refused(f"response for unknown op {op_id!r}", now, event)
                         if op_id in answered:
                             raise _refused(f"duplicate response for op {op_id}", now, event)
                         if type(value) not in OPT:
@@ -178,7 +205,8 @@ class Simulation:
                                            f"or null, got {value!r}", now, event)
                         answered.add(op_id)
                         seq = len(lines)
-                        append(RESPOND_LINE % (now, seq, op_id, "null" if value is None else "%d" % value))
+                        append(f"{stamp}{seq}{resp_op}{op_id}{resp_val}"
+                               f"{'null' if value is None else value}{resp_end}")
                         add_operation((seq, "respond", (now, op_id, value)))
                         continue
                     else:
@@ -191,14 +219,16 @@ class Simulation:
                         bucket.append(queued)
         # messages still in flight never arrive inside the observed window;
         # settle them as drops so every send has exactly one disposition
+        stamp = STAMP % horizon
         for tick in sorted(buckets):
             for event in buckets[tick]:
                 if event[0] == _DELIVER:
-                    append(DROP_LINE % (horizon, len(lines), event[1], event[2], event[4]))
+                    append(f"{stamp}{len(lines)}{drops[event[1] * count + event[2]]}{event[4]}{LINK_END}")
+        unanswered_op, unanswered_end = UNANSWERED_PARTS
         for op in workload:
             if op.op_id not in answered:
                 add_operation((len(lines), "unanswered", (horizon, op.op_id)))
-                append(UNANSWERED_LINE % (horizon, len(lines), op.op_id))
+                append(f"{stamp}{len(lines)}{unanswered_op}{op.op_id}{unanswered_end}")
         return trace
 
 

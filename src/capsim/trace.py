@@ -4,8 +4,10 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's line template (``TEMPLATES``), which the kernel fills in
-place, and the line matcher that reads it back are built from it.
+each kind's line template (``TEMPLATES``) and the line matcher that reads
+it back are built from it. A template is the stamp (``STAMP``: t, then
+the seq's key), the seq, and the kind's rest (``RESTS``); the kernel joins
+each line from its tick's stamp, its seq and pieces it cuts from the rest.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ _SLOTS = {
 
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
-_HEAD = '{"t": %d, "seq": %d, "ev": "'  # how every template starts
+STAMP = '{"t": %d, "seq": '  # how every line starts, up to its seq
 
 
 class TraceParseError(ValueError):
@@ -63,17 +65,17 @@ class TraceParseError(ValueError):
         self.line_no = line_no
 
 
-def _template(ev: str) -> str:
-    """``ev``'s line template: ``template % (t, seq, *fields)`` writes its
-    line, given each STR field as ``json.dumps`` writes it and each OPT
-    field as ``"null"`` or ``"%d" % value``."""
-    fields = (("t", INT), ("seq", INT), *RECORD_FIELDS[ev])
-    slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in fields]
-    slots.insert(2, f'"ev": "{ev}"')
-    return "{" + ", ".join(slots) + "}\n"
+def _rest(ev: str) -> str:
+    """``ev``'s line after its seq: ``STAMP % t + str(seq) + rest % fields``
+    writes its line, given each STR field as ``json.dumps`` writes it and
+    each OPT field as ``"null"`` or ``"%d" % value``."""
+    slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in RECORD_FIELDS[ev]]
+    return ", ".join(["", f'"ev": "{ev}"', *slots]) + "}\n"
 
 
-TEMPLATES = {ev: _template(ev) for ev in RECORD_FIELDS}
+RESTS = {ev: _rest(ev) for ev in RECORD_FIELDS}
+TEMPLATES = {ev: STAMP + "%d" + rest for ev, rest in RESTS.items()}
+_HEAD = STAMP + '%d, "ev": "'  # how every template starts
 
 
 def _pattern(template: str, kinds, captured) -> str:
@@ -206,11 +208,15 @@ def scan_operations(text: str) -> list[tuple[int, str, tuple]]:
     return ops
 
 
-class _Quoted(dict):
-    """json.dumps of each distinct string, computed on first use."""
+class TextCache(dict):
+    """``make(key)`` for each key, made on first use and kept."""
 
-    def __missing__(self, value):
-        text = self[value] = json.dumps(value)
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        text = self[key] = self.make(key)
         return text
 
 
@@ -227,7 +233,7 @@ class Trace:
     def __init__(self) -> None:
         self.lines: list[str] = []
         self.operations: list[tuple[int, str, tuple]] = []
-        self.quoted = _Quoted()  # per trace, so no run keeps another's strings
+        self.quoted = TextCache(json.dumps)  # per trace, so no run keeps another's strings
 
     @property
     def records(self) -> list[dict]:

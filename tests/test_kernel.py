@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsim.config import INT, STR, ConfigError, ScenarioConfig, StrategyParams
+from capsim.config import INT, STR, ClientOp, ConfigError, ScenarioConfig, StrategyParams
 from capsim.harness import frontier_csv, frontier_sweep
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import Respond, Send, SetTimer, StrategyNode
-from capsim.trace import RECORD_FIELDS, Trace, scan_operations
+from capsim.trace import RECORD_FIELDS, RESTS, STAMP, TEMPLATES, Trace, scan_operations
 
 
 def scenario(**overrides):
@@ -279,6 +279,28 @@ KERNEL_ERRORS = {
         {"invoke": [Respond(0, None), Respond(0, 5)]}, {},
         "duplicate response for op 0 while handling invoke of op 0 at tick 3",
     ),
+    # the trace writes an op id as an integer, so only an invoked op's id is one
+    "response for a fractional op id": (
+        {"invoke": [Respond(0.5, None)]}, {},
+        "response for unknown op 0.5 while handling invoke of op 0 at tick 3",
+    ),
+    "response for a bool op id": (
+        {"invoke": [Respond(True, None)]}, {},
+        "response for unknown op True while handling invoke of op 0 at tick 3",
+    ),
+    "response for an op never invoked": (
+        {"invoke": [Respond(77, None)]}, {},
+        "response for unknown op 77 while handling invoke of op 0 at tick 3",
+    ),
+    # equal to op 0's id, and hashed alike, but no int
+    "response for a bool op id equal to an invoked one": (
+        {"invoke": [Respond(False, None)]}, {},
+        "response for unknown op False while handling invoke of op 0 at tick 3",
+    ),
+    "response for a float op id equal to an invoked one": (
+        {"invoke": [Respond(0.0, None)]}, {},
+        "response for unknown op 0.0 while handling invoke of op 0 at tick 3",
+    ),
     "response value a float": (
         {"invoke": [Respond(0, 1.5)]}, {},
         "response value for op 0 must be an integer or null, got 1.5 "
@@ -370,6 +392,21 @@ def test_kernel_refuses_a_malformed_action_field_before_any_line(name):
     assert sim.trace.lines == []
 
 
+# a workload op built by hand skips config.read_json, so the kernel types
+# the fields its invoke line writes: else 0.5 and True would be written
+@pytest.mark.parametrize("op_id, node, val", [(0.5, 0, 7), (0, True, 7), (0, 0, True)])
+def test_kernel_refuses_a_mistyped_workload_op_before_its_line(op_id, node, val):
+    config = ScenarioConfig(2, 20, workload=[ClientOp(op_id, 1, node, "write", "A", val)])
+    sim = Simulation(config)
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    assert str(info.value) == (
+        f"an op's id and node must be integers and its value an integer or null, "
+        f"got {op_id!r}, {node!r}, {val!r} while handling invoke of op {op_id!r} at tick 1"
+    )
+    assert sim.trace.lines == []
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [((0,), "expected 2 nodes, got 1"), ((), "expected 2 nodes, got 0"),
@@ -454,6 +491,40 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
         (ev, values) for _, ev, values in scan_operations(text)
     ]
     assert all(records[i]["ev"] == ev for i, ev, _ in trace.operations)
+
+
+def _isolation(node, nodes, start, end):
+    return [{"a": node, "b": other, "start": start, "end": end}
+            for other in range(nodes) if other != node]
+
+
+@pytest.mark.parametrize(
+    "strategy", [{"kind": "SyncAll"}, {"kind": "HybridDeadline", "D": 3, "R": 2}]
+)
+def test_lines_on_two_digit_node_ids_are_clean_json(strategy):
+    # link and timer pieces are cut per node id, and 12 nodes take ids
+    # 10 and 11 through every transport and timer kind, some links down
+    assert all(TEMPLATES[ev] == STAMP + "%d" + RESTS[ev] for ev in RECORD_FIELDS)
+    nodes, horizon = 12, 60
+    workload = [
+        {"t": t, "node": (5 * t) % nodes, "kind": "write" if t % 3 else "read",
+         "key": f"k{t % 4}", "val": t if t % 3 else None}
+        for t in range(0, 50, 2)
+    ]
+    trace = run_scenario(scenario(
+        nodes=nodes, horizon=horizon, strategy=strategy, workload=workload,
+        partitions=_isolation(11, nodes, 5, 25) + _isolation(10, nodes, 30, 45),
+    ))
+    records = [json.loads(line) for line in trace.lines]
+    for seq, (line, record) in enumerate(zip(trace.lines, records)):
+        assert line == json.dumps(record) + "\n"
+        assert record["seq"] == seq
+    kinds = {r["ev"] for r in records}
+    assert kinds >= {"invoke", "respond", "send", "deliver", "drop", "timer"}
+    transport = [r for r in records if r["ev"] in ("send", "deliver", "drop")]
+    assert {11, 10} <= {r["src"] for r in transport} & {r["dst"] for r in transport}
+    assert any(r["ev"] == "drop" and 10 in (r["src"], r["dst"]) for r in records)
+    assert {r["node"] for r in records if r["ev"] == "timer"} >= {10, 11}
 
 
 # keys the writer must escape, each written through the trace's own cache
