@@ -23,23 +23,21 @@ from .kernel import SimulationError, run_scenario
 from .trace import TraceParseError
 
 
-def _emit(text: str, path) -> None:
-    """Write to ``path``, or to stdout when there is none, in 64 KiB slices:
-    a text stream encodes what one write hands it into a copy of its own."""
-    slices = (text[start : start + (1 << 16)] for start in range(0, len(text), 1 << 16))
+def _emit(pieces, path) -> None:
+    """Write text ``pieces`` to ``path``, or to stdout when there is none."""
     if not path:
-        sys.stdout.writelines(slices)
+        sys.stdout.writelines(pieces)
         return
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(slices)
+            fh.writelines(pieces)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def _cmd_simulate(args) -> int:
     config = ScenarioConfig.read(args.config)
-    _emit(run_scenario(config).to_jsonl(), args.output)
+    _emit(run_scenario(config).chunks(), args.output)
     return 0
 
 
@@ -81,7 +79,7 @@ def _cmd_frontier(args) -> int:
         except ValueError:
             raise ConfigError(f"--deadlines: cannot read {describe(part)} as an integer") from None
     rows = frontier_sweep(args.tp, deadlines, base)
-    _emit(frontier_csv(rows), args.output)
+    _emit([frontier_csv(rows)], args.output)
     return 0 if all(row.bound_ok for row in rows) else 1
 
 

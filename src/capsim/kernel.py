@@ -6,9 +6,9 @@ that hold one, so queueing an event costs a dict lookup and an append.
 The loop takes the ticks in order; each runs its queued deliveries and
 timer firings in the order they were scheduled, then that tick's client
 requests in workload order, so identical configurations replay
-identically byte for byte. Each line is joined from the tick's stamp,
-formatted once per tick, its seq and pieces cut from trace.py's rests,
-so the line format is still stated once, in trace.py.
+identically byte for byte. Each line is recorded as its tick's stamp,
+formatted once per tick, its middle and its last value; trace.py joins
+them into text only when something writes or reads it.
 
 Scheduling rules the strategies rely on:
 
@@ -23,7 +23,7 @@ Scheduling rules the strategies rely on:
   destination and delay, bool excluded, a string timer id), a response
   must name an op an invoke has dispatched, and a workload op must have
   an integer id and node and an integer or null value, or the run is
-  refused before the action or op writes a line,
+  refused before the action or op records a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -35,21 +35,15 @@ from heapq import heappop, heappush
 
 from .config import OPT, ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
-from .trace import RESTS, STAMP, TextCache, Trace
+from .trace import HEADS, STAMP, TextCache, Trace
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
-# A line is one f-string: its tick's stamp, its seq, and pieces cut from its
-# kind's rest in trace.py around values that are exact ints the loop checked,
-# "null" or the trace's quoted strings. A transport rest is filled up to its
-# msg slot once per link, a timer rest once per node and timer id.
-INVOKE_PARTS, RESPOND_PARTS, UNANSWERED_PARTS = (  # split at its %d and %s slots
-    RESTS[ev].replace("%s", "%d").split("%d") for ev in ("invoke", "respond", "unanswered")
+# A line's middle is its kind's head in trace.py filled with values that are
+# exact ints the loop checked or the trace's quoted strings: an operation's
+# per line, a transport head once per link, a timer's once per node and id.
+INVOKE_PARTS, RESPOND_PARTS = (  # split at its %d and %s slots
+    HEADS[ev].replace("%s", "%d").split("%d") for ev in ("invoke", "respond")
 )
-SEND_HEAD, DELIVER_HEAD, DROP_HEAD = (
-    RESTS[ev].rpartition("%d")[0] for ev in ("send", "deliver", "drop")
-)
-LINK_END = RESTS["send"].rpartition("%d")[2]
-TIMER_REST = RESTS["timer"]
 
 
 class SimulationError(RuntimeError):
@@ -111,15 +105,15 @@ class Simulation:
         nodes, count, latency = self.nodes, self.config.node_count, self.config.message_latency
         workload, horizon = self.config.workload, self.config.horizon
         trace = self.trace
-        lines, quoted, add_operation = trace.lines, trace.quoted, trace.operations.append
-        append = lines.append  # a line's seq is its position in the trace
+        fields, quoted, add_operation = trace.fields, trace.quoted, trace.operations.append
+        record = fields.extend  # a line's stamp, middle and last value; its seq is its index
         # per run, like quoted: each link's transport heads, keyed src * count
-        # + dst, and each timer's rest, keyed by its (equal) timer events
-        sends, delivers, drops = (TextCache(lambda link, head=head: head % divmod(link, count))
-                                  for head in (SEND_HEAD, DELIVER_HEAD, DROP_HEAD))
-        timers = TextCache(lambda event: TIMER_REST % (event[1], quoted[event[2]]))
-        inv_op, inv_node, inv_kind, inv_key, inv_val, inv_end = INVOKE_PARTS
-        resp_op, resp_val, resp_end = RESPOND_PARTS
+        # + dst, and each timer's middle, keyed by its (equal) timer events
+        sends, delivers, drops = (TextCache(lambda link, ev=ev: HEADS[ev] % divmod(link, count))
+                                  for ev in ("send", "deliver", "drop"))
+        timers = TextCache(lambda event: HEADS["timer"] % event[1] + quoted[event[2]])
+        inv_op, inv_node, inv_kind, inv_key, inv_val = INVOKE_PARTS
+        resp_op, resp_val = RESPOND_PARTS
         invoked: set[int] = set()
         answered: set[int] = set()
         # one FIFO list of events per tick, and a heap of the ticks that have one
@@ -141,24 +135,24 @@ class Simulation:
                 wi += 1
             for event in events:
                 tag = event[0]
-                try:  # one handler call per event; the line written before it cannot raise
+                try:  # one handler call per event; the line recorded before it cannot raise
                     if tag == _DELIVER:
                         _, src, node_id, body, msg = event
-                        append(f"{stamp}{len(lines)}{delivers[src * count + node_id]}{msg}{LINK_END}")
+                        record((stamp, delivers[src * count + node_id], msg))
                         actions = nodes[node_id].on_message(body, src, now)
                     elif tag == _TIMER:
                         _, node_id, timer_id = event
-                        append(f"{stamp}{len(lines)}{timers[event]}")
+                        record((stamp, timers[event], ""))
                         actions = nodes[node_id].on_timer(timer_id, now)
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
-                        seq, op_id, node_id, val = len(lines), op.op_id, op.node, op.val
+                        seq, op_id, node_id, val = len(fields) // 3, op.op_id, op.node, op.val
                         if type(op_id) is not int or type(node_id) is not int or type(val) not in OPT:
                             raise _refused(f"an op's id and node must be integers and its value "
                                            f"an integer or null, got {op_id!r}, {node_id!r}, "
                                            f"{val!r}", now, event)
-                        append(f"{stamp}{seq}{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[op.kind]}"
-                               f"{inv_key}{quoted[op.key]}{inv_val}{'null' if val is None else val}{inv_end}")
+                        record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[op.kind]}"
+                                       f"{inv_key}{quoted[op.key]}{inv_val}", "null" if val is None else val))
                         add_operation((seq, "invoke", (now, op_id, node_id, op.kind, op.key, val)))
                         invoked.add(op_id)
                         actions = nodes[node_id].on_invoke(op, now)
@@ -179,10 +173,10 @@ class Simulation:
                             raise _refused(f"unknown destination {dst!r}", now, event)
                         if dst == node_id:
                             raise _refused(f"node {node_id} sent to itself", now, event)
-                        sent, msg_id, seq = msg_id, msg_id + 1, len(lines)
-                        append(f"{stamp}{seq}{sends[node_id * count + dst]}{sent}{LINK_END}")
+                        sent, msg_id = msg_id, msg_id + 1
+                        record((stamp, sends[node_id * count + dst], sent))
                         if not reachable(now, node_id, dst):  # a dropped send is never queued
-                            append(f"{stamp}{seq + 1}{drops[node_id * count + dst]}{sent}{LINK_END}")
+                            record((stamp, drops[node_id * count + dst], sent))
                             continue
                         queued, at = (_DELIVER, node_id, dst, action.payload, sent), now + latency
                     elif kind is SetTimer:
@@ -204,9 +198,8 @@ class Simulation:
                             raise _refused(f"response value for op {op_id} must be an integer "
                                            f"or null, got {value!r}", now, event)
                         answered.add(op_id)
-                        seq = len(lines)
-                        append(f"{stamp}{seq}{resp_op}{op_id}{resp_val}"
-                               f"{'null' if value is None else value}{resp_end}")
+                        seq = len(fields) // 3
+                        record((stamp, f"{resp_op}{op_id}{resp_val}", "null" if value is None else value))
                         add_operation((seq, "respond", (now, op_id, value)))
                         continue
                     else:
@@ -223,12 +216,11 @@ class Simulation:
         for tick in sorted(buckets):
             for event in buckets[tick]:
                 if event[0] == _DELIVER:
-                    append(f"{stamp}{len(lines)}{drops[event[1] * count + event[2]]}{event[4]}{LINK_END}")
-        unanswered_op, unanswered_end = UNANSWERED_PARTS
+                    record((stamp, drops[event[1] * count + event[2]], event[4]))
         for op in workload:
             if op.op_id not in answered:
-                add_operation((len(lines), "unanswered", (horizon, op.op_id)))
-                append(f"{stamp}{len(lines)}{unanswered_op}{op.op_id}{unanswered_end}")
+                add_operation((len(fields) // 3, "unanswered", (horizon, op.op_id)))
+                record((stamp, HEADS["unanswered"], op.op_id))
         return trace
 
 

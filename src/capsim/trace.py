@@ -6,8 +6,8 @@ Kinds: invoke, respond, send, deliver, drop, timer, plus an
 that never received a response. ``RECORD_FIELDS`` states the format once:
 each kind's line template (``TEMPLATES``) and the line matcher that reads
 it back are built from it. A template is the stamp (``STAMP``: t, then
-the seq's key), the seq, and the kind's rest (``RESTS``); the kernel joins
-each line from its tick's stamp, its seq and pieces it cuts from the rest.
+the seq's key), the seq, and the kind's rest (``RESTS``). A run records
+fields that ``Trace.chunks`` joins into lines only when they are read.
 """
 
 from __future__ import annotations
@@ -55,6 +55,8 @@ _SLOTS = {
 _JSON_SPACE = " \t\n\r"
 _raw_decode = json.JSONDecoder().raw_decode
 STAMP = '{"t": %d, "seq": '  # how every line starts, up to its seq
+END = "}\n"  # how every line ends, after its last value
+CHUNK_LINES = 4096  # the most lines Trace.chunks joins into one text
 
 
 class TraceParseError(ValueError):
@@ -70,10 +72,12 @@ def _rest(ev: str) -> str:
     writes its line, given each STR field as ``json.dumps`` writes it and
     each OPT field as ``"null"`` or ``"%d" % value``."""
     slots = [f'"{name}": {_SLOTS[kind][0]}' for name, kind in RECORD_FIELDS[ev]]
-    return ", ".join(["", f'"ev": "{ev}"', *slots]) + "}\n"
+    return ", ".join(["", f'"ev": "{ev}"', *slots]) + END
 
 
 RESTS = {ev: _rest(ev) for ev in RECORD_FIELDS}
+# each kind's rest up to its last value, the slot that END follows
+HEADS = {ev: rest[: rest.rindex("%")] for ev, rest in RESTS.items()}
 TEMPLATES = {ev: STAMP + "%d" + rest for ev, rest in RESTS.items()}
 _HEAD = STAMP + '%d, "ev": "'  # how every template starts
 
@@ -223,24 +227,40 @@ class TextCache(dict):
 class Trace:
     """A trace's JSONL lines, and its operations typed for the history.
 
-    ``operations`` holds (0-based file line, ev, values in
-    ``RECORD_FIELDS`` order after t), as ``scan_operations`` reads them;
-    a written trace's file line is its index in ``lines``, while
-    ``from_jsonl`` keeps the lines as given but skips blank ones.
-    ``records`` decodes every line, for tests and tools.
+    A run records each line as three ``fields``: its tick's stamp, its
+    kind's ``HEADS`` entry filled in, and its last value (an int, "null"
+    or ""); its seq is its index. ``from_jsonl`` keeps the lines it read,
+    blank ones skipped, in ``read``. ``operations`` holds (0-based file
+    line, ev, values in ``RECORD_FIELDS`` order after t), as
+    ``scan_operations`` reads them. ``records`` decodes every line.
     """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self.fields: list = []
+        self.read: list[str] = []
         self.operations: list[tuple[int, str, tuple]] = []
         self.quoted = TextCache(json.dumps)  # per trace, so no run keeps another's strings
+
+    def chunks(self):
+        """The JSONL text in runs of at most ``CHUNK_LINES`` lines, made only here."""
+        read, fields, step = self.read, self.fields, 3 * CHUNK_LINES
+        for start in range(0, len(read), CHUNK_LINES):
+            yield "".join(read[start : start + CHUNK_LINES])
+        for start in range(0, len(fields), step):
+            run = fields[start : start + step]
+            yield "".join([f"{stamp}{seq}{middle}{last}{END}" for seq, stamp, middle, last
+                           in zip(range(start // 3, len(fields)), run[::3], run[1::3], run[2::3])])
+
+    @property
+    def lines(self) -> list[str]:
+        return [line for chunk in self.chunks() for line in re.findall("[^\n]*\n", chunk)]
 
     @property
     def records(self) -> list[dict]:
         return [_decode(line, line_no) for line_no, line in enumerate(self.lines, start=1)]
 
     def to_jsonl(self) -> str:
-        return "".join(self.lines)
+        return "".join(self.chunks())
 
     @classmethod
     def from_jsonl(cls, text: str) -> "Trace":
@@ -250,5 +270,5 @@ class Trace:
             if (record := _decode(line, line_no)) is not None:
                 if (ev := record["ev"]) in OPERATIONS:
                     trace.operations.append((line_no - 1, ev, _values(record, ev, line_no)))
-                trace.lines.append(line + "\n")
+                trace.read.append(line + "\n")
         return trace

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim.config import INT, STR, ClientOp, ConfigError, ScenarioConfig, StrategyParams
-from capsim.harness import frontier_csv, frontier_sweep
+from capsim.harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import Respond, Send, SetTimer, StrategyNode
 from capsim.trace import RECORD_FIELDS, RESTS, STAMP, TEMPLATES, Trace, scan_operations
@@ -647,3 +647,21 @@ def test_golden_trace_and_frontier_digests():
         assert _sha256(run_scenario(cfg).to_jsonl()) == digest, (kind, latency, outages)
     for tp, deadlines, base, digest in GOLDEN_FRONTIERS:
         assert _sha256(frontier_csv(frontier_sweep(tp, deadlines, base))) == digest, tp
+
+
+def test_frontier_and_prove_make_no_trace_text(monkeypatch):
+    # both read only a run's operations, so with every way to a trace's
+    # text refused they still give the golden CSVs and the same reports
+    specs = [ProofReplaySpec(StrategyParams(kind, deadline=5), tp=20, claimed_tc=5, claimed_ta=5)
+             for kind in GOLDEN_STRATEGIES]
+    reports = [proof_replay(spec).to_json() for spec in specs]
+
+    def no_text(trace):
+        raise AssertionError("trace text was made")
+
+    monkeypatch.setattr(Trace, "chunks", no_text)
+    with pytest.raises(AssertionError):
+        run_scenario(scenario()).lines
+    for tp, deadlines, base, digest in GOLDEN_FRONTIERS:
+        assert _sha256(frontier_csv(frontier_sweep(tp, deadlines, base))) == digest, tp
+    assert [proof_replay(spec).to_json() for spec in specs] == reports

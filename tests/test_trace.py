@@ -257,3 +257,38 @@ def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
         for line in text.split("\n")[:-1]
     )
     assert extract_history(rewritten) == expected
+
+
+# two nodes cut apart for the whole run, so a HybridDeadline write answers
+# at its deadline: 0, 4, 9 and 13 lines, across and between chunk sizes
+CUT_CONFIGS = [
+    {"nodes": 2, "horizon": horizon, "strategy": {"kind": "HybridDeadline", "R": 2, "D": 2},
+     "partitions": [{"a": 0, "b": 1, "start": 0, "end": 100}],
+     "workload": [{"t": 0, "node": 0, "kind": "write", "key": "A", "val": 1}][:ops]}
+    for horizon, ops in ((1, 0), (1, 1), (3, 1), (5, 1))
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 5])
+def test_chunks_join_to_the_whole_trace_at_any_chunk_size(size, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(trace_module, "CHUNK_LINES", size)
+    counts = []
+    for config in CUT_CONFIGS:
+        trace = run_scenario(ScenarioConfig.from_dict(config))
+        chunks, text, lines = list(trace.chunks()), trace.to_jsonl(), trace.lines
+        counts.append(len(lines))
+        assert "".join(chunks) == text == "".join(lines)
+        assert [chunk.count("\n") for chunk in chunks] == [
+            min(size, len(lines) - start) for start in range(0, len(lines), size)
+        ]
+        assert len(lines) == len(trace.fields) // 3
+        assert [json.loads(line)["seq"] for line in lines] == list(range(len(lines)))
+        assert all(json.loads(lines[i])["ev"] == ev for i, ev, _ in trace.operations)
+        assert Trace.from_jsonl(text).to_jsonl() == text
+        path, out = tmp_path / "config.json", tmp_path / "out.jsonl"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        assert main(["simulate", str(path)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["simulate", str(path), "-o", str(out)]) == 0
+        assert out.read_bytes() == text.encode()
+    assert counts == [0, 4, 9, 13]
