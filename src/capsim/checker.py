@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .trace import Trace, TraceParseError, scan_operations
+from .trace import Trace, TraceParseError, line_at, scan_operations
 
 INFINITE = math.inf
 
@@ -118,17 +118,19 @@ class History:
         return [r for r in self.records if r.kind == "read"]
 
 
-def extract_history(source: str | Trace) -> History:
+def extract_history(source) -> History:
     """Build a History from a trace's JSONL text or from a Trace, validating as we go.
 
-    Errors name the file line, from text (see ``scan_operations``) or
-    from a Trace, which keys each operation by its file line.
+    The text is one str or its pieces (see ``scan_operations``). Errors
+    name the file line, from the text (``line_at``, which reads the
+    pieces again) or from a Trace, which keys each operation by its file
+    line.
     """
-    is_text = isinstance(source, str)
-    ops = scan_operations(source) if is_text else source.operations
+    is_trace = isinstance(source, Trace)
+    ops = source.operations if is_trace else scan_operations(source)
 
     def line_no(where: int) -> int:  # a text offset, or a Trace's 0-based file line
-        return source.count("\n", 0, where) + 1 if is_text else where + 1
+        return where + 1 if is_trace else line_at(source, where)
 
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []

@@ -17,7 +17,7 @@ from .checker import (
     check,
     extract_history,
 )
-from .config import ConfigError, ScenarioConfig, describe, load_json_object, read_text
+from .config import ConfigError, ScenarioConfig, TextPieces, describe, load_json_object
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from .kernel import SimulationError, run_scenario
 from .trace import TraceParseError
@@ -46,7 +46,7 @@ def _cmd_check(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 0:
             raise ConfigError(f"--{flag} must be >= 0, got {value}")
-    history = extract_history(read_text(args.trace))
+    history = extract_history(TextPieces(args.trace))
     report = check(history, args.tc, args.ta, time_ref=args.time_ref)
     print(report.to_json())
     code = 0 if report.clean else 1

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import stat
 from collections import namedtuple
 from operator import itemgetter
 
@@ -19,15 +21,58 @@ class ConfigError(ValueError):
     """The scenario description is invalid."""
 
 
+# the bytes read at a time: a piece holds at most this plus one line. A
+# 256 KiB block left about 0.25 MiB more resident after a small config read.
+BLOCK = 1 << 16
+
+
+class TextPieces:
+    """The UTF-8 text of the file at ``path``, as pieces that each end a line.
+
+    Every input file is read here. Each pass reads the file again in
+    blocks of ``BLOCK`` bytes, cuts each block after its last LF byte and
+    decodes the part before the cut; an LF byte is never inside a
+    multi-byte character, so every piece but the last ends with LF and the
+    pieces join to the file's text, line endings as stored. A file that
+    cannot be read twice (a pipe, ``/dev/stdin``) is read whole once and
+    kept as one piece. Errors come from the pass that meets them.
+    """
+
+    __slots__ = ("path", "kept")
+
+    def __init__(self, path):
+        self.path, self.kept = path, None
+
+    def __iter__(self):
+        if self.kept is not None:
+            yield self.kept
+            return
+        try:
+            with open(self.path, "rb") as fh:
+                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    self.kept = fh.read().decode()
+                    yield self.kept
+                    return
+                partial = []  # the blocks of a line not yet ended, so a long line costs linear time
+                while block := fh.read(BLOCK):
+                    cut = block.rfind(b"\n") + 1
+                    if not cut:
+                        partial.append(block)
+                        continue
+                    partial.append(block[:cut])
+                    yield b"".join(partial).decode()
+                    partial = [block[cut:]]
+                if tail := b"".join(partial):
+                    yield tail.decode()
+        except OSError as exc:
+            raise ConfigError(f"cannot read {self.path}: {exc.strerror}") from exc
+        except UnicodeDecodeError:
+            raise ConfigError(f"{self.path} is not UTF-8 text") from None
+
+
 def read_text(path) -> str:
-    """The UTF-8 text of a file, line endings as stored; every input file is read here."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
-    except UnicodeDecodeError:
-        raise ConfigError(f"{path} is not UTF-8 text") from None
+    """The UTF-8 text of a file, line endings as stored: its pieces joined."""
+    return "".join(TextPieces(path))
 
 
 def load_json_object(path) -> dict:

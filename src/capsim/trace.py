@@ -64,7 +64,7 @@ class TraceParseError(ValueError):
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        self.line_no, self.message = line_no, message
 
 
 def _rest(ev: str) -> str:
@@ -134,12 +134,14 @@ def _matcher():
     return re.compile(pattern).match, readers
 
 
-def _decode(line: str, line_no: int) -> dict | None:
+def _decode(line: str, line_no: int = 0) -> dict | None:
     """One line as a record, or None if it is blank.
 
     A line is accepted exactly when ``json.loads`` accepts it: JSON
     whitespace is stripped from both ends and what remains must be a
-    single JSON value, decoded by one ``raw_decode`` call.
+    single JSON value, decoded by one ``raw_decode`` call. A refusal names
+    ``line_no``; a reader that does not know it yet passes none and
+    renumbers the error.
     """
     line = line.strip(_JSON_SPACE)
     if not line:
@@ -168,7 +170,7 @@ def _decode(line: str, line_no: int) -> dict | None:
     return record
 
 
-def _values(record: dict, ev: str, line_no: int) -> tuple:
+def _values(record: dict, ev: str, line_no: int = 0) -> tuple:
     """A decoded operation record's values in ``RECORD_FIELDS`` order, t first."""
     try:
         return tuple(read_json(record, _OPERATION_TABLES[ev], ev).values())
@@ -176,39 +178,64 @@ def _values(record: dict, ev: str, line_no: int) -> tuple:
         raise TraceParseError(line_no, str(exc)) from None
 
 
-def scan_operations(text: str) -> list[tuple[int, str, tuple]]:
+def line_at(pieces, offset: int) -> int:
+    """The 1-based number of the line holding character ``offset`` of the
+    text that ``pieces`` (or one str) make up; counted only for an error."""
+    line = 1
+    for text in (pieces,) if isinstance(pieces, str) else pieces:
+        if offset < len(text):
+            return line + text.count("\n", 0, offset)
+        line += text.count("\n")
+        offset -= len(text)
+    return line
+
+
+def scan_operations(pieces) -> list[tuple[int, str, tuple]]:
     """The operation records of a JSONL trace, in file order.
 
-    Every line is read as ``Trace.from_jsonl`` reads it and the first bad
-    line raises its error, but no dict is built for a line in the
-    writer's own form, LF or CRLF ended: the matcher checks it, a
-    transport line is then dropped and an operation line gives its typed
-    values. Any other line is decoded by ``json`` on its own, an
-    operation's dict typed into the same values, and the matcher takes
-    the next line. Each item is (an offset into the line, ev, values).
+    ``pieces`` is the text as one str, or as pieces that each end a line
+    (``config.TextPieces``), which are read once unless a line is bad.
+    Every line is read as ``Trace.from_jsonl`` reads it, but no dict is
+    built for a line in the writer's own form, LF or CRLF ended: the
+    matcher checks it, a transport line is then dropped and an operation
+    line gives its typed values. Any other line is decoded by ``json`` on
+    its own, an operation's dict typed into the same values, and the
+    matcher takes the next line. The first bad line raises its error, once
+    the rest of the pieces are read, so a later piece that is not UTF-8 is
+    reported first. Each item is (where, ev, values): ``where`` is a
+    character offset into the whole text, inside the operation's line,
+    from which ``line_at`` numbers that line.
     """
+    if isinstance(pieces, str):
+        pieces = (pieces,)
     match, readers = _matcher()
     ops = []
     append = ops.append
-    pos, end = 0, len(text)
-    line_no, counted = 1, 0  # the number of the line at offset `counted`
-    while pos < end:
-        m = match(text, pos)
-        if m.end() > pos:
-            pos = m.end()
-            ev = m.lastgroup
-            if ev is not None:
-                append((m.start(1), ev, readers[ev](m)))
-            continue
-        stop = text.find("\n", pos)
-        if stop < 0:
-            stop = end
-        line_no += text.count("\n", counted, pos)
-        counted = pos
-        record = _decode(text[pos:stop], line_no)
-        if record is not None and (ev := record["ev"]) in OPERATIONS:
-            append((pos, ev, _values(record, ev, line_no)))
-        pos = stop + 1
+    base = 0  # the offset of the piece in the whole text
+    rest = iter(pieces)
+    for text in rest:
+        pos, end = 0, len(text)
+        while pos < end:
+            m = match(text, pos)
+            if m.end() > pos:
+                pos = m.end()
+                ev = m.lastgroup
+                if ev is not None:
+                    append((base + m.start(1), ev, readers[ev](m)))
+                continue
+            stop = text.find("\n", pos)
+            if stop < 0:
+                stop = end
+            try:
+                record = _decode(text[pos:stop])
+                if record is not None and (ev := record["ev"]) in OPERATIONS:
+                    append((base + pos, ev, _values(record, ev)))
+            except TraceParseError as exc:
+                for _ in rest:  # a later piece that is not UTF-8 is reported first
+                    pass
+                raise TraceParseError(line_at(pieces, base + pos), exc.message) from None
+            pos = stop + 1
+        base += end
     return ops
 
 

@@ -1,13 +1,20 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import capsim
+import capsim.cli as cli_module
+import capsim.config as config_module
 import capsim.trace as trace_module
 from capsim.checker import HistoryIntegrityError, extract_history
 from capsim.cli import main
-from capsim.config import ScenarioConfig
+from capsim.config import ConfigError, ScenarioConfig
 from capsim.kernel import run_scenario
 from capsim.trace import Trace, TraceParseError, scan_operations
 
@@ -136,15 +143,17 @@ def test_text_reader_agrees_with_the_reference_reader(text, path, monkeypatch):
     expected = outcome(lambda: extract_history(Trace.from_jsonl(text)))
     assert outcome(lambda: extract_history(text)) == expected
     if path is not None:
-        decode, decoded = trace_module._decode, []  # the number of each line decoded
+        decode, decoded = trace_module._decode, []  # each line decoded, without its LF
 
-        def spy(line, line_no):
-            decoded.append(line_no)
-            return decode(line, line_no)
+        def spy(line, *line_no):  # the reader numbers a line only when it refuses it
+            decoded.append(line)
+            return decode(line, *line_no)
 
         monkeypatch.setattr(trace_module, "_decode", spy)
         *_, (where, _, values) = scan_operations(text)
-        last = text.count("\n", 0, where) + 1
+        lines = text.split("\n")
+        last = lines[text.count("\n", 0, where)]  # where is inside its line
+        assert lines.count(last) == 1  # so the line's text names it
         assert ("decoded" if last in decoded else "matched") == path
         assert type(values) is tuple
 
@@ -195,6 +204,93 @@ def test_a_trace_with_several_faults_reports_its_first_bad_line(text, error, tmp
     assert capsys.readouterr().err == f"trace error: {error}\n"
     expected = (TraceParseError, error)
     assert outcome(lambda: extract_history(Trace.from_jsonl(text))) == expected
+
+
+TIMERS = (TIMER + "\n") * 150
+# (trace bytes, check's whole stderr, or None where another test pins it)
+PIECE_CASES = {
+    **{name: (text.encode(), None) for name, (text, _) in BORDER_CASES.items()},
+    **{
+        name: (text.encode(), f"trace error: {error}\n")
+        for name, (text, error) in MULTI_FAULT_CASES.items()
+    },
+    "a multi-byte key across cuts": (
+        (TIMER + "\n" + READ_INVOKE.replace('"A"', '"é€𝄞"')
+         + '{"t": 3, "seq": 2, "ev": "respond", "op": 1, "val": 9}\n').encode(),
+        "",
+    ),
+    "a bad op kind on a later piece": (
+        (TIMERS + invoke().replace('"write"', '"scan"') + SEND + "\n").encode(),
+        "trace error: line 151: bad op kind 'scan'\n",
+    ),
+    "a bad line on a later piece": (
+        (TIMERS + "{broken\n" + SEND + "\n").encode(),
+        "trace error: line 151: invalid JSON: "
+        "Expecting property name enclosed in double quotes\n",
+    ),
+    "a line longer than a piece": (
+        (TIMER + "\n" + invoke(key='"' + "k" * 1000 + '"') + "[1]\n").encode(),
+        "trace error: line 3: record is not an object\n",
+    ),
+    "a bad line, then a byte that is not UTF-8": (
+        f"{TIMER}\n{{broken\n{SEND}\n".encode() + b"\xff\n",
+        "config error: {path} is not UTF-8 text\n",
+    ),
+}
+
+
+def _read_whole(path):
+    """The reference reader: the whole file decoded in one go."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path} is not UTF-8 text") from None
+
+
+@pytest.mark.parametrize("data, err", PIECE_CASES.values(), ids=PIECE_CASES.keys())
+def test_check_reads_pieces_of_any_size_as_the_whole_text(data, err, tmp_path, monkeypatch, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    argv = ["check", str(path), "--tc", "0", "--ta", "0"]
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_module, "TextPieces", _read_whole)
+        whole = main(argv), capsys.readouterr()
+    if err is not None:
+        assert whole[1].err == err.replace("{path}", str(path))
+    # bytes per read: a cut inside every line, and every case in one block
+    for size in (1, 2, 3, 5, 7, config_module.BLOCK):
+        monkeypatch.setattr(config_module, "BLOCK", size)
+        assert (main(argv), capsys.readouterr()) == whole, size
+
+
+def _kernel_trace(ops):
+    config = ScenarioConfig.from_dict({
+        "nodes": 3, "horizon": 2 * ops, "strategy": {"kind": "LocalFirst", "G": 8},
+        "workload_gen": {"ops": ops, "keys": ["A", "B"], "read_fraction": 0.5},
+    })
+    return run_scenario(config).to_jsonl()
+
+
+@pytest.mark.parametrize("bad_line", [None, "{broken"], ids=["clean", "a bad last line"])
+def test_check_reads_a_pipe_as_it_reads_the_file(bad_line, tmp_path, capsys):
+    text = _kernel_trace(400)  # more than a pipe's buffer
+    assert len(text) > 1 << 16
+    if bad_line is not None:
+        text += bad_line + "\n"
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    argv = ["--tc", "10", "--ta", "10"]
+    code = main(["check", str(path), *argv])
+    out, err = capsys.readouterr()
+    if bad_line is not None:
+        assert err.startswith(f"trace error: line {text.count(chr(10))}: invalid JSON")
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    piped = subprocess.run(
+        [sys.executable, "-m", "capsim", "check", "/dev/stdin", *argv],
+        input=text.encode(), capture_output=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (piped.returncode, piped.stdout.decode(), piped.stderr.decode()) == (code, out, err)
 
 
 def _rewrite(line, rng):
