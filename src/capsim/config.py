@@ -128,7 +128,7 @@ CONFIG_FIELDS = {
     "nodes": ("node_count", INT, REQUIRED),
     "horizon": ("horizon", INT, REQUIRED),
     "latency": ("message_latency", INT, OPTIONAL),
-    "seed": ("rng_seed", INT, OPTIONAL),
+    "seed": ("seed", INT, OPTIONAL),
     "partitions": ("partitions", [OUTAGE_FIELDS], OPTIONAL),
     "strategy": ("strategy", STRATEGY_FIELDS, OPTIONAL),
     "workload": ("workload", [OP_FIELDS], OPTIONAL),
@@ -282,16 +282,6 @@ class StrategyParams(
             raise ConfigError("HybridDeadline requires a deadline 'D'")
         return cls(**fields)
 
-    def to_dict(self) -> dict:
-        d: dict = {"kind": self.kind}
-        if self.kind == "LocalFirst":
-            d["G"] = self.anti_entropy_period
-        else:
-            d["R"] = self.retransmit_period
-        if self.kind == "HybridDeadline":
-            d["D"] = self.deadline
-        return d
-
     def uses_anti_entropy(self) -> bool:
         return self.kind == "LocalFirst"
 
@@ -313,38 +303,44 @@ class ClientOp:
 
 
 def generate_workload(
-    gen: dict, seed: int, node_count: int, horizon: int
+    seed: int, node_count: int, horizon: int, *, ops: int = 10, keys=("A",),
+    read_fraction: float = 0.5, span=None,
 ) -> list[dict]:
-    """Materialize a small seeded random workload from generator params.
+    """A small seeded random workload, as ``ClientOp`` keyword dicts.
 
-    ``gen`` is ``read_json`` output for ``GEN_FIELDS``. Off unless the
-    config asks for it; the deterministic RNG keeps the resulting scenario
-    reproducible from (gen, seed).
+    The keyword arguments are ``GEN_FIELDS``'; ``span`` defaults to the
+    whole run. The deterministic RNG keeps the workload reproducible from
+    the arguments.
     """
     rng = random.Random(seed)
-    count = gen.get("ops", 10)
-    keys = gen.get("keys", ["A"])
-    read_fraction = gen.get("read_fraction", 0.5)
-    span = gen.get("span", [0, max(horizon - 1, 0)])
-    if not keys or not 0 <= count <= MAX_GEN_OPS or len(span) != 2 or span[0] > span[1]:
+    if span is None:
+        span = [0, max(horizon - 1, 0)]
+    if not keys or not 0 <= ops <= MAX_GEN_OPS or len(span) != 2 or span[0] > span[1]:
         raise ConfigError(
             f"workload_gen needs ops in [0, {MAX_GEN_OPS}], a key and a span [lo, hi], lo <= hi"
         )
     lo, hi = span
-    ops = []
+    out = []
     next_val = 1000
-    for _ in range(count):
+    for _ in range(ops):
         t = rng.randint(lo, hi)
         node = rng.randrange(node_count)
         key = rng.choice(keys)
         if rng.random() < read_fraction:
-            ops.append({"t": t, "node": node, "kind": "read", "key": key, "val": None})
+            out.append({"t": t, "node": node, "kind": "read", "key": key, "val": None})
         else:
-            ops.append(
-                {"t": t, "node": node, "kind": "write", "key": key, "val": next_val}
-            )
+            out.append({"t": t, "node": node, "kind": "write", "key": key, "val": next_val})
             next_val += 1
-    return ops
+    return out
+
+
+def number_ops(ops: list[dict]) -> tuple[ClientOp, ...]:
+    """``ClientOp`` keyword dicts as ops, numbered in tick order.
+
+    The sort is stable: same-tick ops keep their input order.
+    """
+    ops = sorted(ops, key=itemgetter("t"))
+    return tuple([ClientOp(op_id, **op) for op_id, op in enumerate(ops)])
 
 
 def _read_schedule(items: list[dict], node_count: int) -> PartitionSchedule:
@@ -375,7 +371,6 @@ class ScenarioConfig:
         horizon: int,
         strategy: StrategyParams = StrategyParams("LocalFirst"),
         message_latency: int = 1,
-        rng_seed: int = 0,
         partitions: PartitionSchedule | None = None,
         workload: tuple[ClientOp, ...] = (),
     ):
@@ -390,7 +385,7 @@ class ScenarioConfig:
         if partitions.node_count != node_count:
             raise ConfigError("partition schedule node count mismatch")
         self.node_count, self.horizon, self.strategy = node_count, horizon, strategy
-        self.message_latency, self.rng_seed, self.partitions = message_latency, rng_seed, partitions
+        self.message_latency, self.partitions = message_latency, partitions
         self.workload = workload = tuple(workload)
         for op in workload:
             if not 0 <= op.node < node_count:
@@ -402,13 +397,11 @@ class ScenarioConfig:
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         fields = read_json(d, CONFIG_FIELDS, "config")
         ops = fields.get("workload", [])
+        seed = fields.pop("seed", 0)  # the kernel draws no randomness: only workload_gen reads it
         gen = fields.pop("workload_gen", None)
         if gen is not None and fields["node_count"] >= 1:  # else refused below
-            ops += generate_workload(
-                gen, fields.get("rng_seed", 0), fields["node_count"], fields["horizon"]
-            )
-        ops.sort(key=itemgetter("t"))  # stable: same-tick ops keep their input order
-        fields["workload"] = tuple([ClientOp(op_id, **op) for op_id, op in enumerate(ops)])
+            ops += generate_workload(seed, fields["node_count"], fields["horizon"], **gen)
+        fields["workload"] = number_ops(ops)
         if "strategy" in fields:
             fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
         if "partitions" in fields and fields["node_count"] >= 1:  # else refused below

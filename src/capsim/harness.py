@@ -2,7 +2,10 @@
 
 Both experiments isolate one node pair behind a full bipartition for a
 span of ``tp`` ticks and route data across the cut, because without
-cross-cut flow the staleness/latency tradeoff is invisible.
+cross-cut flow the staleness/latency tradeoff is invisible. Each builds
+its scenario directly: its ops, the caller's ``StrategyParams`` and
+``isolation``'s cut go straight into a ``ScenarioConfig``, so only
+``ScenarioConfig.from_dict`` reads a scenario from JSON.
 
 ``proof_replay`` stages the impossibility argument directly: claim a
 staleness budget plus a latency budget that together undercut the
@@ -44,14 +47,19 @@ from .checker import (
 )
 from .config import (
     FRONTIER_FIELDS,
+    MAX_GEN_OPS,
     MAX_NODES,
     PROOF_FIELDS,
+    ClientOp,
     ConfigError,
     ScenarioConfig,
     StrategyParams,
+    generate_workload,
+    number_ops,
     read_json,
 )
 from .kernel import Simulation, run_scenario
+from .partitions import LinkOutage, PartitionSchedule
 from .strategies import HybridDeadlineNode
 
 
@@ -117,41 +125,40 @@ class ProofReplaySpec(
         return cls(**fields)
 
 
+def isolation(node: int, node_count: int, start: int, end: int) -> PartitionSchedule:
+    """``node`` cut from every other node over [start, end).
+
+    A bipartition, so no relay can carry a value across the cut. On two
+    nodes it is the one outage of the link {0, 1}.
+    """
+    return PartitionSchedule(node_count, tuple(
+        LinkOutage(node, other, start, end) for other in range(node_count) if other != node
+    ))
+
+
 def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
     """The minimal scenario realizing the contradiction window.
 
-    The schedule isolates n_a completely (a bipartition, so relays
-    cannot smuggle the write across), a warmup write replicates before
+    The schedule isolates n_a completely, a warmup write replicates before
     the cut so the stale side has a concrete value to return, and the
-    write/read pair lands inside the dead window.
+    write/read pair lands inside the dead window. The ops are built in
+    tick order, so their ids are the ones numbering would give.
     """
     end = spec.t_start + spec.tp
     t = spec.t_start + 1
-    warmup_tick = spec.t_start - spec.latency - 1
-    workload = [
-        {"t": warmup_tick, "node": spec.n_a, "kind": "write", "key": "A", "val": 100},
-        {"t": t, "node": spec.n_a, "kind": "write", "key": "A", "val": 200},
-        {"t": t + spec.claimed_tc, "node": spec.n_b, "kind": "read", "key": "A", "val": None},
-    ]
+    workload = (
+        ClientOp(0, spec.t_start - spec.latency - 1, spec.n_a, "write", "A", 100),
+        ClientOp(1, t, spec.n_a, "write", "A", 200),
+        ClientOp(2, t + spec.claimed_tc, spec.n_b, "read", "A"),
+    )
     horizon = spec.horizon
     if horizon is None:
         params = spec.strategy
         horizon = end + params.deadline + params.retransmit_period + params.anti_entropy_period
         horizon += 6 * spec.latency + 4
-    return ScenarioConfig.from_dict(
-        {
-            "nodes": spec.node_count,
-            "latency": spec.latency,
-            "horizon": horizon,
-            "seed": 0,
-            "partitions": [
-                {"a": spec.n_a, "b": other, "start": spec.t_start, "end": end}
-                for other in range(spec.node_count)
-                if other != spec.n_a
-            ],
-            "strategy": spec.strategy.to_dict(),
-            "workload": workload,
-        }
+    return ScenarioConfig(
+        spec.node_count, horizon, spec.strategy, spec.latency,
+        isolation(spec.n_a, spec.node_count, spec.t_start, end), workload,
     )
 
 
@@ -196,7 +203,7 @@ class FrontierRow(
         return [self.label, str(self.empirical_tc_min), ta, str(self.tp), ok]
 
 
-def build_frontier_workload(tp: int, t_start: int = FRONTIER_T_START) -> list[dict]:
+def build_frontier_workload(tp: int) -> list[dict]:
     """Periodic writes on one side of the cut, periodic reads on the other.
 
     Writes land on even offsets starting before the cut and running past
@@ -204,8 +211,9 @@ def build_frontier_workload(tp: int, t_start: int = FRONTIER_T_START) -> list[di
     interleave on odd offsets. Values are distinct so the checker can
     attribute every read.
     """
-    writes = range(t_start - FRONTIER_LEAD, t_start + tp + FRONTIER_TAIL + 1, 2)
-    reads = range(t_start - FRONTIER_LEAD + 1, t_start + tp + FRONTIER_TAIL + 2, 2)
+    first, last = FRONTIER_T_START - FRONTIER_LEAD, FRONTIER_T_START + tp + FRONTIER_TAIL
+    writes = range(first, last + 1, 2)
+    reads = range(first + 1, last + 2, 2)
     return [
         {"t": t, "node": _WRITE_NODE, "kind": "write", "key": _FRONTIER_KEY, "val": val}
         for val, t in enumerate(writes, start=10)
@@ -213,6 +221,11 @@ def build_frontier_workload(tp: int, t_start: int = FRONTIER_T_START) -> list[di
         {"t": t, "node": _READ_NODE, "kind": "read", "key": _FRONTIER_KEY, "val": None}
         for t in reads
     ]
+
+
+def frontier_horizon(tp: int, deadline: int, latency: int) -> int:
+    """The end of a frontier run: past the heal, the last read and the latest deadline."""
+    return FRONTIER_T_START + tp + FRONTIER_TAIL + deadline + 6 * latency + 4
 
 
 def build_frontier_config(
@@ -224,29 +237,16 @@ def build_frontier_config(
     horizon: int | None = None,
     noise_reads: int = 0,
 ) -> ScenarioConfig:
-    t_start = FRONTIER_T_START
-    end = t_start + tp
     if horizon is None:
-        horizon = end + FRONTIER_TAIL + strategy.deadline + 6 * latency + 4
-    d: dict = {
-        "nodes": 2,
-        "latency": latency,
-        "horizon": horizon,
-        "seed": seed,
-        "partitions": [{"a": _WRITE_NODE, "b": _READ_NODE, "start": t_start, "end": end}],
-        "strategy": strategy.to_dict(),
-        "workload": build_frontier_workload(tp, t_start),
-    }
+        horizon = frontier_horizon(tp, strategy.deadline, latency)
+    ops = build_frontier_workload(tp)
     if noise_reads:
         # read-only noise: extra writes on the read side would let stale
         # reads hide behind locally-fresh values and blunt the experiment
-        d["workload_gen"] = {
-            "ops": noise_reads,
-            "keys": [_FRONTIER_KEY],
-            "read_fraction": 1.0,
-            "span": [0, horizon - 1],
-        }
-    return ScenarioConfig.from_dict(d)
+        ops += generate_workload(seed, 2, horizon, ops=noise_reads, keys=[_FRONTIER_KEY],
+                                 read_fraction=1.0)
+    cut = isolation(_WRITE_NODE, 2, FRONTIER_T_START, FRONTIER_T_START + tp)
+    return ScenarioConfig(2, horizon, strategy, latency, cut, number_ops(ops))
 
 
 def frontier_sweep(
@@ -266,6 +266,8 @@ def frontier_sweep(
     seed = base.get("seed", 0)
     gossip = base.get("G", base.get("strategy", {}).get("G", 2))
     noise_reads = base.get("noise_reads", 0)
+    if not 0 <= noise_reads <= MAX_GEN_OPS:
+        raise ConfigError(f"base.noise_reads must be in [0, {MAX_GEN_OPS}]")
     if not 1 <= tp <= MAX_TP:
         raise ConfigError(f"partition span must be in [1, {MAX_TP}]")
     deadline_cap = tp + 2 * latency
@@ -273,7 +275,7 @@ def frontier_sweep(
     for d in cleaned:
         if d < 0 or d > deadline_cap:
             raise ConfigError(f"deadline {d} outside the meaningful range [0, {deadline_cap}]")
-    horizon = FRONTIER_T_START + tp + FRONTIER_TAIL + max(cleaned, default=0) + 6 * latency + 4
+    horizon = frontier_horizon(tp, max(cleaned, default=0), latency)
 
     def row(label: str, deadline: int | None, strategy: StrategyParams, history: History):
         tc = min_consistency_bound(history, time_ref="invoke")

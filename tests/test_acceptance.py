@@ -78,7 +78,7 @@ def test_criterion_1_theorem_reproduction():
                     )
                     runs += 1
                     assert report.violations, (
-                        f"{params.to_dict()} tp={tp} claimed=({ctc},{cta}) "
+                        f"{params} tp={tp} claimed=({ctc},{cta}) "
                         f"produced a clean report"
                     )
         elapsed = time.monotonic() - started
@@ -163,7 +163,7 @@ def test_criterion_4_corner_cases():
         for params in STRATEGY_SUITE:
             assert tp > bound_slack(params, LATENCY)
             tc, ta = _empirical(build_frontier_config(tp, params))
-            assert tc > 0 or ta > 0, f"{params.to_dict()} hit both corners"
+            assert tc > 0 or ta > 0, f"{params} hit both corners"
 
 
 def test_criterion_5_min_tc_oracle_equivalence():

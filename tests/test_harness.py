@@ -1,4 +1,6 @@
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from capsim.checker import (
     extract_history,
     min_consistency_bound,
 )
-from capsim.config import ConfigError, StrategyParams
+from capsim.config import STRATEGY_KINDS, ConfigError, ScenarioConfig, StrategyParams
 from capsim.harness import (
     FRONTIER_T_START,
     FRONTIER_TAIL,
@@ -17,9 +19,11 @@ from capsim.harness import (
     ProofReplaySpec,
     bound_slack,
     build_frontier_config,
+    build_frontier_workload,
     build_proof_config,
     deadline_history,
     frontier_csv,
+    frontier_horizon,
     frontier_sweep,
     probed_run,
     proof_replay,
@@ -163,13 +167,9 @@ class TestFrontierSweep:
 # -- the probed sweep against one simulation per row -------------------
 
 
-def sweep_horizon(tp, deadlines, latency):
-    return FRONTIER_T_START + tp + FRONTIER_TAIL + max(deadlines) + 6 * latency + 4
-
-
 def oracle_histories(tp, deadlines, latency, seed, noise_reads, gossip):
     """(label, deadline, strategy, history) per row, one full run each."""
-    horizon = sweep_horizon(tp, deadlines, latency)
+    horizon = frontier_horizon(tp, max(deadlines), latency)
     strategies = [("LocalFirst", None, StrategyParams("LocalFirst", anti_entropy_period=gossip))]
     strategies += [
         (str(d), d, StrategyParams("HybridDeadline", retransmit_period=1, deadline=d))
@@ -209,7 +209,7 @@ def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_r
     oracle = list(oracle_histories(tp, deadlines, latency, seed, noise_reads, gossip=2))
     sync_config = build_frontier_config(
         tp, oracle[-1][2], latency=latency, seed=seed,
-        horizon=sweep_horizon(tp, deadlines, latency), noise_reads=noise_reads,
+        horizon=frontier_horizon(tp, max(deadlines), latency), noise_reads=noise_reads,
     )
     synced, answers = probed_run(sync_config, deadlines)
     assert responses(synced) == responses(oracle[-1][3])
@@ -233,3 +233,165 @@ def test_one_sweep_runs_two_simulations(monkeypatch):
     rows = frontier_sweep(20, [0, 4, 8, 12, 16, 20, 22])
     assert len(rows) == 9
     assert runs == ["LocalFirst", "SyncAll"]
+
+
+# -- the built scenarios against the config dicts they once went through --
+
+
+def strategy_dict(params):
+    """``params`` as a config's ``strategy`` object, with the knobs its kind reads."""
+    d = {"kind": params.kind}
+    if params.kind == "LocalFirst":
+        d["G"] = params.anti_entropy_period
+    else:
+        d["R"] = params.retransmit_period
+    if params.kind == "HybridDeadline":
+        d["D"] = params.deadline
+    return d
+
+
+def reference_proof_config(spec):
+    """The proof scenario as a config dict, read by ``ScenarioConfig.from_dict``."""
+    end = spec.t_start + spec.tp
+    t = spec.t_start + 1
+    warmup_tick = spec.t_start - spec.latency - 1
+    workload = [
+        {"t": warmup_tick, "node": spec.n_a, "kind": "write", "key": "A", "val": 100},
+        {"t": t, "node": spec.n_a, "kind": "write", "key": "A", "val": 200},
+        {"t": t + spec.claimed_tc, "node": spec.n_b, "kind": "read", "key": "A", "val": None},
+    ]
+    horizon = spec.horizon
+    if horizon is None:
+        params = spec.strategy
+        horizon = end + params.deadline + params.retransmit_period + params.anti_entropy_period
+        horizon += 6 * spec.latency + 4
+    return ScenarioConfig.from_dict({
+        "nodes": spec.node_count,
+        "latency": spec.latency,
+        "horizon": horizon,
+        "seed": 0,
+        "partitions": [
+            {"a": spec.n_a, "b": other, "start": spec.t_start, "end": end}
+            for other in range(spec.node_count)
+            if other != spec.n_a
+        ],
+        "strategy": strategy_dict(spec.strategy),
+        "workload": workload,
+    })
+
+
+def reference_frontier_config(tp, strategy, *, latency=1, seed=0, horizon=None, noise_reads=0):
+    """One frontier scenario as a config dict, read by ``ScenarioConfig.from_dict``."""
+    end = FRONTIER_T_START + tp
+    if horizon is None:
+        horizon = end + FRONTIER_TAIL + strategy.deadline + 6 * latency + 4
+    d = {
+        "nodes": 2,
+        "latency": latency,
+        "horizon": horizon,
+        "seed": seed,
+        "partitions": [{"a": 0, "b": 1, "start": FRONTIER_T_START, "end": end}],
+        "strategy": strategy_dict(strategy),
+        "workload": build_frontier_workload(tp),
+    }
+    if noise_reads:
+        d["workload_gen"] = {
+            "ops": noise_reads, "keys": ["A"], "read_fraction": 1.0, "span": [0, horizon - 1],
+        }
+    return ScenarioConfig.from_dict(d)
+
+
+def scenario(build):
+    """What a run of ``build()``'s config depends on and writes, or the error it raises."""
+    try:
+        config = build()
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+    ops = [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload]
+    return (config.node_count, config.horizon, config.message_latency, ops,
+            config.partitions.outages, run_scenario(config).to_jsonl())
+
+
+# every kind, with knobs its kind does not read too: a config dict drops those
+STRATEGY_PARAMS = st.builds(
+    StrategyParams, st.sampled_from(STRATEGY_KINDS), st.integers(1, 8), st.integers(1, 4),
+    st.integers(0, 12),
+)
+
+
+@st.composite
+def proof_specs(draw):
+    latency = draw(st.integers(1, 3))
+    nodes = draw(st.integers(2, 5))
+    n_a, n_b = draw(st.lists(st.integers(0, nodes - 1), min_size=2, max_size=2, unique=True))
+    tp = draw(st.integers(2, 40))
+    claimed_tc = draw(st.integers(0, tp - 2))
+    claimed_ta = draw(st.integers(0, tp - 2 - claimed_tc))
+    t_start = draw(st.integers(latency + 2, latency + 12))
+    horizon = draw(st.none() | st.integers(t_start + tp, t_start + tp + 30))
+    return ProofReplaySpec(draw(STRATEGY_PARAMS), tp, claimed_tc, claimed_ta, t_start, n_a, n_b,
+                           nodes, latency, horizon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(proof_specs())
+def test_the_proof_scenario_is_the_one_its_config_dict_gave(spec):
+    built = scenario(lambda: build_proof_config(spec))
+    assert built == scenario(lambda: reference_proof_config(spec))
+    assert isinstance(built, tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    STRATEGY_PARAMS,
+    st.integers(1, 40),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.sampled_from([0, 5, 20]),
+    st.none() | st.integers(1, 130),
+)
+def test_a_frontier_scenario_is_the_one_its_config_dict_gave(
+    strategy, tp, latency, seed, noise_reads, horizon
+):
+    kwargs = {"latency": latency, "seed": seed, "horizon": horizon, "noise_reads": noise_reads}
+    built = scenario(lambda: build_frontier_config(tp, strategy, **kwargs))
+    assert built == scenario(lambda: reference_frontier_config(tp, strategy, **kwargs))
+
+
+# proof_replay(spec).to_json() and the sha256 of the scenario's trace, per spec
+PROVE_PINS = [
+    (
+        ProofReplaySpec(LOCAL, 20, 5, 5),
+        '{"empirical_ta": 0, "empirical_tc_min": 6, "violations": [{"op": 2, "kind": "consistency",'
+        ' "detail": "returned 100, allowed {200}"}]}',
+        "a5d66e3b139431b1b7aa9657b8a59cb9ef5a8f20a5c0517da372c7e1b549bd85",
+    ),
+    (
+        ProofReplaySpec(SYNC, 20, 5, 5),
+        '{"empirical_ta": 22, "empirical_tc_min": 0, "violations": [{"op": 1, "kind": "availability",'
+        ' "detail": "latency 22 exceeds bound 5"}, {"op": 2, "kind": "availability",'
+        ' "detail": "latency 17 exceeds bound 5"}]}',
+        "1c35dce37ef8c1c85fb72675b8becfe50e6d6e63fce289bb8ed78f1532255c14",
+    ),
+    (
+        ProofReplaySpec(HYBRID5, 20, 5, 5),
+        '{"empirical_ta": 5, "empirical_tc_min": 11, "violations": [{"op": 2, "kind": "consistency",'
+        ' "detail": "returned 100, allowed {200}"}]}',
+        "0547a4c9c9d858afcc1d5ff343defa8aeb10e4f0d288e4952100dbd10d69f584",
+    ),
+    (
+        ProofReplaySpec(LOCAL, 20, 5, 5, n_a=2, n_b=0, node_count=3),
+        '{"empirical_ta": 0, "empirical_tc_min": 6, "violations": [{"op": 2, "kind": "consistency",'
+        ' "detail": "returned 100, allowed {200}"}]}',
+        "bad3c4b07836aeeaa3e11776d0936267b18e2a71dda8b48e958047b557e15086",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, report, digest", PROVE_PINS, ids=["LocalFirst", "SyncAll", "HybridDeadline", "3 nodes"]
+)
+def test_proof_replay_gives_its_pinned_report_and_trace(spec, report, digest):
+    assert proof_replay(spec).to_json() == report
+    trace = run_scenario(build_proof_config(spec)).to_jsonl()
+    assert hashlib.sha256(trace.encode()).hexdigest() == digest

@@ -132,8 +132,17 @@ def with_field(doc, path, value):
     return doc
 
 
-# (subcommand, input text, the whole of stderr); each exited 1 with a
-# traceback or exited 0 on a silently coerced value before the reader
+_INVOKE = {"t": 1, "seq": 0, "ev": "invoke", "op": 0, "node": 0, "kind": "read", "key": "A", "val": None}
+_RESPOND = {"t": 2, "seq": 1, "ev": "respond", "op": 0, "val": None}
+
+
+def _unanswered(op):
+    return {"t": 9, "seq": 2, "ev": "unanswered", "op": op}
+
+
+# (subcommand, the change to a valid input, the whole of stderr): every
+# refusal of a range, and the inputs that exited 1 with a traceback or 0 on
+# a silently coerced value before the reader
 REGRESSIONS = {
     "nodes null": (
         "simulate", {"nodes": None}, "config error: config.nodes must be an integer, got null"
@@ -191,7 +200,59 @@ REGRESSIONS = {
     "proof spec bool claimed_ta": (
         "prove", {**SPEC, "claimed_ta": True}, "config error: spec.claimed_ta must be an integer, got true"
     ),
-    "trace tick null": ("check", None, "trace error: line 1: invoke.t must be an integer, got null"),
+    "trace tick null": (
+        "check", [{**_INVOKE, "t": None}], "trace error: line 1: invoke.t must be an integer, got null"
+    ),
+    "frontier base negative noise_reads": (
+        "frontier", {"noise_reads": -3}, "config error: base.noise_reads must be in [0, 1000000]"
+    ),
+    "frontier base noise_reads past the cap": (
+        "frontier", {"noise_reads": 1000001}, "config error: base.noise_reads must be in [0, 1000000]"
+    ),
+    "proof spec tp 0": ("prove", {**SPEC, "tp": 0}, "config error: partition span must be >= 1"),
+    "proof spec negative claim": (
+        "prove", {**SPEC, "claimed_tc": -1}, "config error: claimed bounds must be non-negative"
+    ),
+    "proof spec n_b past the nodes": (
+        "prove", {**SPEC, "n_b": 2}, "config error: n_a and n_b must be node ids"
+    ),
+    "proof spec n_a equal to n_b": ("prove", {**SPEC, "n_b": 0}, "config error: n_a and n_b must differ"),
+    "proof spec latency 0": ("prove", {**SPEC, "latency": 0}, "config error: latency must be >= 1"),
+    "proof spec t_start before the warmup replicates": (
+        "prove", {**SPEC, "t_start": 2},
+        "config error: t_start too early for the warmup write to replicate",
+    ),
+    "proof spec horizon inside the cut": (
+        "prove", {**SPEC, "horizon": 24}, "config error: horizon must cover the partition"
+    ),
+    "strategy G 0": (
+        "prove", {**SPEC, "strategy": {"kind": "LocalFirst", "G": 0}},
+        "config error: anti-entropy period must be >= 1",
+    ),
+    "strategy R 0": (
+        "simulate", {"strategy": {"kind": "SyncAll", "R": 0}},
+        "config error: retransmit period must be >= 1",
+    ),
+    "strategy negative D": (
+        "prove", {**SPEC, "strategy": {"kind": "HybridDeadline", "D": -1}},
+        "config error: deadline must be >= 0",
+    ),
+    "HybridDeadline without D": (
+        "simulate", {"strategy": {"kind": "HybridDeadline", "R": 2}},
+        "config error: HybridDeadline requires a deadline 'D'",
+    ),
+    "trace duplicate response": (
+        "check", [_INVOKE, _RESPOND, {**_RESPOND, "seq": 2}],
+        "trace error: duplicate response for op 0",
+    ),
+    "trace unanswered marker for an unknown op": (
+        "check", [_INVOKE, _RESPOND, _unanswered(7)],
+        "trace error: unanswered marker for unknown op 7",
+    ),
+    "trace unanswered marker for an answered op": (
+        "check", [_INVOKE, _RESPOND, _unanswered(0)],
+        "trace error: unanswered marker for answered op 0",
+    ),
 }
 
 
@@ -264,10 +325,8 @@ def test_a_config_with_several_faults_names_the_first(name):
 
 def regression_input(command, change):
     base = {"nodes": 2, "horizon": 20, "workload": copy.deepcopy(CONFIG["workload"])}
-    if command == "check":
-        invoke = {"t": None, "seq": 0, "ev": "invoke", "op": 0, "node": 0, "kind": "read",
-                  "key": "A", "val": None}
-        return trace_text([invoke])
+    if command == "check":  # the records of the trace
+        return trace_text(change)
     if isinstance(change, str):  # raw JSON text, for literals json.dumps never writes
         return json.dumps(base).replace('"horizon": 20', change)
     if isinstance(change, tuple):
