@@ -291,8 +291,6 @@ def check(
     """
     if time_ref not in TIME_REFS:
         raise ValueError(f"time_ref must be one of {TIME_REFS}")
-    if declared_tc < 0 or declared_ta < 0:
-        raise ValueError("declared bounds must be non-negative")
     violations: list[Violation] = []
     worst_tc = 0
     for op in history.records:

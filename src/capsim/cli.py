@@ -3,12 +3,13 @@
 Subcommands: simulate, check, prove, frontier, tp. Exit codes: 0 for
 success (for ``prove``, success means the expected violation WAS
 found), 1 for violations or a failed bound, 2 for configuration and
-usage errors.
+usage errors, running out of memory and a stdout closed too early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .checker import (
@@ -17,7 +18,7 @@ from .checker import (
     check,
     extract_history,
 )
-from .config import ConfigError, ScenarioConfig, TextPieces, describe, load_json_object
+from .config import ConfigError, ScenarioConfig, TextPieces, check_range, describe, load_json_object
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from .kernel import SimulationError, run_scenario
 from .trace import TraceParseError
@@ -43,9 +44,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_check(args) -> int:
     for flag in ("tc", "ta", "tp", "slack"):
-        value = getattr(args, flag)
-        if value is not None and value < 0:
-            raise ConfigError(f"--{flag} must be >= 0, got {value}")
+        if (value := getattr(args, flag)) is not None:
+            check_range(value, (0, None), f"--{flag}")
     history = extract_history(TextPieces(args.trace))
     report = check(history, args.tc, args.ta, time_ref=args.time_ref)
     print(report.to_json())
@@ -145,7 +145,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader left (``| head``): on devnull, the flush at exit writes nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

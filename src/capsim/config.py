@@ -70,14 +70,9 @@ class TextPieces:
             raise ConfigError(f"{self.path} is not UTF-8 text") from None
 
 
-def read_text(path) -> str:
-    """The UTF-8 text of a file, line endings as stored: its pieces joined."""
-    return "".join(TextPieces(path))
-
-
 def load_json_object(path) -> dict:
     """Read a JSON file whose root must be an object; every failure is a ConfigError."""
-    text = read_text(path)
+    text = "".join(TextPieces(path))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -100,53 +95,61 @@ STR = frozenset({str})
 _WORDS = {INT: "an integer", OPT: "an integer or null", NUMBER: "a number", STR: "a string"}
 
 REQUIRED, OPTIONAL = True, False
+STRATEGY_KINDS = ("LocalFirst", "SyncAll", "HybridDeadline")
 
 # A field table describes a JSON object: each key maps to (the keyword it
-# fills, its kind, whether it must be present). A kind is a JSON type, a
-# field table, or [kind] for a list of values of that kind.
+# fills, its kind, whether it must be present, its range). A kind is a JSON
+# type, a field table, or [kind] for a list of values of that kind. A range is
+# None, (lo, hi) for the integers lo to hi (hi None: no end), or the strings allowed.
 STRATEGY_FIELDS = {
-    "kind": ("kind", STR, REQUIRED),
-    "G": ("anti_entropy_period", INT, OPTIONAL),
-    "R": ("retransmit_period", INT, OPTIONAL),
-    "D": ("deadline", INT, OPTIONAL),
+    "kind": ("kind", STR, REQUIRED, STRATEGY_KINDS),
+    "G": ("anti_entropy_period", INT, OPTIONAL, (1, None)),
+    "R": ("retransmit_period", INT, OPTIONAL, (1, None)),
+    "D": ("deadline", INT, OPTIONAL, (0, None)),
 }
-OUTAGE_FIELDS = {key: (key, INT, REQUIRED) for key in ("a", "b", "start", "end")}
+OUTAGE_FIELDS = {key: (key, INT, REQUIRED, (0, None) if key == "start" else None)
+                 for key in ("a", "b", "start", "end")}
 OP_FIELDS = {
-    "t": ("t", INT, REQUIRED),
-    "node": ("node", INT, REQUIRED),
-    "kind": ("kind", STR, REQUIRED),
-    "key": ("key", STR, REQUIRED),
-    "val": ("val", OPT, OPTIONAL),
+    "t": ("t", INT, REQUIRED, (0, None)),
+    "node": ("node", INT, REQUIRED, None),
+    "kind": ("kind", STR, REQUIRED, ("read", "write")),
+    "key": ("key", STR, REQUIRED, None),
+    "val": ("val", OPT, OPTIONAL, None),
 }
 GEN_FIELDS = {
-    "ops": ("ops", INT, OPTIONAL),
-    "keys": ("keys", [STR], OPTIONAL),
-    "read_fraction": ("read_fraction", NUMBER, OPTIONAL),
-    "span": ("span", [INT], OPTIONAL),
+    "ops": ("ops", INT, OPTIONAL, (0, MAX_GEN_OPS)),
+    "keys": ("keys", [STR], OPTIONAL, None),
+    "read_fraction": ("read_fraction", NUMBER, OPTIONAL, None),
+    "span": ("span", [INT], OPTIONAL, None),
 }
 CONFIG_FIELDS = {
-    "nodes": ("node_count", INT, REQUIRED),
-    "horizon": ("horizon", INT, REQUIRED),
-    "latency": ("message_latency", INT, OPTIONAL),
-    "seed": ("seed", INT, OPTIONAL),
-    "partitions": ("partitions", [OUTAGE_FIELDS], OPTIONAL),
-    "strategy": ("strategy", STRATEGY_FIELDS, OPTIONAL),
-    "workload": ("workload", [OP_FIELDS], OPTIONAL),
-    "workload_gen": ("workload_gen", GEN_FIELDS, OPTIONAL),
+    "nodes": ("node_count", INT, REQUIRED, (1, MAX_NODES)),
+    "horizon": ("horizon", INT, REQUIRED, (1, MAX_HORIZON)),
+    "latency": ("message_latency", INT, OPTIONAL, (1, None)),
+    "seed": ("seed", INT, OPTIONAL, None),
+    "partitions": ("partitions", [OUTAGE_FIELDS], OPTIONAL, None),
+    "strategy": ("strategy", STRATEGY_FIELDS, OPTIONAL, None),
+    "workload": ("workload", [OP_FIELDS], OPTIONAL, None),
+    "workload_gen": ("workload_gen", GEN_FIELDS, OPTIONAL, None),
 }
 # harness.ProofReplaySpec
 PROOF_FIELDS = {
-    "strategy": ("strategy", STRATEGY_FIELDS, REQUIRED),
-    "tp": ("tp", INT, REQUIRED),
-    "claimed_tc": ("claimed_tc", INT, REQUIRED),
-    "claimed_ta": ("claimed_ta", INT, REQUIRED),
-    "nodes": ("node_count", INT, OPTIONAL),
-    **{key: (key, INT, OPTIONAL) for key in ("t_start", "n_a", "n_b", "latency", "horizon")},
+    "strategy": ("strategy", STRATEGY_FIELDS, REQUIRED, None),
+    "tp": ("tp", INT, REQUIRED, (1, None)),
+    "claimed_tc": ("claimed_tc", INT, REQUIRED, (0, None)),
+    "claimed_ta": ("claimed_ta", INT, REQUIRED, (0, None)),
+    "nodes": ("node_count", INT, OPTIONAL, (2, MAX_NODES)),
+    **{key: (key, INT, OPTIONAL, None) for key in ("t_start", "n_a", "n_b")},
+    "latency": ("latency", INT, OPTIONAL, (1, None)),
+    "horizon": ("horizon", INT, OPTIONAL, (1, MAX_HORIZON)),
 }
 # the base of harness.frontier_sweep
 FRONTIER_FIELDS = {
-    **{key: (key, INT, OPTIONAL) for key in ("latency", "seed", "G", "noise_reads")},
-    "strategy": ("strategy", {"G": ("G", INT, OPTIONAL)}, OPTIONAL),
+    "latency": ("latency", INT, OPTIONAL, (1, None)),
+    "seed": ("seed", INT, OPTIONAL, None),
+    "G": ("G", INT, OPTIONAL, (1, None)),
+    "noise_reads": ("noise_reads", INT, OPTIONAL, (0, MAX_GEN_OPS)),
+    "strategy": ("strategy", {"G": ("G", INT, OPTIONAL, (1, None))}, OPTIONAL, None),
 }
 
 
@@ -155,23 +158,42 @@ def describe(value) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
+def check_range(value, bounds, where: str) -> None:
+    """Refuse ``value`` outside ``bounds``, as ``config.latency must be >= 1, got 0``."""
+    if type(bounds[0]) is str:
+        if value in bounds:
+            return
+        words = "one of " + ", ".join(map(json.dumps, bounds))
+    else:
+        lo, hi = bounds
+        if lo <= value and (hi is None or value <= hi):
+            return
+        words = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ConfigError(f"{where} must be {words}, got {describe(value)}")
+
+
 def _compile_reader(table: dict):
     """Build ``read(value)``: ``read_json(value, table, ...)``'s dict, or None.
 
     None stands for every refusal, and the caller words it through
-    ``read_json``. Presence and type are checked inline, field by field, so
-    an accepted object costs a few lookups; a field whose kind is a table
-    or a list is refused whenever it is present.
+    ``read_json``. Presence, type and range are checked inline, field by
+    field, so an accepted object costs a few lookups; a field whose kind is
+    a table or a list is refused whenever it is present.
     """
     env = {"__name__": __name__}
     required, optional = [], []
-    for i, (key, (name, kind, must)) in enumerate(table.items()):
+    for i, (key, (name, kind, must, bounds)) in enumerate(table.items()):
         test = "False"  # a table or [kind]: the generic branch reads it
         if type(kind) is frozenset:
             env.update((t.__name__, t) for t in kind)
             test = " or ".join(sorted(
                 f"v{i} is None" if t is type(None) else f"type(v{i}) is {t.__name__}" for t in kind
             ))
+            if bounds is not None and type(bounds[0]) is str:  # check_range's test, inline
+                test = f"({test}) and v{i} in {bounds!r}"
+            elif bounds is not None:
+                lo, hi = bounds
+                test = f"({test}) and {lo} <= v{i}" + ("" if hi is None else f" <= {hi}")
         (required if must else optional).append((i, key, name, test))
     source = ["def read(value):", "    if type(value) is not dict:", "        return None"]
     if required:
@@ -201,12 +223,13 @@ def _reader(table: dict):
 
 
 def read_json(value, kind, where: str):
-    """Type-check one JSON value against its kind; the only JSON -> Python step.
+    """Check one JSON value against its kind; the only JSON -> Python step.
 
     An object comes back as a dict of keywords: an absent optional field is
     left out, so the class's default applies, and unknown fields are
-    ignored. Presence and JSON type are all it checks; the class each
-    table feeds checks the ranges. ``where`` names the value in errors.
+    ignored. It checks presence, JSON type and each field's range, field by
+    field in table order, so the first such fault is the one named; rules
+    that span fields are the classes'. ``where`` names the value in errors.
     The items of a list of objects go through their table's compiled
     reader; the generic object branch runs only to word a refusal.
     """
@@ -214,17 +237,18 @@ def read_json(value, kind, where: str):
         if type(value) is not dict:
             raise ConfigError(f"{where} must be an object, got {describe(value)}")
         out = {}
-        for key, (name, field_kind, required) in kind.items():
+        for key, (name, field_kind, required, bounds) in kind.items():
             try:
                 field_value = value[key]
             except KeyError:
                 if required:
                     raise ConfigError(f"{where}: missing required field {key!r}") from None
                 continue
-            if type(field_value) in field_kind:  # a table or [kind] never holds a type
-                out[name] = field_value
-            else:
-                out[name] = read_json(field_value, field_kind, f"{where}.{key}")
+            if type(field_value) not in field_kind:  # a table or [kind] never holds a type
+                field_value = read_json(field_value, field_kind, f"{where}.{key}")
+            elif bounds is not None:
+                check_range(field_value, bounds, f"{where}.{key}")
+            out[name] = field_value
         return out
     if type(kind) is list:
         if type(value) is not list:
@@ -247,11 +271,9 @@ def read_json(value, kind, where: str):
     return value
 
 
-STRATEGY_KINDS = ("LocalFirst", "SyncAll", "HybridDeadline")
-
-
 class StrategyParams(
-    namedtuple("StrategyParams", "kind anti_entropy_period retransmit_period deadline")
+    namedtuple("StrategyParams", "kind anti_entropy_period retransmit_period deadline",
+               defaults=(4, 2, 0))
 ):
     """Which replication strategy drives the nodes, and its knobs.
 
@@ -263,27 +285,12 @@ class StrategyParams(
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, anti_entropy_period: int = 4, retransmit_period: int = 2,
-                deadline: int = 0):
-        if kind not in STRATEGY_KINDS:
-            raise ConfigError(f"unknown strategy kind {kind!r}")
-        if anti_entropy_period < 1:
-            raise ConfigError("anti-entropy period must be >= 1")
-        if retransmit_period < 1:
-            raise ConfigError("retransmit period must be >= 1")
-        if deadline < 0:
-            raise ConfigError("deadline must be >= 0")
-        return super().__new__(cls, kind, anti_entropy_period, retransmit_period, deadline)
-
     @classmethod
     def from_fields(cls, fields: dict) -> "StrategyParams":
         """Build from ``read_json`` output; JSON must state D for HybridDeadline."""
         if fields["kind"] == "HybridDeadline" and "deadline" not in fields:
             raise ConfigError("HybridDeadline requires a deadline 'D'")
         return cls(**fields)
-
-    def uses_anti_entropy(self) -> bool:
-        return self.kind == "LocalFirst"
 
 
 class ClientOp:
@@ -292,12 +299,8 @@ class ClientOp:
     __slots__ = ("op_id", "t", "node", "kind", "key", "val")
 
     def __init__(self, op_id: int, t: int, node: int, kind: str, key: str, val: int | None = None):
-        if kind not in ("read", "write"):
-            raise ConfigError(f"op kind must be read or write, got {kind!r}")
         if kind == "write" and not isinstance(val, int):
             raise ConfigError(f"write op {op_id} needs an integer value")
-        if t < 0:
-            raise ConfigError("op tick must be non-negative")
         self.op_id, self.t, self.node = op_id, t, node
         self.kind, self.key, self.val = kind, key, val
 
@@ -313,13 +316,13 @@ def generate_workload(
     the arguments.
     """
     rng = random.Random(seed)
-    if span is None:
-        span = [0, max(horizon - 1, 0)]
-    if not keys or not 0 <= ops <= MAX_GEN_OPS or len(span) != 2 or span[0] > span[1]:
-        raise ConfigError(
-            f"workload_gen needs ops in [0, {MAX_GEN_OPS}], a key and a span [lo, hi], lo <= hi"
-        )
-    lo, hi = span
+    if not keys:
+        raise ConfigError("config.workload_gen.keys must not be empty")
+    if span is not None and len(span) != 2:
+        raise ConfigError(f"config.workload_gen.span must be [lo, hi], got a list of {len(span)}")
+    lo, hi = (0, horizon - 1) if span is None else span
+    if lo > hi:
+        raise ConfigError(f"config.workload_gen.span must have lo <= hi, got [{lo}, {hi}]")
     out = []
     next_val = 1000
     for _ in range(ops):
@@ -360,9 +363,9 @@ def _read_schedule(items: list[dict], node_count: int) -> PartitionSchedule:
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
-    The horizon must lie strictly beyond every scripted request; the
-    message latency is at least one tick so causality always moves the
-    clock forward.
+    Every op lies in [0, horizon) on a known node; the field tables hold
+    each single field's range, such as a message latency of at least one
+    tick, so that causality always moves the clock forward.
     """
 
     def __init__(
@@ -374,12 +377,6 @@ class ScenarioConfig:
         partitions: PartitionSchedule | None = None,
         workload: tuple[ClientOp, ...] = (),
     ):
-        if not 1 <= node_count <= MAX_NODES:
-            raise ConfigError(f"node_count must be in [1, {MAX_NODES}]")
-        if message_latency < 1:
-            raise ConfigError("message_latency must be >= 1 tick")
-        if not 1 <= horizon <= MAX_HORIZON:
-            raise ConfigError(f"horizon must be in [1, {MAX_HORIZON}]")
         if partitions is None:
             partitions = PartitionSchedule(node_count)
         if partitions.node_count != node_count:
@@ -390,8 +387,9 @@ class ScenarioConfig:
         for op in workload:
             if not 0 <= op.node < node_count:
                 raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
-            if op.t >= horizon:
-                raise ConfigError(f"op {op.op_id} at tick {op.t} is not before horizon {horizon}")
+            if not 0 <= op.t < horizon:  # generated ops never pass OP_FIELDS' range
+                raise ConfigError(f"op {op.op_id} at tick {op.t} is outside the run's ticks "
+                                  f"[0, {horizon})")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -399,12 +397,12 @@ class ScenarioConfig:
         ops = fields.get("workload", [])
         seed = fields.pop("seed", 0)  # the kernel draws no randomness: only workload_gen reads it
         gen = fields.pop("workload_gen", None)
-        if gen is not None and fields["node_count"] >= 1:  # else refused below
+        if gen is not None:
             ops += generate_workload(seed, fields["node_count"], fields["horizon"], **gen)
         fields["workload"] = number_ops(ops)
         if "strategy" in fields:
             fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
-        if "partitions" in fields and fields["node_count"] >= 1:  # else refused below
+        if "partitions" in fields:
             fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
         return cls(**fields)
 

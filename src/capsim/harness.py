@@ -47,13 +47,13 @@ from .checker import (
 )
 from .config import (
     FRONTIER_FIELDS,
-    MAX_GEN_OPS,
-    MAX_NODES,
+    MAX_HORIZON,
     PROOF_FIELDS,
     ClientOp,
     ConfigError,
     ScenarioConfig,
     StrategyParams,
+    check_range,
     generate_workload,
     number_ops,
     read_json,
@@ -70,7 +70,7 @@ def bound_slack(params: StrategyParams, latency: int) -> int:
     for strategies that heal via anti-entropy.
     """
     slack = 2 * latency
-    if params.uses_anti_entropy():
+    if params.kind == "LocalFirst":  # the one strategy that heals by gossip
         slack += params.anti_entropy_period
     return slack
 
@@ -91,32 +91,35 @@ class ProofReplaySpec(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):  # the fields as named above, then the checks
+    def __new__(cls, *args, **kwargs):  # the rules between fields; PROOF_FIELDS has the ranges
         self = super().__new__(cls, *args, **kwargs)
-        if self.tp < 1:
-            raise ConfigError("partition span must be >= 1")
-        if self.claimed_tc < 0 or self.claimed_ta < 0:
-            raise ConfigError("claimed bounds must be non-negative")
-        if self.claimed_tc + self.claimed_ta >= self.tp:
-            raise ConfigError("claimed_tc + claimed_ta must be smaller than the partition span")
         if self.claimed_tc + self.claimed_ta > self.tp - 2:
             raise ConfigError(
                 "claim window cannot sit strictly inside the partition; "
                 "need claimed_tc + claimed_ta <= tp - 2"
             )
-        if not 2 <= self.node_count <= MAX_NODES:
-            raise ConfigError(f"node count must be in [2, {MAX_NODES}]")
         if not (0 <= self.n_a < self.node_count and 0 <= self.n_b < self.node_count):
             raise ConfigError("n_a and n_b must be node ids")
         if self.n_a == self.n_b:
             raise ConfigError("n_a and n_b must differ")
-        if self.latency < 1:
-            raise ConfigError("latency must be >= 1")
         if self.t_start < self.latency + 2:
             raise ConfigError("t_start too early for the warmup write to replicate")
         if self.horizon is not None and self.horizon < self.t_start + self.tp:
             raise ConfigError("horizon must cover the partition")
+        if self.horizon is None and self.run_horizon() > MAX_HORIZON:
+            raise ConfigError(
+                "the default horizon t_start + tp + strategy.D + strategy.R + strategy.G "
+                f"+ 6 * latency + 4 must be <= {MAX_HORIZON}, got {self.run_horizon()}"
+            )
         return self
+
+    def run_horizon(self) -> int:
+        """``horizon``, or by default a tick by which the cut has healed and settled."""
+        if self.horizon is not None:
+            return self.horizon
+        p = self.strategy
+        return (self.t_start + self.tp + p.deadline + p.retransmit_period + p.anti_entropy_period
+                + 6 * self.latency + 4)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReplaySpec":
@@ -144,21 +147,15 @@ def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
     write/read pair lands inside the dead window. The ops are built in
     tick order, so their ids are the ones numbering would give.
     """
-    end = spec.t_start + spec.tp
     t = spec.t_start + 1
     workload = (
         ClientOp(0, spec.t_start - spec.latency - 1, spec.n_a, "write", "A", 100),
         ClientOp(1, t, spec.n_a, "write", "A", 200),
         ClientOp(2, t + spec.claimed_tc, spec.n_b, "read", "A"),
     )
-    horizon = spec.horizon
-    if horizon is None:
-        params = spec.strategy
-        horizon = end + params.deadline + params.retransmit_period + params.anti_entropy_period
-        horizon += 6 * spec.latency + 4
     return ScenarioConfig(
-        spec.node_count, horizon, spec.strategy, spec.latency,
-        isolation(spec.n_a, spec.node_count, spec.t_start, end), workload,
+        spec.node_count, spec.run_horizon(), spec.strategy, spec.latency,
+        isolation(spec.n_a, spec.node_count, spec.t_start, spec.t_start + spec.tp), workload,
     )
 
 
@@ -179,7 +176,6 @@ def proof_replay(spec: ProofReplaySpec) -> CheckReport:
 # -- frontier sweep ---------------------------------------------------
 
 FRONTIER_T_START = 10
-MAX_TP = 10**6  # size cap: the sweep's workload grows with tp
 FRONTIER_LEAD = 8
 FRONTIER_TAIL = 8
 _FRONTIER_KEY = "A"
@@ -266,16 +262,18 @@ def frontier_sweep(
     seed = base.get("seed", 0)
     gossip = base.get("G", base.get("strategy", {}).get("G", 2))
     noise_reads = base.get("noise_reads", 0)
-    if not 0 <= noise_reads <= MAX_GEN_OPS:
-        raise ConfigError(f"base.noise_reads must be in [0, {MAX_GEN_OPS}]")
-    if not 1 <= tp <= MAX_TP:
-        raise ConfigError(f"partition span must be in [1, {MAX_TP}]")
-    deadline_cap = tp + 2 * latency
+    check_range(tp, (1, None), "--tp")
     cleaned = sorted(set(deadlines))
-    for d in cleaned:
-        if d < 0 or d > deadline_cap:
-            raise ConfigError(f"deadline {d} outside the meaningful range [0, {deadline_cap}]")
-    horizon = frontier_horizon(tp, max(cleaned, default=0), latency)
+    for d in cleaned:  # the meaningful range of a deadline
+        check_range(d, (0, tp + 2 * latency), "--deadlines")
+    top = max(cleaned, default=0)
+    horizon = frontier_horizon(tp, top, latency)
+    if horizon > MAX_HORIZON:  # the sweep's workload and runs grow with it
+        raise ConfigError(
+            f"--tp {tp}, --deadlines up to {top} and base.latency {latency} pass the frontier cap: "
+            f"--tp + largest --deadlines + 6 * base.latency + {frontier_horizon(0, 0, 0)} "
+            f"must be <= {MAX_HORIZON}, got {horizon}"
+        )
 
     def row(label: str, deadline: int | None, strategy: StrategyParams, history: History):
         tc = min_consistency_bound(history, time_ref="invoke")

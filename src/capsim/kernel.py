@@ -159,7 +159,7 @@ class Simulation:
                     else:
                         node_id = event[1]
                         actions = nodes[node_id].on_init()
-                except SimulationError:
+                except (SimulationError, MemoryError):  # out of memory is no strategy's fault
                     raise
                 except Exception as exc:
                     raise SimulationError(

@@ -29,14 +29,11 @@ class LinkOutage(namedtuple("LinkOutage", "a b start end")):
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, start: int, end: int):
+        # the rules between fields; config.OUTAGE_FIELDS holds each one's range
         if a == b:
             raise ValueError(f"outage endpoints must differ, got {a}")
-        if a < 0 or b < 0:
-            raise ValueError("node ids must be non-negative")
         if not start < end:
             raise ValueError(f"empty outage interval [{start}, {end})")
-        if start < 0:
-            raise ValueError("outage start must be non-negative")
         # store the unordered pair canonically
         return super().__new__(cls, min(a, b), max(a, b), start, end)
 
@@ -45,12 +42,10 @@ class PartitionSchedule:
     """All outages for a scenario, plus the size of the node set."""
 
     def __init__(self, node_count: int, outages: tuple[LinkOutage, ...] = ()):
-        if node_count < 1:
-            raise ValueError("node_count must be >= 1")
         self.node_count, self.outages = node_count, tuple(outages)
         for o in self.outages:
-            if o.b >= node_count:
-                raise ValueError(f"outage {o} references node >= {node_count}")
+            if o.a < 0 or o.b >= node_count:
+                raise ValueError(f"outage {o} references a node outside [0, {node_count})")
 
     @cached_property
     def _segments(self) -> tuple[list[int], list[list[int]]]:

@@ -36,7 +36,7 @@ RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
 OPERATIONS = ("invoke", "respond", "unanswered")
 # per operation kind: its read_json table, t first, then RECORD_FIELDS order
 _OPERATION_TABLES = {
-    ev: {name: (name, kind, REQUIRED) for name, kind in (("t", INT), *RECORD_FIELDS[ev])}
+    ev: {name: (name, kind, REQUIRED, None) for name, kind in (("t", INT), *RECORD_FIELDS[ev])}
     for ev in OPERATIONS
 }
 

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,8 @@ import pytest
 import capsim
 from capsim.cli import main
 from capsim.config import ConfigError, ScenarioConfig
+from capsim.partitions import PartitionSchedule
+from capsim.strategies import LocalFirstNode
 
 
 def write_json(path, data):
@@ -240,3 +243,33 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
     ).stdout.split()
     assert "capsim.cli" in added
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(added)
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command, target", [
+    ("simulate", (LocalFirstNode, "on_invoke")),  # inside a strategy handler, under the kernel
+    ("tp", (PartitionSchedule, "max_partition_span")),  # outside any handler
+])
+def test_running_out_of_memory_is_one_line_and_exit_two(tmp_path, capsys, monkeypatch, command, target):
+    monkeypatch.setattr(*target, _out_of_memory)
+    assert main([command, write_json(tmp_path / "cfg.json", demo_config())]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_a_reader_that_leaves_early_ends_simulate_with_exit_two_and_no_traceback(tmp_path):
+    # about 0.4 MB of trace, far past what a pipe holds, so the writer meets the closed end
+    config = {"nodes": 3, "horizon": 4000, "strategy": {"kind": "LocalFirst", "G": 8},
+              "workload_gen": {"ops": 4000, "keys": ["A", "B"]}}
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "capsim", "simulate", write_json(tmp_path / "big.json", config)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert json.loads(child.stdout.readline())["seq"] == 0
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (child.wait(timeout=60), err) == (2, b"")

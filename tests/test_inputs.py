@@ -10,6 +10,7 @@ import copy
 import io
 import json
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsim import harness
 from capsim.cli import main
 from capsim.config import (
     CONFIG_FIELDS,
@@ -30,9 +32,9 @@ from capsim.config import (
     PROOF_FIELDS,
     ConfigError,
     ScenarioConfig,
+    describe,
     read_json,
 )
-from capsim.harness import MAX_TP
 from capsim.kernel import run_scenario
 
 CONFIG = {
@@ -159,7 +161,23 @@ REGRESSIONS = {
     ),
     "workload_gen span of one tick": (
         "simulate", {"workload_gen": {"span": [5]}},
-        "config error: workload_gen needs ops in [0, 1000000], a key and a span [lo, hi], lo <= hi",
+        "config error: config.workload_gen.span must be [lo, hi], got a list of 1",
+    ),
+    "workload_gen span backwards": (
+        "simulate", {"workload_gen": {"span": [5, 3]}},
+        "config error: config.workload_gen.span must have lo <= hi, got [5, 3]",
+    ),
+    "workload_gen without keys": (
+        "simulate", {"workload_gen": {"keys": []}},
+        "config error: config.workload_gen.keys must not be empty",
+    ),
+    "workload_gen span before tick 0": (
+        "simulate", {"workload": [], "workload_gen": {"ops": 1, "span": [-3, -3]}},
+        "config error: op 0 at tick -3 is outside the run's ticks [0, 20)",
+    ),
+    "op past the horizon": (
+        "simulate", ("workload", 1, "t", 20),
+        "config error: op 1 at tick 20 is outside the run's ticks [0, 20)",
     ),
     "infinite horizon": (
         "simulate", '"horizon": 1e400', "config error: config.horizon must be an integer, got Infinity"
@@ -204,20 +222,32 @@ REGRESSIONS = {
         "check", [{**_INVOKE, "t": None}], "trace error: line 1: invoke.t must be an integer, got null"
     ),
     "frontier base negative noise_reads": (
-        "frontier", {"noise_reads": -3}, "config error: base.noise_reads must be in [0, 1000000]"
+        "frontier", {"noise_reads": -3}, "config error: base.noise_reads must be in [0, 1000000], got -3"
     ),
     "frontier base noise_reads past the cap": (
-        "frontier", {"noise_reads": 1000001}, "config error: base.noise_reads must be in [0, 1000000]"
+        "frontier", {"noise_reads": 1000001},
+        "config error: base.noise_reads must be in [0, 1000000], got 1000001",
     ),
-    "proof spec tp 0": ("prove", {**SPEC, "tp": 0}, "config error: partition span must be >= 1"),
+    "frontier base G 0": ("frontier", {"G": 0}, "config error: base.G must be >= 1, got 0"),
+    "frontier base latency 0": (
+        "frontier", {"latency": 0}, "config error: base.latency must be >= 1, got 0"
+    ),
+    "proof spec tp 0": ("prove", {**SPEC, "tp": 0}, "config error: spec.tp must be >= 1, got 0"),
     "proof spec negative claim": (
-        "prove", {**SPEC, "claimed_tc": -1}, "config error: claimed bounds must be non-negative"
+        "prove", {**SPEC, "claimed_tc": -1}, "config error: spec.claimed_tc must be >= 0, got -1"
+    ),
+    "proof spec claim covering the span": (
+        "prove", {**SPEC, "claimed_tc": 10, "claimed_ta": 10},
+        "config error: claim window cannot sit strictly inside the partition; "
+        "need claimed_tc + claimed_ta <= tp - 2",
     ),
     "proof spec n_b past the nodes": (
         "prove", {**SPEC, "n_b": 2}, "config error: n_a and n_b must be node ids"
     ),
     "proof spec n_a equal to n_b": ("prove", {**SPEC, "n_b": 0}, "config error: n_a and n_b must differ"),
-    "proof spec latency 0": ("prove", {**SPEC, "latency": 0}, "config error: latency must be >= 1"),
+    "proof spec latency 0": (
+        "prove", {**SPEC, "latency": 0}, "config error: spec.latency must be >= 1, got 0"
+    ),
     "proof spec t_start before the warmup replicates": (
         "prove", {**SPEC, "t_start": 2},
         "config error: t_start too early for the warmup write to replicate",
@@ -225,17 +255,43 @@ REGRESSIONS = {
     "proof spec horizon inside the cut": (
         "prove", {**SPEC, "horizon": 24}, "config error: horizon must cover the partition"
     ),
+    "proof spec default horizon past the cap": (
+        "prove", {key: value for key, value in SPEC.items() if key != "horizon"} | {"tp": 999999},
+        "config error: the default horizon t_start + tp + strategy.D + strategy.R + strategy.G "
+        "+ 6 * latency + 4 must be <= 1000000, got 1000020",
+    ),
     "strategy G 0": (
         "prove", {**SPEC, "strategy": {"kind": "LocalFirst", "G": 0}},
-        "config error: anti-entropy period must be >= 1",
+        "config error: spec.strategy.G must be >= 1, got 0",
     ),
     "strategy R 0": (
         "simulate", {"strategy": {"kind": "SyncAll", "R": 0}},
-        "config error: retransmit period must be >= 1",
+        "config error: config.strategy.R must be >= 1, got 0",
     ),
     "strategy negative D": (
         "prove", {**SPEC, "strategy": {"kind": "HybridDeadline", "D": -1}},
-        "config error: deadline must be >= 0",
+        "config error: spec.strategy.D must be >= 0, got -1",
+    ),
+    "unknown strategy kind": (
+        "simulate", {"strategy": {"kind": "Quorum"}},
+        'config error: config.strategy.kind must be one of "LocalFirst", "SyncAll", '
+        '"HybridDeadline", got "Quorum"',
+    ),
+    "zero latency": ("simulate", {"latency": 0}, "config error: config.latency must be >= 1, got 0"),
+    "op kind delete": (
+        "simulate", ("workload", 0, "kind", "delete"),
+        'config error: config.workload[0].kind must be one of "read", "write", got "delete"',
+    ),
+    "negative op tick": (
+        "simulate", ("workload", 1, "t", -1), "config error: config.workload[1].t must be >= 0, got -1"
+    ),
+    "negative outage start": (
+        "simulate", {"partitions": [{"a": 0, "b": 1, "start": -1, "end": 2}]},
+        "config error: config.partitions[0].start must be >= 0, got -1",
+    ),
+    "outage on an unknown node": (
+        "simulate", {"partitions": [{"a": -1, "b": 1, "start": 1, "end": 2}]},
+        "config error: config.partitions[0] addresses unknown node -1",
     ),
     "HybridDeadline without D": (
         "simulate", {"strategy": {"kind": "HybridDeadline", "R": 2}},
@@ -261,15 +317,15 @@ def _write(**changes):
 
 
 # name -> (a config with more than one fault, the one error it gives): the
-# first fault in reading order wins, as it did before listed items had a
-# compiled reader
+# first type or range fault in table order wins, as it did before listed
+# items had a compiled reader; only then are the rules between fields checked
 MULTI_FAULT = {
     "no nodes, op on node 9": (
-        {"nodes": 0, "workload": [_write(node=9)]}, "node_count must be in [1, 1024]",
+        {"nodes": 0, "workload": [_write(node=9)]}, "config.nodes must be in [1, 1024], got 0",
     ),
     "bad outage, bad op kind": (
         {"partitions": [{"a": 0, "b": 0, "start": 1, "end": 2}], "workload": [_write(kind="delete")]},
-        "op kind must be read or write, got 'delete'",
+        'config.workload[0].kind must be one of "read", "write", got "delete"',
     ),
     "fractional tick, bad workload_gen": (
         {"workload": [_write(t=1.5)], "workload_gen": {"span": [5]}},
@@ -306,10 +362,15 @@ MULTI_FAULT = {
         {"workload": [_write(t=12), _write(t=3, node=9)]}, "op 0 addresses unknown node 9",
     ),
     "negative tick, bad strategy": (
-        {"strategy": {"kind": "Quorum"}, "workload": [_write(t=-1)]}, "op tick must be non-negative",
+        {"strategy": {"kind": "Quorum"}, "workload": [_write(t=-1)]},
+        'config.strategy.kind must be one of "LocalFirst", "SyncAll", "HybridDeadline", got "Quorum"',
     ),
     "outage past node count, zero latency": (
         {"latency": 0, "partitions": [{"a": 0, "b": 5, "start": 1, "end": 2}]},
+        "config.latency must be >= 1, got 0",
+    ),
+    "outage past node count, outage backwards": (
+        {"partitions": [{"a": 0, "b": 5, "start": 3, "end": 2}]},
         "config.partitions[0] addresses unknown node 5",
     ),
 }
@@ -398,22 +459,50 @@ def test_unwritable_output_path_exits_two_naming_it(command, tmp_path, capsys):
 
 def test_caps_refuse_oversized_fields():
     cases = [
-        ("simulate", {**CONFIG, "nodes": MAX_NODES + 1}, f"node_count must be in [1, {MAX_NODES}]"),
-        ("simulate", {**CONFIG, "horizon": MAX_HORIZON + 1}, f"horizon must be in [1, {MAX_HORIZON}]"),
+        ("simulate", {**CONFIG, "nodes": MAX_NODES + 1},
+         f"config.nodes must be in [1, {MAX_NODES}], got {MAX_NODES + 1}"),
+        ("simulate", {**CONFIG, "horizon": MAX_HORIZON + 1},
+         f"config.horizon must be in [1, {MAX_HORIZON}], got {MAX_HORIZON + 1}"),
         ("simulate", with_field(CONFIG, ("workload_gen", "ops"), MAX_GEN_OPS + 1),
-         f"ops in [0, {MAX_GEN_OPS}]"),
-        ("prove", {**SPEC, "nodes": MAX_NODES + 1}, f"node count must be in [2, {MAX_NODES}]"),
+         f"config.workload_gen.ops must be in [0, {MAX_GEN_OPS}], got {MAX_GEN_OPS + 1}"),
+        ("prove", {**SPEC, "nodes": MAX_NODES + 1},
+         f"spec.nodes must be in [2, {MAX_NODES}], got {MAX_NODES + 1}"),
+        ("prove", {**SPEC, "horizon": MAX_HORIZON + 1},
+         f"spec.horizon must be in [1, {MAX_HORIZON}], got {MAX_HORIZON + 1}"),
     ]
     for command, doc, message in cases:
-        code, err = run(command, json.dumps(doc))
-        assert code == 2 and message in err and err.count("\n") == 1
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        path = os.path.join(tmp, "base.json")
-        with open(path, "w") as fh:
-            fh.write("{}")
-        assert main(["frontier", path, "--tp", str(MAX_TP + 1), "--deadlines", "0"]) == 2
-    assert err.getvalue() == f"config error: partition span must be in [1, {MAX_TP}]\n"
+        assert run(command, json.dumps(doc)) == (2, f"config error: {message}\n")
+
+
+@pytest.mark.parametrize("tp, deadlines, message", [
+    ("1000000", "0,5", "--tp 1000000, --deadlines up to 5 and base.latency 1 pass the frontier cap: "
+                       "--tp + largest --deadlines + 6 * base.latency + 22 must be <= 1000000, "
+                       "got 1000033"),
+    ("999972", "0", None),  # the cap at latency 1 and deadline 0: accepted, so a scenario is built
+    ("999973", "0", "--tp 999973, --deadlines up to 0 and base.latency 1 pass the frontier cap: "
+                    "--tp + largest --deadlines + 6 * base.latency + 22 must be <= 1000000, "
+                    "got 1000001"),
+    ("0", "0", "--tp must be >= 1, got 0"),
+    ("4", "0,7", "--deadlines must be in [0, 6], got 7"),  # tp + 2 * latency
+    ("4", "2,-1", "--deadlines must be in [0, 6], got -1"),
+])
+def test_frontier_refuses_tp_and_deadlines_past_their_caps_before_any_run(
+    tp, deadlines, message, monkeypatch
+):
+    class Built(Exception):
+        """The sweep reached its first scenario."""
+
+    def build(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(harness, "build_frontier_config", build)
+    if message is None:
+        with pytest.raises(Built):
+            run("frontier", json.dumps(BASE), "--tp", tp, "--deadlines", deadlines)
+    else:
+        assert run("frontier", json.dumps(BASE), "--tp", tp, "--deadlines", deadlines) == (
+            2, f"config error: {message}\n"
+        )
 
 
 def test_valid_inputs_still_run():
@@ -423,21 +512,50 @@ def test_valid_inputs_still_run():
     assert run("check", trace_text(TRACE)) in ((0, ""), (1, ""))
 
 
+def _readme_bounds(cell):
+    """The range a README "Range and cap" cell opens with, as a field table states it."""
+    number = r"(\d+|10\^\d+)"
+    end = r"(?:$|[;,] )"
+    value = lambda text: 10 ** int(text[3:]) if text.startswith("10^") else int(text)
+    if match := re.match(rf"{number} to {number}{end}", cell):
+        return value(match[1]), value(match[2])
+    if match := re.match(rf">= {number}{end}", cell):
+        return value(match[1]), None
+    if match := re.match(rf"`[^`]+`(?:, `[^`]+`)*{end}", cell):
+        return tuple(re.findall(r"`([^`]+)`", match[0]))
+    return None
+
+
 def test_readme_lists_every_field_the_reader_knows():
     readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("## Config format")[1].split("\n## ")[0]
 
     def paths(table, prefix=""):
-        for key, (_, kind, _) in table.items():
-            yield prefix + key
+        """Each field's path in README's notation, with its range."""
+        for key, (_, kind, _, bounds) in table.items():
+            yield prefix + key, bounds
             if isinstance(kind, list):
                 kind, key = kind[0], key + "[]"
             if isinstance(kind, dict):
                 yield from paths(kind, f"{prefix}{key}.")
 
-    for table in (CONFIG_FIELDS, PROOF_FIELDS, FRONTIER_FIELDS):
-        for path in paths(table):
+    # the scenario config, proof spec and frontier base tables, as field -> range
+    tables = []
+    for block in section.split("\n\n"):
+        if block.startswith("| Field |"):
+            tables.append({})
+            for line in block.splitlines()[2:]:
+                names, *_, cell = (part.strip() for part in line.strip("|").split("|"))
+                tables[-1].update((name, _readme_bounds(cell)) for name in re.findall(r"`([^`]+)`", names))
+    assert len(tables) == 3
+    for rows, table in zip(tables, (CONFIG_FIELDS, PROOF_FIELDS, FRONTIER_FIELDS)):
+        known = dict(paths(table))
+        assert set(rows) <= set(known), set(rows) - set(known)
+        # a proof spec's strategy fields are documented by the scenario config's rows
+        documented = {**tables[0], **rows}
+        for path, bounds in known.items():
             assert f"`{path}`" in section, path
+            assert documented.get(path) == bounds, path
 
 
 # -- fuzzing: one field of a valid input replaced by any JSON value -------
@@ -460,7 +578,7 @@ TARGETS = [
 
 # small values, negatives, values just past each cap, and one past the digit limit
 INTS = st.integers(-3, 40) | st.sampled_from(
-    sorted({MAX_NODES + 1, MAX_HORIZON + 1, MAX_GEN_OPS + 1, MAX_TP + 1, HUGE})
+    sorted({MAX_NODES + 1, MAX_HORIZON + 1, MAX_GEN_OPS + 1, HUGE})
 )
 JSON = st.recursive(
     st.none() | st.booleans() | INTS | st.floats() | st.text(max_size=4),
@@ -481,6 +599,60 @@ def test_any_field_replaced_by_any_json_keeps_the_exit_code_contract(target, val
     assert err.count("\n") <= 1 and "Traceback" not in err
     if code == 2:
         assert err.startswith(("config error: ", "trace error: ")), err
+
+
+# -- every ranged field, one step outside its range ------------------------
+
+
+def outside(bounds):
+    """The values just outside ``bounds``: one past either end, or a string not allowed."""
+    if type(bounds[0]) is str:
+        return st.text(max_size=8).filter(lambda text: text not in bounds)
+    lo, hi = bounds
+    return st.sampled_from([lo - 1] if hi is None else [lo - 1, hi + 1])
+
+
+def _ranged(table, prefix=()):
+    """(path into a document, range) of each ranged field; a list is entered at item 0."""
+    for key, (_, kind, _, bounds) in table.items():
+        if bounds is not None:
+            yield prefix + (key,), bounds
+        step = (key,)
+        if isinstance(kind, list):
+            kind, step = kind[0], (key, 0)
+        if isinstance(kind, dict):
+            yield from _ranged(kind, prefix + step)
+
+
+def json_path(root, path):
+    return root + "".join(f"[{step}]" if isinstance(step, int) else f".{step}" for step in path)
+
+
+RANGED = [
+    *((command, CONFIG, "config", path, bounds)
+      for command in ("simulate", "tp") for path, bounds in _ranged(CONFIG_FIELDS)),
+    *(("prove", SPEC, "spec", path, bounds) for path, bounds in _ranged(PROOF_FIELDS)),
+    *(("frontier", BASE, "base", path, bounds) for path, bounds in _ranged(FRONTIER_FIELDS)),
+]
+
+
+def test_every_ranged_field_has_a_target():
+    assert {json_path(root, path) for _, _, root, path, _ in RANGED} >= {
+        "config.nodes", "config.partitions[0].start", "config.strategy.G", "config.workload[0].kind",
+        "config.workload_gen.ops", "spec.horizon", "spec.strategy.kind", "base.strategy.G",
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(RANGED), st.data())
+def test_a_value_just_outside_a_range_exits_two_naming_its_json_path(target, data):
+    command, doc, root, path, bounds = target
+    value = data.draw(outside(bounds))
+    code, err = run(command, json.dumps(with_field(doc, path, value)))
+    where = json_path(root, path)
+    assert code == 2
+    assert err.startswith(f"config error: {where} must be ") and err.count("\n") == 1, err
+    assert err.endswith(f", got {describe(value)}\n"), err
 
 
 # -- the reader of listed items against the generic object reader ---------
@@ -507,11 +679,14 @@ def listed_items(draw):
                 for key, value in valid.items()}
         for _ in range(draw(st.integers(0, 2))):
             key = draw(st.sampled_from(sorted(table)))
-            change = draw(st.sampled_from(["missing", "wrong", "extra"]))
+            change = draw(st.sampled_from(["missing", "wrong", "extra", "outside"]))
             if change == "missing":
                 item.pop(key, None)
             elif change == "wrong":
                 item[key] = draw(WRONG)
+            elif change == "outside":
+                bounds = table[key][3]
+                item[key] = draw(outside(bounds) if bounds else WRONG)
             else:
                 item[draw(st.text(max_size=3))] = draw(JSON)
         items.append(item)
