@@ -34,7 +34,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .trace import Trace, TraceParseError, line_at, scan_operations
+from .trace import Trace, scan_operations
 
 INFINITE = math.inf
 
@@ -121,31 +121,23 @@ class History:
 def extract_history(source) -> History:
     """Build a History from a trace's JSONL text or from a Trace, validating as we go.
 
-    The text is one str or its pieces (see ``scan_operations``). Errors
-    name the file line, from the text (``line_at``, which reads the
-    pieces again) or from a Trace, which keys each operation by its file
-    line.
+    The text is one str or its pieces (see ``scan_operations``). A line
+    fault is raised while the lines are read and names its file line; a
+    fault between operations names its op.
     """
-    is_trace = isinstance(source, Trace)
-    ops = source.operations if is_trace else scan_operations(source)
-
-    def line_no(where: int) -> int:  # a text offset, or a Trace's 0-based file line
-        return where + 1 if is_trace else line_at(source, where)
-
+    ops = source.operations if isinstance(source, Trace) else scan_operations(source)
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
-    for where, ev, values in ops:
+    for ev, values in ops:
         op_id = values[1]
         if ev == "invoke":
             t, _, node, kind, key, val = values
             if op_id in by_op:
                 raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
-            if kind != "read" and kind != "write":
-                raise TraceParseError(line_no(where), f"bad op kind {kind!r}")
             record = OperationRecord(op_id, kind, key, node, t)
             if kind == "write":
                 if val is None:
-                    raise TraceParseError(line_no(where), "write invoke without a value")
+                    raise HistoryIntegrityError(f"write invoke without a value for op {op_id}")
                 record.written = val
             by_op[op_id] = record
             order.append(op_id)

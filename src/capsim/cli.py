@@ -18,7 +18,7 @@ from .checker import (
     check,
     extract_history,
 )
-from .config import ConfigError, ScenarioConfig, TextPieces, check_range, describe, load_json_object
+from .config import ConfigError, ScenarioConfig, check_range, describe, load_json_object, text_pieces
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from .kernel import SimulationError, run_scenario
 from .trace import TraceParseError
@@ -46,7 +46,7 @@ def _cmd_check(args) -> int:
     for flag in ("tc", "ta", "tp", "slack"):
         if (value := getattr(args, flag)) is not None:
             check_range(value, (0, None), f"--{flag}")
-    history = extract_history(TextPieces(args.trace))
+    history = extract_history(text_pieces(args.trace))
     report = check(history, args.tc, args.ta, time_ref=args.time_ref)
     print(report.to_json())
     code = 0 if report.clean else 1

@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import json
-import os
 import random
-import stat
 from collections import namedtuple
 from operator import itemgetter
 
@@ -21,58 +19,49 @@ class ConfigError(ValueError):
     """The scenario description is invalid."""
 
 
+class OpError(ConfigError):
+    """An op the scenario cannot hold, worded by its id: its ``field`` must ``words``."""
+
+    def __init__(self, message: str, op_id: int, field: str, words: str):
+        super().__init__(message)
+        self.op_id, self.field, self.words = op_id, field, words
+
+
 # the bytes read at a time: a piece holds at most this plus one line. A
 # 256 KiB block left about 0.25 MiB more resident after a small config read.
 BLOCK = 1 << 16
 
 
-class TextPieces:
+def text_pieces(path):
     """The UTF-8 text of the file at ``path``, as pieces that each end a line.
 
-    Every input file is read here. Each pass reads the file again in
-    blocks of ``BLOCK`` bytes, cuts each block after its last LF byte and
-    decodes the part before the cut; an LF byte is never inside a
-    multi-byte character, so every piece but the last ends with LF and the
-    pieces join to the file's text, line endings as stored. A file that
-    cannot be read twice (a pipe, ``/dev/stdin``) is read whole once and
-    kept as one piece. Errors come from the pass that meets them.
+    Every input is read here, once, a pipe such as ``/dev/stdin`` as a
+    file: in blocks of ``BLOCK`` bytes, each decoded up to its last LF
+    byte, which is never inside a multi-byte character. So the pieces join
+    to the input's text, line endings as stored.
     """
-
-    __slots__ = ("path", "kept")
-
-    def __init__(self, path):
-        self.path, self.kept = path, None
-
-    def __iter__(self):
-        if self.kept is not None:
-            yield self.kept
-            return
-        try:
-            with open(self.path, "rb") as fh:
-                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                    self.kept = fh.read().decode()
-                    yield self.kept
-                    return
-                partial = []  # the blocks of a line not yet ended, so a long line costs linear time
-                while block := fh.read(BLOCK):
-                    cut = block.rfind(b"\n") + 1
-                    if not cut:
-                        partial.append(block)
-                        continue
-                    partial.append(block[:cut])
-                    yield b"".join(partial).decode()
-                    partial = [block[cut:]]
-                if tail := b"".join(partial):
-                    yield tail.decode()
-        except OSError as exc:
-            raise ConfigError(f"cannot read {self.path}: {exc.strerror}") from exc
-        except UnicodeDecodeError:
-            raise ConfigError(f"{self.path} is not UTF-8 text") from None
+    try:
+        with open(path, "rb") as fh:
+            partial = []  # the blocks of a line not yet ended, so a long line costs linear time
+            while block := fh.read(BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    partial.append(block)
+                    continue
+                partial.append(block[:cut])
+                yield b"".join(partial).decode()
+                partial = [block[cut:]]
+            if tail := b"".join(partial):
+                yield tail.decode()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path} is not UTF-8 text") from None
 
 
 def load_json_object(path) -> dict:
     """Read a JSON file whose root must be an object; every failure is a ConfigError."""
-    text = "".join(TextPieces(path))
+    text = "".join(text_pieces(path))
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -286,10 +275,10 @@ class StrategyParams(
     __slots__ = ()
 
     @classmethod
-    def from_fields(cls, fields: dict) -> "StrategyParams":
-        """Build from ``read_json`` output; JSON must state D for HybridDeadline."""
+    def from_fields(cls, fields: dict, where: str) -> "StrategyParams":
+        """Build from ``read_json`` output of ``where``; JSON must state D for HybridDeadline."""
         if fields["kind"] == "HybridDeadline" and "deadline" not in fields:
-            raise ConfigError("HybridDeadline requires a deadline 'D'")
+            raise ConfigError(f"{where}: missing required field 'D'")
         return cls(**fields)
 
 
@@ -300,7 +289,8 @@ class ClientOp:
 
     def __init__(self, op_id: int, t: int, node: int, kind: str, key: str, val: int | None = None):
         if kind == "write" and not isinstance(val, int):
-            raise ConfigError(f"write op {op_id} needs an integer value")
+            raise OpError(f"write op {op_id} needs an integer value", op_id, "val",
+                          "be an integer for a write")
         self.op_id, self.t, self.node = op_id, t, node
         self.kind, self.key, self.val = kind, key, val
 
@@ -386,10 +376,11 @@ class ScenarioConfig:
         self.workload = workload = tuple(workload)
         for op in workload:
             if not 0 <= op.node < node_count:
-                raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
+                raise OpError(f"op {op.op_id} addresses unknown node {op.node}", op.op_id, "node",
+                              f"be in [0, {node_count - 1}]")
             if not 0 <= op.t < horizon:  # generated ops never pass OP_FIELDS' range
-                raise ConfigError(f"op {op.op_id} at tick {op.t} is outside the run's ticks "
-                                  f"[0, {horizon})")
+                raise OpError(f"op {op.op_id} at tick {op.t} is outside the run's ticks "
+                              f"[0, {horizon})", op.op_id, "t", f"lie in [0, {horizon - 1}]")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
@@ -399,12 +390,19 @@ class ScenarioConfig:
         gen = fields.pop("workload_gen", None)
         if gen is not None:
             ops += generate_workload(seed, fields["node_count"], fields["horizon"], **gen)
-        fields["workload"] = number_ops(ops)
-        if "strategy" in fields:
-            fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
-        if "partitions" in fields:
-            fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
-        return cls(**fields)
+        try:
+            fields["workload"] = number_ops(ops)
+            if "strategy" in fields:
+                fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
+            if "partitions" in fields:
+                fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
+            return cls(**fields)
+        except OpError as exc:  # only a refusal maps its op id back: number_ops' sort is stable
+            i = sorted(range(len(ops)), key=lambda i: ops[i]["t"])[exc.op_id]
+            where, value = f"config.workload[{i}].{exc.field}", ops[i].get(exc.field)
+            if i >= len(d.get("workload", ())):  # generated: only its span puts its tick out of the run
+                where, value = "config.workload_gen.span", gen["span"]
+            raise ConfigError(f"{where} must {exc.words}, got {json.dumps(value)}") from None
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":

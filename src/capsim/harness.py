@@ -98,14 +98,14 @@ class ProofReplaySpec(
                 "claim window cannot sit strictly inside the partition; "
                 "need claimed_tc + claimed_ta <= tp - 2"
             )
-        if not (0 <= self.n_a < self.node_count and 0 <= self.n_b < self.node_count):
-            raise ConfigError("n_a and n_b must be node ids")
+        for name in ("n_a", "n_b"):
+            check_range(getattr(self, name), (0, self.node_count - 1), f"spec.{name}")
         if self.n_a == self.n_b:
-            raise ConfigError("n_a and n_b must differ")
+            raise ConfigError(f"spec.n_a and spec.n_b must differ, got {self.n_a} for both")
         if self.t_start < self.latency + 2:
-            raise ConfigError("t_start too early for the warmup write to replicate")
+            raise ConfigError(f"spec.t_start must be >= spec.latency + 2, got {self.t_start}")
         if self.horizon is not None and self.horizon < self.t_start + self.tp:
-            raise ConfigError("horizon must cover the partition")
+            raise ConfigError(f"spec.horizon must be >= spec.t_start + spec.tp, got {self.horizon}")
         if self.horizon is None and self.run_horizon() > MAX_HORIZON:
             raise ConfigError(
                 "the default horizon t_start + tp + strategy.D + strategy.R + strategy.G "
@@ -124,7 +124,7 @@ class ProofReplaySpec(
     @classmethod
     def from_dict(cls, d: dict) -> "ProofReplaySpec":
         fields = read_json(d, PROOF_FIELDS, "spec")
-        fields["strategy"] = StrategyParams.from_fields(fields["strategy"])
+        fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "spec.strategy")
         return cls(**fields)
 
 

@@ -146,14 +146,14 @@ class Simulation:
                         actions = nodes[node_id].on_timer(timer_id, now)
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
-                        seq, op_id, node_id, val = len(fields) // 3, op.op_id, op.node, op.val
+                        op_id, node_id, val = op.op_id, op.node, op.val
                         if type(op_id) is not int or type(node_id) is not int or type(val) not in OPT:
                             raise _refused(f"an op's id and node must be integers and its value "
                                            f"an integer or null, got {op_id!r}, {node_id!r}, "
                                            f"{val!r}", now, event)
                         record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[op.kind]}"
                                        f"{inv_key}{quoted[op.key]}{inv_val}", "null" if val is None else val))
-                        add_operation((seq, "invoke", (now, op_id, node_id, op.kind, op.key, val)))
+                        add_operation(("invoke", (now, op_id, node_id, op.kind, op.key, val)))
                         invoked.add(op_id)
                         actions = nodes[node_id].on_invoke(op, now)
                     else:
@@ -198,9 +198,8 @@ class Simulation:
                             raise _refused(f"response value for op {op_id} must be an integer "
                                            f"or null, got {value!r}", now, event)
                         answered.add(op_id)
-                        seq = len(fields) // 3
                         record((stamp, f"{resp_op}{op_id}{resp_val}", "null" if value is None else value))
-                        add_operation((seq, "respond", (now, op_id, value)))
+                        add_operation(("respond", (now, op_id, value)))
                         continue
                     else:
                         raise _refused(f"unknown action {action!r}", now, event)
@@ -219,7 +218,7 @@ class Simulation:
                     record((stamp, drops[event[1] * count + event[2]], event[4]))
         for op in workload:
             if op.op_id not in answered:
-                add_operation((len(fields) // 3, "unanswered", (horizon, op.op_id)))
+                add_operation(("unanswered", (horizon, op.op_id)))
                 record((stamp, HEADS["unanswered"], op.op_id))
         return trace
 

@@ -16,13 +16,13 @@ import functools
 import json
 import re
 
-from .config import INT, OPT, REQUIRED, STR, ConfigError, read_json
+from .config import INT, OP_FIELDS, OPT, REQUIRED, STR, ConfigError, read_json
 
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
 # with their JSON types, which also say how each value is written: INT
 # with %d, STR as json.dumps writes it (ASCII-escaped), OPT as null or %d.
 # A line is then byte for byte json.dumps(record) + "\n". Operation records
-# are read back by the same types.
+# are read back by the same types, and an invoke's kind by a config op's range.
 RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
     "invoke": (("op", INT), ("node", INT), ("kind", STR), ("key", STR), ("val", OPT)),
     "respond": (("op", INT), ("val", OPT)),
@@ -36,7 +36,8 @@ RECORD_FIELDS: dict[str, tuple[tuple[str, frozenset], ...]] = {
 OPERATIONS = ("invoke", "respond", "unanswered")
 # per operation kind: its read_json table, t first, then RECORD_FIELDS order
 _OPERATION_TABLES = {
-    ev: {name: (name, kind, REQUIRED, None) for name, kind in (("t", INT), *RECORD_FIELDS[ev])}
+    ev: {name: (name, kind, REQUIRED, OP_FIELDS["kind"][3] if name == "kind" else None)
+         for name, kind in (("t", INT), *RECORD_FIELDS[ev])}
     for ev in OPERATIONS
 }
 
@@ -82,14 +83,16 @@ TEMPLATES = {ev: STAMP + "%d" + rest for ev, rest in RESTS.items()}
 _HEAD = STAMP + '%d, "ev": "'  # how every template starts
 
 
-def _pattern(template: str, kinds, captured) -> str:
+def _pattern(template: str, slots, captured) -> str:
     """A regex for exactly the text ``template`` writes, a final LF also as
-    CRLF; captured slots become groups."""
+    CRLF; ``slots`` are (type, range) pairs, and captured ones become groups."""
     body = template.removesuffix("\n")
     literals = re.split("%[ds]", body)
     out = [re.escape(literals[0])]
-    for kind, group, literal in zip(kinds, captured, literals[1:]):
+    for (kind, bounds), group, literal in zip(slots, captured, literals[1:]):
         before, value, after = _SLOTS[kind][1]
+        if bounds is not None:  # a range here is the strings a STR field allows
+            value = "|".join(map(re.escape, bounds))
         value = f"({value})" if group else f"(?:{value})"
         out += [re.escape(before), value, re.escape(after + literal)]
     return "".join(out) + ("\r?\n" if body != template else "")
@@ -104,14 +107,17 @@ def _matcher():
     operation's t, then come each operation kind's fields and an empty
     group named after the kind: it closes last, so ``lastgroup`` names the
     kind that matched. ``readers[ev]`` turns the groups into that kind's
-    values in ``RECORD_FIELDS`` order, t first.
+    values in ``RECORD_FIELDS`` order, t first. A slot with a range takes
+    only its strings, so an invoke of another kind is decoded and refused.
     """
     transport, operations, readers = [], [], {}
     group = 1
     for ev, template in TEMPLATES.items():
         fields = RECORD_FIELDS[ev]
         kinds = [kind for _, kind in fields]
-        tail = _pattern(template[len(_HEAD) :], kinds, [ev in OPERATIONS] * len(kinds))
+        table = _OPERATION_TABLES.get(ev)  # a transport kind's fields have no range
+        slots = [(kind, table and table[name][3]) for name, kind in fields]
+        tail = _pattern(template[len(_HEAD) :], slots, [ev in OPERATIONS] * len(kinds))
         if ev not in OPERATIONS:
             transport.append(tail)
             continue
@@ -128,8 +134,8 @@ def _matcher():
         exec(source, env)
         readers[ev] = env["read"]
         group += len(fields) + 1
-    head = _pattern(_HEAD, (INT, INT), (False, False))
-    first = _pattern(_HEAD, (INT, INT), (True, False))
+    head = _pattern(_HEAD, [(INT, None)] * 2, (False, False))
+    first = _pattern(_HEAD, [(INT, None)] * 2, (True, False))
     pattern = f"(?:{head}(?:{'|'.join(transport)}))*(?:{first}(?:{'|'.join(operations)}))?"
     return re.compile(pattern).match, readers
 
@@ -178,40 +184,25 @@ def _values(record: dict, ev: str, line_no: int = 0) -> tuple:
         raise TraceParseError(line_no, str(exc)) from None
 
 
-def line_at(pieces, offset: int) -> int:
-    """The 1-based number of the line holding character ``offset`` of the
-    text that ``pieces`` (or one str) make up; counted only for an error."""
-    line = 1
-    for text in (pieces,) if isinstance(pieces, str) else pieces:
-        if offset < len(text):
-            return line + text.count("\n", 0, offset)
-        line += text.count("\n")
-        offset -= len(text)
-    return line
-
-
-def scan_operations(pieces) -> list[tuple[int, str, tuple]]:
-    """The operation records of a JSONL trace, in file order.
+def scan_operations(pieces) -> list[tuple[str, tuple]]:
+    """The operation records of a JSONL trace, in file order, as (ev, values).
 
     ``pieces`` is the text as one str, or as pieces that each end a line
-    (``config.TextPieces``), which are read once unless a line is bad.
-    Every line is read as ``Trace.from_jsonl`` reads it, but no dict is
-    built for a line in the writer's own form, LF or CRLF ended: the
-    matcher checks it, a transport line is then dropped and an operation
-    line gives its typed values. Any other line is decoded by ``json`` on
-    its own, an operation's dict typed into the same values, and the
-    matcher takes the next line. The first bad line raises its error, once
-    the rest of the pieces are read, so a later piece that is not UTF-8 is
-    reported first. Each item is (where, ev, values): ``where`` is a
-    character offset into the whole text, inside the operation's line,
-    from which ``line_at`` numbers that line.
+    (``config.text_pieces``), read once. Every line is read as
+    ``Trace.from_jsonl`` reads it, but no dict is built for a line in the
+    writer's own form, LF or CRLF ended: the matcher checks it, a
+    transport line is then dropped and an operation line gives its typed
+    values. Any other line is decoded by ``json`` on its own, an
+    operation's dict typed into the same values. The first bad line,
+    numbered by the LFs before it, raises its error once the rest of the
+    pieces are read, so a later piece that is not UTF-8 is reported first.
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
     match, readers = _matcher()
     ops = []
     append = ops.append
-    base = 0  # the offset of the piece in the whole text
+    lines = 0  # the LFs in the pieces before this one
     rest = iter(pieces)
     for text in rest:
         pos, end = 0, len(text)
@@ -221,7 +212,7 @@ def scan_operations(pieces) -> list[tuple[int, str, tuple]]:
                 pos = m.end()
                 ev = m.lastgroup
                 if ev is not None:
-                    append((base + m.start(1), ev, readers[ev](m)))
+                    append((ev, readers[ev](m)))
                 continue
             stop = text.find("\n", pos)
             if stop < 0:
@@ -229,13 +220,13 @@ def scan_operations(pieces) -> list[tuple[int, str, tuple]]:
             try:
                 record = _decode(text[pos:stop])
                 if record is not None and (ev := record["ev"]) in OPERATIONS:
-                    append((base + pos, ev, _values(record, ev)))
+                    append((ev, _values(record, ev)))
             except TraceParseError as exc:
                 for _ in rest:  # a later piece that is not UTF-8 is reported first
                     pass
-                raise TraceParseError(line_at(pieces, base + pos), exc.message) from None
+                raise TraceParseError(lines + text.count("\n", 0, pos) + 1, exc.message) from None
             pos = stop + 1
-        base += end
+        lines += text.count("\n")
     return ops
 
 
@@ -257,15 +248,15 @@ class Trace:
     A run records each line as three ``fields``: its tick's stamp, its
     kind's ``HEADS`` entry filled in, and its last value (an int, "null"
     or ""); its seq is its index. ``from_jsonl`` keeps the lines it read,
-    blank ones skipped, in ``read``. ``operations`` holds (0-based file
-    line, ev, values in ``RECORD_FIELDS`` order after t), as
-    ``scan_operations`` reads them. ``records`` decodes every line.
+    blank ones skipped, in ``read``. ``operations`` holds (ev, values in
+    ``RECORD_FIELDS`` order, t first), as ``scan_operations`` reads them.
+    ``records`` decodes every line.
     """
 
     def __init__(self) -> None:
         self.fields: list = []
         self.read: list[str] = []
-        self.operations: list[tuple[int, str, tuple]] = []
+        self.operations: list[tuple[str, tuple]] = []
         self.quoted = TextCache(json.dumps)  # per trace, so no run keeps another's strings
 
     def chunks(self):
@@ -296,6 +287,6 @@ class Trace:
         for line_no, line in enumerate(text.split("\n"), start=1):
             if (record := _decode(line, line_no)) is not None:
                 if (ev := record["ev"]) in OPERATIONS:
-                    trace.operations.append((line_no - 1, ev, _values(record, ev, line_no)))
+                    trace.operations.append((ev, _values(record, ev, line_no)))
                 trace.read.append(line + "\n")
         return trace

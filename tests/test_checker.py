@@ -275,7 +275,7 @@ class TestExtractHistory:
             '{"t": 2, "seq": 0, "ev": "invoke", "op": 0, "node": 0, '
             '"kind": "scan", "key": "A", "val": null}\n'
         )
-        with pytest.raises(TraceParseError, match=r"^line 3: bad op kind 'scan'$"):
+        with pytest.raises(TraceParseError, match=r'^line 3: invoke.kind must be one of "read", "write", got "scan"$'):
             extract_history("\n\n" + invoke)
         timer = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}\n'
         respond = '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": 1.5}\n'

@@ -33,6 +33,7 @@ from capsim.config import (
     ConfigError,
     ScenarioConfig,
     describe,
+    number_ops,
     read_json,
 )
 from capsim.kernel import run_scenario
@@ -173,11 +174,23 @@ REGRESSIONS = {
     ),
     "workload_gen span before tick 0": (
         "simulate", {"workload": [], "workload_gen": {"ops": 1, "span": [-3, -3]}},
-        "config error: op 0 at tick -3 is outside the run's ticks [0, 20)",
+        "config error: config.workload_gen.span must lie in [0, 19], got [-3, -3]",
+    ),
+    "workload_gen span past the horizon": (
+        "simulate", {"horizon": 10, "workload": [], "workload_gen": {"ops": 3, "span": [5, 40]}},
+        "config error: config.workload_gen.span must lie in [0, 9], got [5, 40]",
+    ),
+    "op on an unknown node": (
+        "simulate", ("workload", 0, "node", 2),
+        "config error: config.workload[0].node must be in [0, 1], got 2",
+    ),
+    "write without a value": (
+        "simulate", ("workload", 0, "val", None),
+        "config error: config.workload[0].val must be an integer for a write, got null",
     ),
     "op past the horizon": (
         "simulate", ("workload", 1, "t", 20),
-        "config error: op 1 at tick 20 is outside the run's ticks [0, 20)",
+        "config error: config.workload[1].t must lie in [0, 19], got 20",
     ),
     "infinite horizon": (
         "simulate", '"horizon": 1e400', "config error: config.horizon must be an integer, got Infinity"
@@ -242,18 +255,24 @@ REGRESSIONS = {
         "need claimed_tc + claimed_ta <= tp - 2",
     ),
     "proof spec n_b past the nodes": (
-        "prove", {**SPEC, "n_b": 2}, "config error: n_a and n_b must be node ids"
+        "prove", {**SPEC, "n_b": 2}, "config error: spec.n_b must be in [0, 1], got 2"
     ),
-    "proof spec n_a equal to n_b": ("prove", {**SPEC, "n_b": 0}, "config error: n_a and n_b must differ"),
+    "proof spec negative n_a": (
+        "prove", {**SPEC, "n_a": -1}, "config error: spec.n_a must be in [0, 1], got -1"
+    ),
+    "proof spec n_a equal to n_b": (
+        "prove", {**SPEC, "n_b": 0}, "config error: spec.n_a and spec.n_b must differ, got 0 for both"
+    ),
     "proof spec latency 0": (
         "prove", {**SPEC, "latency": 0}, "config error: spec.latency must be >= 1, got 0"
     ),
     "proof spec t_start before the warmup replicates": (
         "prove", {**SPEC, "t_start": 2},
-        "config error: t_start too early for the warmup write to replicate",
+        "config error: spec.t_start must be >= spec.latency + 2, got 2",
     ),
     "proof spec horizon inside the cut": (
-        "prove", {**SPEC, "horizon": 24}, "config error: horizon must cover the partition"
+        "prove", {**SPEC, "horizon": 24},
+        "config error: spec.horizon must be >= spec.t_start + spec.tp, got 24",
     ),
     "proof spec default horizon past the cap": (
         "prove", {key: value for key, value in SPEC.items() if key != "horizon"} | {"tp": 999999},
@@ -295,7 +314,11 @@ REGRESSIONS = {
     ),
     "HybridDeadline without D": (
         "simulate", {"strategy": {"kind": "HybridDeadline", "R": 2}},
-        "config error: HybridDeadline requires a deadline 'D'",
+        "config error: config.strategy: missing required field 'D'",
+    ),
+    "proof spec HybridDeadline without D": (
+        "prove", {**SPEC, "strategy": {"kind": "HybridDeadline", "R": 2}},
+        "config error: spec.strategy: missing required field 'D'",
     ),
     "trace duplicate response": (
         "check", [_INVOKE, _RESPOND, {**_RESPOND, "seq": 2}],
@@ -356,10 +379,11 @@ MULTI_FAULT = {
     ),
     "write without value, op on node 9": (
         {"workload": [_write(t=5, node=9), _write(t=2, val=None)]},
-        "write op 0 needs an integer value",
+        "config.workload[1].val must be an integer for a write, got null",
     ),
     "op past horizon, op on node 9": (
-        {"workload": [_write(t=12), _write(t=3, node=9)]}, "op 0 addresses unknown node 9",
+        {"workload": [_write(t=12), _write(t=3, node=9)]},
+        "config.workload[1].node must be in [0, 1], got 9",
     ),
     "negative tick, bad strategy": (
         {"strategy": {"kind": "Quorum"}, "workload": [_write(t=-1)]},
@@ -382,6 +406,17 @@ def test_a_config_with_several_faults_names_the_first(name):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_dict({"nodes": 2, "horizon": 10, **change})
     assert str(info.value) == message
+
+
+def test_a_config_built_in_code_names_its_op_by_id():
+    def refusal(ops):
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig(2, 10, workload=number_ops(ops))
+        return str(info.value)
+
+    assert refusal([_write(t=12), _write(t=3, node=9)]) == "op 0 addresses unknown node 9"
+    assert refusal([_write(t=12), _write(t=3)]) == "op 1 at tick 12 is outside the run's ticks [0, 10)"
+    assert refusal([_write(t=5, node=9), _write(t=2, val=None)]) == "write op 0 needs an integer value"
 
 
 def regression_input(command, change):

@@ -9,7 +9,7 @@ from capsim.config import INT, STR, ClientOp, ConfigError, ScenarioConfig, Strat
 from capsim.harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import Respond, Send, SetTimer, StrategyNode
-from capsim.trace import RECORD_FIELDS, RESTS, STAMP, TEMPLATES, Trace, scan_operations
+from capsim.trace import OPERATIONS, RECORD_FIELDS, RESTS, STAMP, TEMPLATES, Trace, scan_operations
 
 
 def scenario(**overrides):
@@ -486,11 +486,12 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
         assert record["seq"] == seq
     assert text == "".join(trace.lines)
     assert Trace.from_jsonl(text).records == trace.records == records
-    # the kernel's operations are what a reader of its text finds, typed
-    assert [(ev, values) for _, ev, values in trace.operations] == [
-        (ev, values) for _, ev, values in scan_operations(text)
+    # the kernel's operations are its operation records, in order, typed as
+    # a reader of its text finds them
+    assert trace.operations == scan_operations(text) == [
+        (r["ev"], (r["t"], *(r[name] for name, _ in RECORD_FIELDS[r["ev"]])))
+        for r in records if r["ev"] in OPERATIONS
     ]
-    assert all(records[i]["ev"] == ev for i, ev, _ in trace.operations)
 
 
 def _isolation(node, nodes, start, end):

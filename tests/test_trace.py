@@ -16,7 +16,7 @@ from capsim.checker import HistoryIntegrityError, extract_history
 from capsim.cli import main
 from capsim.config import ConfigError, ScenarioConfig
 from capsim.kernel import run_scenario
-from capsim.trace import Trace, TraceParseError, scan_operations
+from capsim.trace import OPERATIONS, RECORD_FIELDS, Trace, TraceParseError, scan_operations
 
 TIMER = '{"t": 1, "seq": 0, "ev": "timer", "node": 0, "timer": "x"}'
 SEND = '{"t": 2, "seq": 1, "ev": "send", "src": 0, "dst": 1, "msg": 0}'
@@ -114,6 +114,7 @@ BORDER_CASES = {
     "send from a string src": ('{"t": 1, "seq": 1, "ev": "send", "src": "x", "dst": 1, "msg": 0}\n', None),
     "unknown ev": ('{"t": 1, "seq": 1, "ev": "scan"}\n', None),
     "bad op kind": (invoke().replace('"write"', '"scan"'), None),
+    "bad op kind, crlf": (invoke().replace('"write"', '"scan"').replace("\n", "\r\n"), None),
     "write without a value": (invoke().replace('"val": 5', '"val": null'), None),
     "bad op kind after blank lines": ("\n\n" + invoke().replace('"write"', '"scan"'), None),
     "write without a value after blank lines": (
@@ -150,9 +151,9 @@ def test_text_reader_agrees_with_the_reference_reader(text, path, monkeypatch):
             return decode(line, *line_no)
 
         monkeypatch.setattr(trace_module, "_decode", spy)
-        *_, (where, _, values) = scan_operations(text)
-        lines = text.split("\n")
-        last = lines[text.count("\n", 0, where)]  # where is inside its line
+        *_, (_, values) = scan_operations(text)
+        lines = [line for line in text.split("\n") if line.strip(" \t\r\n")]
+        last = [line for line in lines if json.loads(line)["ev"] in OPERATIONS][-1]
         assert lines.count(last) == 1  # so the line's text names it
         assert ("decoded" if last in decoded else "matched") == path
         assert type(values) is tuple
@@ -185,7 +186,7 @@ MULTI_FAULT_CASES = {
     ),
     "bad op kind, then a missing field": (
         invoke().replace('"write"', '"scan"') + RESPOND_0.replace(', "val": 1', ""),
-        "line 2: respond: missing required field 'val'",
+        'line 1: invoke.kind must be one of "read", "write", got "scan"',
     ),
     "history error, then a type error past blank lines": (
         "\n" + RESPOND_0 + "\n\n" + READ_INVOKE.replace('"key": "A"', '"key": 7'),
@@ -221,7 +222,15 @@ PIECE_CASES = {
     ),
     "a bad op kind on a later piece": (
         (TIMERS + invoke().replace('"write"', '"scan"') + SEND + "\n").encode(),
-        "trace error: line 151: bad op kind 'scan'\n",
+        'trace error: line 151: invoke.kind must be one of "read", "write", got "scan"\n',
+    ),
+    "a bad op kind on a later piece, crlf": (
+        (TIMERS + invoke().replace('"write"', '"scan"') + SEND + "\n").replace("\n", "\r\n").encode(),
+        'trace error: line 151: invoke.kind must be one of "read", "write", got "scan"\n',
+    ),
+    "a write without a value": (
+        (TIMER + "\n" + invoke().replace('"val": 5', '"val": null')).encode(),
+        "trace error: write invoke without a value for op 0\n",
     ),
     "a bad line on a later piece": (
         (TIMERS + "{broken\n" + SEND + "\n").encode(),
@@ -254,7 +263,7 @@ def test_check_reads_pieces_of_any_size_as_the_whole_text(data, err, tmp_path, m
     path.write_bytes(data)
     argv = ["check", str(path), "--tc", "0", "--ta", "0"]
     with monkeypatch.context() as patch:
-        patch.setattr(cli_module, "TextPieces", _read_whole)
+        patch.setattr(cli_module, "text_pieces", _read_whole)
         whole = main(argv), capsys.readouterr()
     if err is not None:
         assert whole[1].err == err.replace("{path}", str(path))
@@ -262,6 +271,19 @@ def test_check_reads_pieces_of_any_size_as_the_whole_text(data, err, tmp_path, m
     for size in (1, 2, 3, 5, 7, config_module.BLOCK):
         monkeypatch.setattr(config_module, "BLOCK", size)
         assert (main(argv), capsys.readouterr()) == whole, size
+
+
+def test_a_pipe_is_read_in_blocks_like_a_file(monkeypatch):
+    monkeypatch.setattr(config_module, "BLOCK", 256)
+    line = TIMER + "\n"
+    data = (line * (3 * 256 // len(line) + 1)).encode()  # more than two blocks, under a pipe's buffer
+    read, write = os.pipe()
+    os.write(write, data)
+    os.close(write)
+    pieces = list(config_module.text_pieces(read))  # opens and closes the read end
+    assert "".join(pieces) == data.decode()
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= 256 + len(line)
 
 
 def _kernel_trace(ops):
@@ -272,19 +294,26 @@ def _kernel_trace(ops):
     return run_scenario(config).to_jsonl()
 
 
-@pytest.mark.parametrize("bad_line", [None, "{broken"], ids=["clean", "a bad last line"])
-def test_check_reads_a_pipe_as_it_reads_the_file(bad_line, tmp_path, capsys):
+BAD_KIND = invoke("9999").replace('"write"', '"scan"')
+KIND_ERROR = 'invoke.kind must be one of "read", "write", got "scan"\n'
+
+
+@pytest.mark.parametrize("bad_line, error", [
+    (None, None), ("{broken\n", "invalid JSON: "), (BAD_KIND, KIND_ERROR),
+    (BAD_KIND.replace("\n", "\r\n"), KIND_ERROR),
+], ids=["clean", "a bad last line", "a bad op kind last", "a bad op kind last, crlf"])
+def test_check_reads_a_pipe_as_it_reads_the_file(bad_line, error, tmp_path, capsys):
     text = _kernel_trace(400)  # more than a pipe's buffer
     assert len(text) > 1 << 16
     if bad_line is not None:
-        text += bad_line + "\n"
+        text += bad_line
     path = tmp_path / "t.jsonl"
     path.write_text(text, encoding="utf-8")
     argv = ["--tc", "10", "--ta", "10"]
     code = main(["check", str(path), *argv])
     out, err = capsys.readouterr()
     if bad_line is not None:
-        assert err.startswith(f"trace error: line {text.count(chr(10))}: invalid JSON")
+        assert err.startswith(f"trace error: line {text.count(chr(10))}: {error}")
     src = str(Path(capsim.__file__).resolve().parents[1])
     piped = subprocess.run(
         [sys.executable, "-m", "capsim", "check", "/dev/stdin", *argv],
@@ -379,7 +408,10 @@ def test_chunks_join_to_the_whole_trace_at_any_chunk_size(size, monkeypatch, tmp
         ]
         assert len(lines) == len(trace.fields) // 3
         assert [json.loads(line)["seq"] for line in lines] == list(range(len(lines)))
-        assert all(json.loads(lines[i])["ev"] == ev for i, ev, _ in trace.operations)
+        assert trace.operations == [
+            (r["ev"], (r["t"], *(r[name] for name, _ in RECORD_FIELDS[r["ev"]])))
+            for r in trace.records if r["ev"] in OPERATIONS
+        ]
         assert Trace.from_jsonl(text).to_jsonl() == text
         path, out = tmp_path / "config.json", tmp_path / "out.jsonl"
         path.write_text(json.dumps(config), encoding="utf-8")
