@@ -121,40 +121,47 @@ class History:
 def extract_history(source) -> History:
     """Build a History from a trace's JSONL text or from a Trace, validating as we go.
 
-    The text is one str or its pieces (see ``scan_operations``). A line
-    fault is raised while the lines are read and names its file line; a
-    fault between operations names its op.
+    The text is one str or its pieces (see ``scan_operations``), and the
+    history is built as its lines are read: no list of every operation is
+    held. A line fault names its file line; a fault between operations
+    names its op, and is raised only once every line is read, so a line
+    fault anywhere in the text is the one reported.
     """
-    ops = source.operations if isinstance(source, Trace) else scan_operations(source)
+    ops = iter(source.operations if isinstance(source, Trace) else scan_operations(source))
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
-    for ev, values in ops:
-        op_id = values[1]
-        if ev == "invoke":
-            t, _, node, kind, key, val = values
-            if op_id in by_op:
-                raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
-            record = OperationRecord(op_id, kind, key, node, t)
-            if kind == "write":
-                if val is None:
-                    raise HistoryIntegrityError(f"write invoke without a value for op {op_id}")
-                record.written = val
-            by_op[op_id] = record
-            order.append(op_id)
-        elif ev == "respond":
-            if op_id not in by_op:
-                raise HistoryIntegrityError(f"response for unknown op {op_id}")
-            record = by_op[op_id]
-            if record.answered:
-                raise HistoryIntegrityError(f"duplicate response for op {op_id}")
-            record.response_tick = values[0]
-            record.answered = True
-            if record.kind == "read":
-                record.returned = values[2]
-        elif op_id not in by_op:
-            raise HistoryIntegrityError(f"unanswered marker for unknown op {op_id}")
-        elif by_op[op_id].answered:
-            raise HistoryIntegrityError(f"unanswered marker for answered op {op_id}")
+    try:
+        for ev, values in ops:
+            op_id = values[1]
+            if ev == "invoke":
+                t, _, node, kind, key, val = values
+                if op_id in by_op:
+                    raise HistoryIntegrityError(f"duplicate invoke for op {op_id}")
+                record = OperationRecord(op_id, kind, key, node, t)
+                if kind == "write":
+                    if val is None:
+                        raise HistoryIntegrityError(f"write invoke without a value for op {op_id}")
+                    record.written = val
+                by_op[op_id] = record
+                order.append(op_id)
+            elif ev == "respond":
+                if op_id not in by_op:
+                    raise HistoryIntegrityError(f"response for unknown op {op_id}")
+                record = by_op[op_id]
+                if record.answered:
+                    raise HistoryIntegrityError(f"duplicate response for op {op_id}")
+                record.response_tick = values[0]
+                record.answered = True
+                if record.kind == "read":
+                    record.returned = values[2]
+            elif op_id not in by_op:
+                raise HistoryIntegrityError(f"unanswered marker for unknown op {op_id}")
+            elif by_op[op_id].answered:
+                raise HistoryIntegrityError(f"unanswered marker for answered op {op_id}")
+    except HistoryIntegrityError:
+        for _ in ops:  # the rest is read only for a line fault, which is reported first
+            pass
+        raise
     return History([by_op[op_id] for op_id in order])
 
 

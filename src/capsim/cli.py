@@ -20,7 +20,7 @@ from .checker import (
 )
 from .config import ConfigError, ScenarioConfig, check_range, describe, load_json_object, text_pieces
 from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
-from .kernel import SimulationError, run_scenario
+from .kernel import Simulation, SimulationError
 from .trace import TraceParseError
 
 
@@ -38,7 +38,7 @@ def _emit(pieces, path) -> None:
 
 def _cmd_simulate(args) -> int:
     config = ScenarioConfig.read(args.config)
-    _emit(run_scenario(config).chunks(), args.output)
+    _emit(Simulation(config).run(history=False).chunks(), args.output)
     return 0
 
 

@@ -313,6 +313,8 @@ def generate_workload(
     lo, hi = (0, horizon - 1) if span is None else span
     if lo > hi:
         raise ConfigError(f"config.workload_gen.span must have lo <= hi, got [{lo}, {hi}]")
+    if lo < 0 or hi >= horizon:  # checked before any draw, so no seed or op count hides it
+        raise ConfigError(f"config.workload_gen.span must lie in [0, {horizon - 1}], got [{lo}, {hi}]")
     out = []
     next_val = 1000
     for _ in range(ops):
@@ -399,10 +401,8 @@ class ScenarioConfig:
             return cls(**fields)
         except OpError as exc:  # only a refusal maps its op id back: number_ops' sort is stable
             i = sorted(range(len(ops)), key=lambda i: ops[i]["t"])[exc.op_id]
-            where, value = f"config.workload[{i}].{exc.field}", ops[i].get(exc.field)
-            if i >= len(d.get("workload", ())):  # generated: only its span puts its tick out of the run
-                where, value = "config.workload_gen.span", gen["span"]
-            raise ConfigError(f"{where} must {exc.words}, got {json.dumps(value)}") from None
+            value = json.dumps(ops[i].get(exc.field))  # a generated op is never refused
+            raise ConfigError(f"config.workload[{i}].{exc.field} must {exc.words}, got {value}") from None
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":

@@ -8,7 +8,9 @@ timer firings in the order they were scheduled, then that tick's client
 requests in workload order, so identical configurations replay
 identically byte for byte. Each line is recorded as its tick's stamp,
 formatted once per tick, its middle and its last value; trace.py joins
-them into text only when something writes or reads it.
+them into text only when something writes or reads it. The operation
+tuples a history is built from are recorded only for a caller that asks
+for them: ``simulate`` writes lines and builds no history.
 
 Scheduling rules the strategies rely on:
 
@@ -22,8 +24,8 @@ Scheduling rules the strategies rely on:
 * an action field the trace writes must have its type (an integer
   destination and delay, bool excluded, a string timer id), a response
   must name an op an invoke has dispatched, and a workload op must have
-  an integer id and node and an integer or null value, or the run is
-  refused before the action or op records a line,
+  an integer id and node, the kind "read" or "write" and an integer or
+  null value, or the run is refused before the action or op records a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -33,11 +35,12 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .config import OPT, ClientOp, ScenarioConfig
+from .config import OP_FIELDS, OPT, ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
 from .trace import HEADS, STAMP, TextCache, Trace
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
+KINDS = OP_FIELDS["kind"][3]  # the op kinds a history reads
 # A line's middle is its kind's head in trace.py filled with values that are
 # exact ints the loop checked or the trace's quoted strings: an operation's
 # per line, a transport head once per link, a timer's once per node and id.
@@ -94,7 +97,12 @@ class Simulation:
         self.trace = Trace()
         self._ran = False
 
-    def run(self) -> Trace:
+    def run(self, *, history: bool = True) -> Trace:
+        """Run to the horizon and return the trace; every line is recorded.
+
+        ``history`` also records the operation tuples ``extract_history``
+        reads from the trace; without it ``trace.operations`` is None.
+        """
         if self._ran:
             raise SimulationError("a Simulation object runs once; build a new one")
         self._ran = True
@@ -105,7 +113,11 @@ class Simulation:
         nodes, count, latency = self.nodes, self.config.node_count, self.config.message_latency
         workload, horizon = self.config.workload, self.config.horizon
         trace = self.trace
-        fields, quoted, add_operation = trace.fields, trace.quoted, trace.operations.append
+        fields, quoted = trace.fields, trace.quoted
+        if history:
+            add_operation = trace.operations.append
+        else:
+            trace.operations = None
         record = fields.extend  # a line's stamp, middle and last value; its seq is its index
         # per run, like quoted: each link's transport heads, keyed src * count
         # + dst, and each timer's middle, keyed by its (equal) timer events
@@ -146,14 +158,18 @@ class Simulation:
                         actions = nodes[node_id].on_timer(timer_id, now)
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
-                        op_id, node_id, val = op.op_id, op.node, op.val
+                        op_id, node_id, kind, val = op.op_id, op.node, op.kind, op.val
                         if type(op_id) is not int or type(node_id) is not int or type(val) not in OPT:
                             raise _refused(f"an op's id and node must be integers and its value "
                                            f"an integer or null, got {op_id!r}, {node_id!r}, "
                                            f"{val!r}", now, event)
-                        record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[op.kind]}"
+                        if kind not in KINDS:
+                            raise _refused(f"an op's kind must be \"read\" or \"write\", "
+                                           f"got {kind!r}", now, event)
+                        record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[kind]}"
                                        f"{inv_key}{quoted[op.key]}{inv_val}", "null" if val is None else val))
-                        add_operation(("invoke", (now, op_id, node_id, op.kind, op.key, val)))
+                        if history:
+                            add_operation(("invoke", (now, op_id, node_id, kind, op.key, val)))
                         invoked.add(op_id)
                         actions = nodes[node_id].on_invoke(op, now)
                     else:
@@ -199,7 +215,8 @@ class Simulation:
                                            f"or null, got {value!r}", now, event)
                         answered.add(op_id)
                         record((stamp, f"{resp_op}{op_id}{resp_val}", "null" if value is None else value))
-                        add_operation(("respond", (now, op_id, value)))
+                        if history:
+                            add_operation(("respond", (now, op_id, value)))
                         continue
                     else:
                         raise _refused(f"unknown action {action!r}", now, event)
@@ -218,7 +235,8 @@ class Simulation:
                     record((stamp, drops[event[1] * count + event[2]], event[4]))
         for op in workload:
             if op.op_id not in answered:
-                add_operation(("unanswered", (horizon, op.op_id)))
+                if history:
+                    add_operation(("unanswered", (horizon, op.op_id)))
                 record((stamp, HEADS["unanswered"], op.op_id))
         return trace
 

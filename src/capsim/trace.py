@@ -184,8 +184,8 @@ def _values(record: dict, ev: str, line_no: int = 0) -> tuple:
         raise TraceParseError(line_no, str(exc)) from None
 
 
-def scan_operations(pieces) -> list[tuple[str, tuple]]:
-    """The operation records of a JSONL trace, in file order, as (ev, values).
+def scan_operations(pieces):
+    """Yield the operation records of a JSONL trace, in file order, as (ev, values).
 
     ``pieces`` is the text as one str, or as pieces that each end a line
     (``config.text_pieces``), read once. Every line is read as
@@ -200,8 +200,6 @@ def scan_operations(pieces) -> list[tuple[str, tuple]]:
     if isinstance(pieces, str):
         pieces = (pieces,)
     match, readers = _matcher()
-    ops = []
-    append = ops.append
     lines = 0  # the LFs in the pieces before this one
     rest = iter(pieces)
     for text in rest:
@@ -212,7 +210,7 @@ def scan_operations(pieces) -> list[tuple[str, tuple]]:
                 pos = m.end()
                 ev = m.lastgroup
                 if ev is not None:
-                    append((ev, readers[ev](m)))
+                    yield ev, readers[ev](m)
                 continue
             stop = text.find("\n", pos)
             if stop < 0:
@@ -220,14 +218,13 @@ def scan_operations(pieces) -> list[tuple[str, tuple]]:
             try:
                 record = _decode(text[pos:stop])
                 if record is not None and (ev := record["ev"]) in OPERATIONS:
-                    append((ev, _values(record, ev)))
+                    yield ev, _values(record, ev)
             except TraceParseError as exc:
                 for _ in rest:  # a later piece that is not UTF-8 is reported first
                     pass
                 raise TraceParseError(lines + text.count("\n", 0, pos) + 1, exc.message) from None
             pos = stop + 1
         lines += text.count("\n")
-    return ops
 
 
 class TextCache(dict):
@@ -249,14 +246,14 @@ class Trace:
     kind's ``HEADS`` entry filled in, and its last value (an int, "null"
     or ""); its seq is its index. ``from_jsonl`` keeps the lines it read,
     blank ones skipped, in ``read``. ``operations`` holds (ev, values in
-    ``RECORD_FIELDS`` order, t first), as ``scan_operations`` reads them.
-    ``records`` decodes every line.
+    ``RECORD_FIELDS`` order, t first), as ``scan_operations`` reads them,
+    or None after a run that kept no history. ``records`` decodes every line.
     """
 
     def __init__(self) -> None:
         self.fields: list = []
         self.read: list[str] = []
-        self.operations: list[tuple[str, tuple]] = []
+        self.operations: list[tuple[str, tuple]] | None = []
         self.quoted = TextCache(json.dumps)  # per trace, so no run keeps another's strings
 
     def chunks(self):

@@ -9,8 +9,10 @@ import pytest
 import capsim
 from capsim.cli import main
 from capsim.config import ConfigError, ScenarioConfig
+from capsim.kernel import Simulation
 from capsim.partitions import PartitionSchedule
 from capsim.strategies import LocalFirstNode
+from capsim.trace import scan_operations
 
 
 def write_json(path, data):
@@ -48,6 +50,38 @@ def test_simulate_prints_to_stdout(tmp_path, capsys):
     assert main(["simulate", cfg]) == 0
     out = capsys.readouterr().out
     assert '"ev": "invoke"' in out
+
+
+@pytest.mark.parametrize("strategy", [
+    {"kind": "LocalFirst", "G": 3}, {"kind": "SyncAll", "R": 2}, {"kind": "HybridDeadline", "D": 4},
+])
+def test_simulate_runs_without_a_history_and_records_every_line(tmp_path, monkeypatch, strategy):
+    # node 2 is cut off from tick 90 past the horizon, so round-based ops go unanswered
+    cut = [{"a": 2, "b": other, "start": 90, "end": 200} for other in (0, 1)]
+    config = {"nodes": 3, "horizon": 120, "strategy": strategy,
+              "partitions": [{"a": 0, "b": 1, "start": 10, "end": 40}, *cut],
+              "workload_gen": {"ops": 40, "keys": ["A", "B"]}}
+    path, out = write_json(tmp_path / "cfg.json", config), tmp_path / "t.jsonl"
+    runs, run = [], Simulation.run
+
+    def kept_run(self, **kwargs):
+        runs.append(run(self, **kwargs))
+        return runs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Simulation, "run", kept_run)
+        assert main(["simulate", path, "-o", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    # the records of simulate's run are the lines it writes, and the
+    # operations of a history run are the ones a reader finds in them
+    (simulated,) = runs
+    assert simulated.operations is None
+    assert simulated.records == [json.loads(line) for line in text.splitlines()]
+    history_run = Simulation(ScenarioConfig.read(path)).run()
+    assert history_run.to_jsonl() == text
+    assert history_run.operations == list(scan_operations(text))
+    assert {ev for ev, _ in history_run.operations} >= {"invoke", "respond"}
+    assert ("unanswered" in text) == (strategy["kind"] != "LocalFirst")
 
 
 def test_check_clean_trace_exits_zero(tmp_path, capsys):

@@ -180,6 +180,19 @@ REGRESSIONS = {
         "simulate", {"horizon": 10, "workload": [], "workload_gen": {"ops": 3, "span": [5, 40]}},
         "config error: config.workload_gen.span must lie in [0, 9], got [5, 40]",
     ),
+    "workload_gen span past the horizon, at a seed that draws inside it": (
+        "simulate",
+        {"horizon": 10, "seed": 2, "workload": [], "workload_gen": {"ops": 1, "span": [5, 40]}},
+        "config error: config.workload_gen.span must lie in [0, 9], got [5, 40]",
+    ),
+    "workload_gen span past the horizon, no ops": (
+        "simulate", {"horizon": 10, "workload": [], "workload_gen": {"ops": 0, "span": [5, 40]}},
+        "config error: config.workload_gen.span must lie in [0, 9], got [5, 40]",
+    ),
+    "workload_gen span before tick 0, no ops": (
+        "simulate", {"workload": [], "workload_gen": {"ops": 0, "span": [-3, -3]}},
+        "config error: config.workload_gen.span must lie in [0, 19], got [-3, -3]",
+    ),
     "op on an unknown node": (
         "simulate", ("workload", 0, "node", 2),
         "config error: config.workload[0].node must be in [0, 1], got 2",
@@ -406,6 +419,15 @@ def test_a_config_with_several_faults_names_the_first(name):
     with pytest.raises(ConfigError) as info:
         ScenarioConfig.from_dict({"nodes": 2, "horizon": 10, **change})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("ops", [0, 1, 3])
+def test_a_workload_gen_span_past_the_horizon_is_refused_at_every_seed(ops):
+    for seed in range(10):  # the span is checked before any draw
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict({"nodes": 2, "horizon": 10, "seed": seed,
+                                      "workload_gen": {"ops": ops, "span": [5, 40]}})
+        assert str(info.value) == "config.workload_gen.span must lie in [0, 9], got [5, 40]"
 
 
 def test_a_config_built_in_code_names_its_op_by_id():

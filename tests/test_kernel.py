@@ -407,6 +407,18 @@ def test_kernel_refuses_a_mistyped_workload_op_before_its_line(op_id, node, val)
     assert sim.trace.lines == []
 
 
+def test_kernel_refuses_an_op_kind_no_history_reads_before_its_line():
+    # a reader of the trace refuses an invoke of any other kind
+    config = ScenarioConfig(2, 5, workload=(ClientOp(0, 1, 0, "scan", "A"),))
+    sim = Simulation(config)
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    assert str(info.value) == (
+        "an op's kind must be \"read\" or \"write\", got 'scan' while handling invoke of op 0 at tick 1"
+    )
+    assert sim.trace.lines == []
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [((0,), "expected 2 nodes, got 1"), ((), "expected 2 nodes, got 0"),
@@ -488,7 +500,7 @@ def test_trace_lines_are_clean_json(kind, nodes, latency, outages, ops):
     assert Trace.from_jsonl(text).records == trace.records == records
     # the kernel's operations are its operation records, in order, typed as
     # a reader of its text finds them
-    assert trace.operations == scan_operations(text) == [
+    assert trace.operations == list(scan_operations(text)) == [
         (r["ev"], (r["t"], *(r[name] for name, _ in RECORD_FIELDS[r["ev"]])))
         for r in records if r["ev"] in OPERATIONS
     ]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -284,6 +285,36 @@ def test_a_pipe_is_read_in_blocks_like_a_file(monkeypatch):
     assert "".join(pieces) == data.decode()
     assert len(pieces) > 1
     assert max(map(len, pieces)) <= 256 + len(line)
+
+
+# a duplicate response in the first block, then timer lines past two
+# whole blocks: the fault between operations waits for the last line
+TWO_BLOCKS = (TIMER + "\n") * (2 * config_module.BLOCK // len(TIMER + "\n") + 1)
+ANSWERED_TWICE = invoke() + RESPOND_0 + RESPOND_0 + TWO_BLOCKS
+
+
+def _write_and_close(fd, data):
+    with open(fd, "wb") as fh:
+        fh.write(data)
+
+
+@pytest.mark.parametrize("text, error", [
+    (ANSWERED_TWICE + "{broken\n", f"line {4 + TWO_BLOCKS.count(chr(10))}: invalid JSON: "
+                                   "Expecting property name enclosed in double quotes"),
+    (ANSWERED_TWICE, "duplicate response for op 0"),
+], ids=["and a bad line two blocks later", "alone"])
+def test_a_history_fault_is_reported_after_every_line_is_read(text, error, tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path), "--tc", "0", "--ta", "0"]) == 2
+    assert capsys.readouterr().err == f"trace error: {error}\n"
+    read, write = os.pipe()  # more than a pipe holds, so a thread writes it
+    writer = threading.Thread(target=_write_and_close, args=(write, text.encode()))
+    writer.start()
+    got = outcome(lambda: extract_history(config_module.text_pieces(read)))
+    writer.join()
+    kind = HistoryIntegrityError if error.startswith("duplicate") else TraceParseError
+    assert got == (kind, error)
 
 
 def _kernel_trace(ops):
