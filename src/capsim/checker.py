@@ -17,10 +17,10 @@ everything the service learned while the client was waiting as
 optional rather than as added staleness, which is the right lens when
 a strategy deliberately delays responses (see ``harness``).
 
-``check`` and ``min_consistency_bound`` share one per-read function:
-the least budget that admits the read (the per-read staleness of Golab,
-Li & Shah's Delta-atomicity). ``History`` indexes each key once: its
-writes in version order, their invoke ticks and each value's write
+``check``, ``min_consistency_bound`` and the frontier rows share one
+per-read function, ``read_staleness``, the least budget admitting a
+read (Golab, Li & Shah's Delta-atomicity). ``History`` indexes each key
+once: writes in version order, their invoke ticks, each value's write
 positions. A read then costs two bisections, so R reads over at most W
 writes per key cost O((R + W) log W). Admitted values only grow with the
 budget, so a read violates ``declared_tc`` exactly when its least budget
@@ -191,24 +191,17 @@ def valid_read_values(
     return values
 
 
-def _anchor(read: OperationRecord, time_ref: str) -> int:
-    return read.response_tick if time_ref == "response" else read.invoke_tick
-
-
-def _min_tc_for_read(
-    history: History, read: OperationRecord, time_ref: str
-) -> int | None:
-    """Smallest staleness budget admitting this read, or None if none does."""
-    anchor = _anchor(read, time_ref)
-    _, ticks, positions = history.index(read.key)
-    if read.returned is None:
+def read_staleness(index: KeyIndex, anchor: int, response_tick: int, returned) -> int | None:
+    """Least budget admitting a read of ``index``'s key anchored at ``anchor``, or None."""
+    _, ticks, positions = index
+    if returned is None:
         # the initial value is only legal while no write is baseline
         return 0 if not ticks or ticks[0] > anchor else anchor - ticks[0] + 1
     # Only the value's last write invoked by the response can set the
     # minimum: an earlier one needs a wider window to be optional, and is
     # baseline only at budgets that already put the later one in the window.
-    mine = positions.get(read.returned, ())
-    k = bisect_left(mine, bisect_right(ticks, read.response_tick)) - 1
+    mine = positions.get(returned, ())
+    k = bisect_left(mine, bisect_right(ticks, response_tick)) - 1
     if k < 0:
         return None
     i = mine[k]
@@ -228,14 +221,17 @@ def min_consistency_bound(history: History, *, time_ref: str = "response") -> in
     for read in history.reads():
         if not read.answered:
             continue
-        needed = _min_tc_for_read(history, read, time_ref)
+        anchor = read.response_tick if time_ref == "response" else read.invoke_tick
+        needed = read_staleness(history.index(read.key), anchor, read.response_tick, read.returned)
         if needed is None:
-            raise HistoryIntegrityError(
-                f"read {read.op_id} returned {read.returned!r}, which no "
-                f"staleness budget admits"
-            )
+            raise unadmitted(read.op_id, read.returned)
         worst = max(worst, needed)
     return worst
+
+
+def unadmitted(op_id: int, returned) -> HistoryIntegrityError:
+    return HistoryIntegrityError(
+        f"read {op_id} returned {returned!r}, which no staleness budget admits")
 
 
 class Violation(namedtuple("Violation", "op_id kind detail")):
@@ -303,7 +299,8 @@ def check(
             violations.append(Violation(op.op_id, "availability", detail))
         if op.kind != "read":
             continue
-        needed = _min_tc_for_read(history, op, time_ref)
+        anchor = op.response_tick if time_ref == "response" else op.invoke_tick
+        needed = read_staleness(history.index(op.key), anchor, op.response_tick, op.returned)
         if needed is None:
             if op.returned in history.index(op.key).positions:
                 detail = f"written to key {op.key!r} only after tick {op.response_tick}"
@@ -314,13 +311,8 @@ def check(
             continue
         worst_tc = max(worst_tc, needed)
         if needed > declared_tc:
-            allowed = valid_read_values(
-                history,
-                op.key,
-                _anchor(op, time_ref),
-                declared_tc,
-                optional_until=op.response_tick,
-            )
+            allowed = valid_read_values(history, op.key, anchor, declared_tc,
+                                        optional_until=op.response_tick)
             shown = "initial" if op.returned is None else op.returned
             detail = f"returned {shown}, allowed {_format_values(allowed)}"
             violations.append(Violation(op.op_id, "consistency", detail))

@@ -21,10 +21,10 @@ sends and merges exactly what a SyncAll node does; D only decides when
 it answers. So ``probed_run`` runs HybridDeadline nodes once with every
 deadline: each deadline timer that fires on a still-open round records
 the answer HybridDeadline(D) would give, and the nodes answer as SyncAll
-does. ``deadline_history`` then puts one deadline's answers into the
-SyncAll history, and the row is measured from that. Rows
-anchor staleness at the invoke tick: a deadline strategy spends its D
-ticks waiting for fresher data, and response-tick anchoring would bill
+does. ``deadline_figures`` scores the SyncAll history's ops once, and
+a row re-scores only the reads its deadline answered. Rows anchor
+staleness at the invoke tick: a deadline strategy spends its D ticks
+waiting for fresher data, and response-tick anchoring would bill
 that same wait twice, once as latency and once as staleness, hiding
 the tradeoff the sweep exists to measure. Response-tick anchoring
 stays the default everywhere else.
@@ -36,14 +36,16 @@ import math
 from collections import namedtuple
 
 from .checker import (
+    INFINITE,
     CheckReport,
     History,
-    OperationRecord,
     bound_holds,
     check,
     empirical_availability_bound,
     extract_history,
     min_consistency_bound,
+    read_staleness,
+    unadmitted,
 )
 from .config import (
     FRONTIER_FIELDS,
@@ -275,9 +277,7 @@ def frontier_sweep(
             f"must be <= {MAX_HORIZON}, got {horizon}"
         )
 
-    def row(label: str, deadline: int | None, strategy: StrategyParams, history: History):
-        tc = min_consistency_bound(history, time_ref="invoke")
-        ta = empirical_availability_bound(history)
+    def row(label: str, deadline: int | None, strategy: StrategyParams, tc: int, ta: float):
         ok = bound_holds(tc, ta, tp, bound_slack(strategy, latency))
         return FrontierRow(label, deadline, tc, ta, tp, ok)
 
@@ -287,12 +287,15 @@ def frontier_sweep(
         )
 
     local = StrategyParams("LocalFirst", anti_entropy_period=gossip)
-    rows = [row("LocalFirst", None, local, extract_history(run_scenario(config(local))))]
+    history = extract_history(run_scenario(config(local)))
+    tc = min_consistency_bound(history, time_ref="invoke")
+    rows = [row("LocalFirst", None, local, tc, empirical_availability_bound(history))]
     sync = StrategyParams("SyncAll", retransmit_period=1)
     synced, answers = probed_run(config(sync), cleaned)
+    figures = deadline_figures(synced)
     # a HybridDeadline row's slack is SyncAll's: no anti-entropy term
-    rows += [row(str(d), d, sync, deadline_history(synced, answers[d])) for d in cleaned]
-    rows.append(row("SyncAll", None, sync, synced))
+    rows += [row(str(d), d, sync, *figures(answers[d], d)) for d in cleaned]
+    rows.append(row("SyncAll", None, sync, *figures({}, 0)))
     return rows
 
 
@@ -310,19 +313,39 @@ def probed_run(config: ScenarioConfig, deadlines: list[int]) -> tuple[History, d
     return extract_history(Simulation(config, nodes).run()), answers
 
 
-def deadline_history(synced: History, answers: dict) -> History:
-    """One deadline's history, from SyncAll's and that deadline's answers.
+def deadline_figures(synced: History):
+    """``figures(answers, D)``: (tc, ta) of ``synced`` with ``answers`` taken at latency D.
 
-    An op answered at the deadline takes that tick and value; every other
-    op keeps its SyncAll response, or stays unanswered. Answered ops get
-    new records, so ``synced`` is never changed.
+    One pass ranks ops by SyncAll latency and answered reads by (staleness,
+    -position), the first unadmitted read (inf) highest; a row re-scores
+    only the reads in ``answers``. ``figures({}, 0)`` is SyncAll's row.
     """
-    return History([
-        OperationRecord(op.op_id, op.kind, op.key, op.node, op.invoke_tick, a[0], op.written,
-                        a[1], True)
-        if (a := answers.get(op.op_id)) else op
-        for op in synced.records
-    ])
+    ops, latencies, stalest = {}, [], []
+
+    def staleness(i, op, tick, value):
+        needed = read_staleness(synced.index(op.key), op.invoke_tick, tick, value)
+        return (INFINITE if needed is None else needed, -i, op.op_id, value)
+
+    for i, op in enumerate(synced.records):
+        ops[op.op_id] = i, op
+        latencies.append((op.response_tick - op.invoke_tick if op.answered else INFINITE, op.op_id))
+        if op.answered and op.kind == "read":
+            stalest.append(staleness(i, op, op.response_tick, op.returned))
+    latencies.sort(reverse=True)
+    stalest.sort(reverse=True)
+
+    def figures(answers: dict, deadline: int) -> tuple[int, float]:
+        tc = next((s for s in stalest if s[2] not in answers), (0, 1))  # ahead of every 0 budget
+        for op_id, (tick, value) in answers.items():
+            i, op = ops[op_id]
+            if op.kind == "read":
+                tc = max(tc, staleness(i, op, tick, value))
+        if tc[0] == INFINITE:
+            raise unadmitted(*tc[2:])
+        ta = next((lat for lat, op_id in latencies if op_id not in answers), 0)
+        return tc[0], max(ta, deadline) if answers else ta
+
+    return figures
 
 
 def frontier_csv(rows: list[FrontierRow]) -> str:

@@ -166,6 +166,8 @@ class Simulation:
                         if kind not in KINDS:
                             raise _refused(f"an op's kind must be \"read\" or \"write\", "
                                            f"got {kind!r}", now, event)
+                        if type(op.key) is not str:
+                            raise _refused(f"an op's key must be a string, got {op.key!r}", now, event)
                         record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[kind]}"
                                        f"{inv_key}{quoted[op.key]}{inv_val}", "null" if val is None else val))
                         if history:

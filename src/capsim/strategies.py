@@ -267,7 +267,10 @@ class HybridDeadlineNode(SyncAllNode):
     So with ``answers``, a dict of ``{D: {}}`` shared by all nodes, one
     run serves every D in it: at each ``invoke + D`` that finds the round
     still open the node records ``answers[D][op] = (tick, value)`` instead
-    of answering, and it answers as SyncAll does.
+    of answering, and it answers as SyncAll does. Every deadline's timer is
+    set at invoke, also those that will find the round finished: its place
+    in tick ``t + D``'s FIFO queue, ahead of every delivery sent after
+    ``t``, is what makes a noted answer the one HybridDeadline(D) gives.
     """
 
     DEADLINE_PREFIX = "deadline:"

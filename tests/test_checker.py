@@ -8,11 +8,13 @@ from capsim.checker import (
     History,
     HistoryIntegrityError,
     OperationRecord,
+    TIME_REFS,
     bound_holds,
     check,
     empirical_availability_bound,
     extract_history,
     min_consistency_bound,
+    read_staleness,
     valid_read_values,
 )
 from capsim.config import ScenarioConfig
@@ -384,3 +386,24 @@ def test_check_flags_exactly_the_reads_the_definition_rejects(seed, tc, time_ref
         assert min_consistency_bound(history, time_ref=time_ref) == min_tc_oracle(
             history, time_ref
         )
+
+
+@given(HISTORY_SEEDS, st.sampled_from(TIME_REFS), st.data())
+@settings(max_examples=100, deadline=None)
+def test_read_staleness_matches_the_oracle_at_any_response(seed, time_ref, data):
+    # a frontier row re-scores a read at a deadline's tick and value, so each
+    # read is also tried at a response tick and a value it did not have
+    history = random_history(seed, later_values=True)
+    for read in history.reads():
+        if not read.answered:
+            continue
+        index = history.index(read.key)
+        value = data.draw(st.sampled_from([None, -1, *index.positions]))  # -1 is never written
+        tick = read.invoke_tick + data.draw(st.integers(0, 20))
+        moved = OperationRecord(read.op_id, "read", read.key, read.node, read.invoke_tick, tick,
+                                returned=value, answered=True)
+        for r in (read, moved):
+            anchor = r.invoke_tick if time_ref == "invoke" else r.response_tick
+            assert read_staleness(index, anchor, r.response_tick, r.returned) == (
+                read_min_tc_oracle(history, r, time_ref)
+            )

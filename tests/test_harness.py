@@ -2,10 +2,14 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from capsim import harness
 from capsim.checker import (
+    History,
+    HistoryIntegrityError,
+    OperationRecord,
     bound_holds,
     empirical_availability_bound,
     extract_history,
@@ -21,7 +25,6 @@ from capsim.harness import (
     build_frontier_config,
     build_frontier_workload,
     build_proof_config,
-    deadline_history,
     frontier_csv,
     frontier_horizon,
     frontier_sweep,
@@ -190,6 +193,22 @@ def oracle_row(tp, latency, label, deadline, strategy, history):
     return FrontierRow(label, deadline, tc, ta, tp, ok)
 
 
+def deadline_history(synced, answers):
+    """One deadline's history, from SyncAll's and that deadline's answers.
+
+    An op answered at the deadline takes that tick and value; every other
+    op keeps its SyncAll response, or stays unanswered. Answered ops get
+    new records, so ``synced`` is never changed. The sweep builds no such
+    history; this is the reference its rows are measured against.
+    """
+    return History([
+        OperationRecord(op.op_id, op.kind, op.key, op.node, op.invoke_tick, a[0], op.written,
+                        a[1], True)
+        if (a := answers.get(op.op_id)) else op
+        for op in synced.records
+    ])
+
+
 def responses(history):
     return [(op.op_id, op.answered, op.response_tick, op.returned) for op in history.records]
 
@@ -202,6 +221,10 @@ def responses(history):
     st.sampled_from([0, 5, 20]),
     st.integers(0, 2**16),
 )
+# every deadline timer is set at invoke, so at tick t + 3 it is queued ahead of
+# a delivery sent at t + 1; a probe that armed one timer per op and re-armed it
+# at t + 2 for the next deadline would answer 3 after that delivery merged
+@example(tp=1, latency=2, extra=[2, 3], noise_reads=0, seed=0)
 def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_reads, seed):
     cap = tp + 2 * latency
     deadlines = sorted({0, cap, *(d for d in extra if d <= cap)})
@@ -233,6 +256,71 @@ def test_one_sweep_runs_two_simulations(monkeypatch):
     rows = frontier_sweep(20, [0, 4, 8, 12, 16, 20, 22])
     assert len(rows) == 9
     assert runs == ["LocalFirst", "SyncAll"]
+
+
+def read_ids(synced, op_ids):
+    return sorted(op.op_id for op in synced.records if op.kind == "read" and op.op_id in op_ids)
+
+
+def spoil_a_response(synced, answers, answered_at, not_at):
+    """The first read answered at deadline ``answered_at`` but not at ``not_at`` returns -1."""
+    op_id = read_ids(synced, set(answers[answered_at]) - set(answers[not_at]))[0]
+    next(op for op in synced.records if op.op_id == op_id).returned = -1
+
+
+def spoil_an_answer(synced, answers, d, which):
+    op_id = read_ids(synced, answers[d])[which]
+    answers[d][op_id] = (answers[d][op_id][0], -2)
+
+
+SPOILS = {
+    "an answer": lambda s, a: spoil_an_answer(s, a, 8, -1),
+    "a response": lambda s, a: spoil_a_response(s, a, 4, 16),
+    "a response, then an earlier answer": lambda s, a: (
+        spoil_a_response(s, a, 4, 16), spoil_an_answer(s, a, 16, -1)),
+    "a response, then a later answer": lambda s, a: (
+        spoil_a_response(s, a, 0, 4), spoil_an_answer(s, a, 4, 0)),
+}
+
+
+@pytest.mark.parametrize("spoil", SPOILS.values(), ids=SPOILS)
+def test_a_read_no_budget_admits_is_the_one_its_rows_history_names(monkeypatch, spoil):
+    # -1 and -2 are never written: the error names the first such read of the
+    # first row that holds one, as measuring each row's own history does
+    deadlines = [0, 4, 8, 16, 20]
+    probe = harness.probed_run
+    runs = []
+
+    def spoiled(config, deadlines):
+        synced, answers = probe(config, deadlines)
+        spoil(synced, answers)
+        runs.append((synced, answers))
+        return synced, answers
+
+    monkeypatch.setattr(harness, "probed_run", spoiled)
+    with pytest.raises(HistoryIntegrityError) as info:
+        frontier_sweep(20, deadlines)
+    (synced, answers), = runs
+    with pytest.raises(HistoryIntegrityError) as reference:
+        for d in deadlines:
+            min_consistency_bound(deadline_history(synced, answers[d]), time_ref="invoke")
+        min_consistency_bound(synced, time_ref="invoke")
+    assert str(info.value) == str(reference.value)
+
+
+@pytest.mark.parametrize("deadlines", [[0], [0, 4, 8, 12, 16, 20, 22], list(range(23))])
+def test_one_sweep_builds_two_histories(monkeypatch, deadlines):
+    # the LocalFirst run's and the probed run's: no row builds its own
+    built = []
+    init = History.__init__
+
+    def counting_init(self, records):
+        built.append(len(records))
+        init(self, records)
+
+    monkeypatch.setattr(History, "__init__", counting_init)
+    assert len(frontier_sweep(20, deadlines)) == len(deadlines) + 2
+    assert len(built) == 2
 
 
 # -- the built scenarios against the config dicts they once went through --

@@ -419,6 +419,19 @@ def test_kernel_refuses_an_op_kind_no_history_reads_before_its_line():
     assert sim.trace.lines == []
 
 
+@pytest.mark.parametrize("key", [5, None, b"A"])
+def test_kernel_refuses_a_non_string_op_key_before_its_line(key):
+    # the line would carry a key the trace reader refuses
+    config = ScenarioConfig(2, 5, workload=(ClientOp(0, 1, 0, "read", key),))
+    sim = Simulation(config)
+    with pytest.raises(SimulationError) as info:
+        sim.run()
+    assert str(info.value) == (
+        f"an op's key must be a string, got {key!r} while handling invoke of op 0 at tick 1"
+    )
+    assert sim.trace.lines == []
+
+
 @pytest.mark.parametrize(
     "ids, message",
     [((0,), "expected 2 nodes, got 1"), ((), "expected 2 nodes, got 0"),
