@@ -130,6 +130,7 @@ def extract_history(source) -> History:
     ops = iter(source.operations if isinstance(source, Trace) else scan_operations(source))
     by_op: dict[int, OperationRecord] = {}
     order: list[int] = []
+    marked: set[int] = set()  # the ops an unanswered marker names
     try:
         for ev, values in ops:
             op_id = values[1]
@@ -150,6 +151,8 @@ def extract_history(source) -> History:
                 record = by_op[op_id]
                 if record.answered:
                     raise HistoryIntegrityError(f"duplicate response for op {op_id}")
+                if op_id in marked:
+                    raise HistoryIntegrityError(f"response for op {op_id} after its unanswered marker")
                 record.response_tick = values[0]
                 record.answered = True
                 if record.kind == "read":
@@ -158,6 +161,12 @@ def extract_history(source) -> History:
                 raise HistoryIntegrityError(f"unanswered marker for unknown op {op_id}")
             elif by_op[op_id].answered:
                 raise HistoryIntegrityError(f"unanswered marker for answered op {op_id}")
+            elif op_id in marked:
+                raise HistoryIntegrityError(f"duplicate unanswered marker for op {op_id}")
+            elif values[0] < by_op[op_id].invoke_tick:
+                raise HistoryIntegrityError(f"op {op_id} is marked unanswered before it is invoked")
+            else:
+                marked.add(op_id)
     except HistoryIntegrityError:
         for _ in ops:  # the rest is read only for a line fault, which is reported first
             pass

@@ -4,8 +4,10 @@ One event per line, field order fixed, integers unquoted, LF endings.
 Kinds: invoke, respond, send, deliver, drop, timer, plus an
 ``unanswered`` marker emitted at the horizon for every client request
 that never received a response. ``RECORD_FIELDS`` states the format once:
-each kind's line template (``TEMPLATES``) and the line matcher that reads
-it back are built from it. A template is the stamp (``STAMP``: t, then
+each kind's line template (``TEMPLATES``) and the one pattern that reads
+lines back are built from it; ``scan_operations`` reads each piece of a
+trace with one ``findall`` of it, and a line with a negative id or tick
+takes the json path instead. A template is the stamp (``STAMP``: t, then
 the seq's key), the seq, and the kind's rest (``RESTS``). A run records
 fields that ``Trace.chunks`` joins into lines only when they are read.
 """
@@ -41,16 +43,17 @@ _OPERATION_TABLES = {
     for ev in OPERATIONS
 }
 
-_INT = "-?(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
-# per type: the template slot, the text that slot writes as (literal
-# before, pattern of the value, literal after), and the expression that
-# reads the value back from its matched text. Each pattern takes only text
-# json.loads reads as that same value: a string is printable ASCII without
-# '"' or '\', so its text is its value.
+# ids and ticks are written non-negative, so their slot takes no sign: a
+# line with a negative one is decoded instead, to the same values
+_INT = "(?:0|[1-9][0-9]{0,17})"  # at most 18 digits: far under int()'s limit
+# per type: the template slot, and the text that slot writes as (literal
+# before, pattern of the value, literal after). Each pattern takes only
+# text json.loads reads as that same value: a string is printable ASCII
+# without '"' or '\', so its text is its value.
 _SLOTS = {
-    INT: ("%d", ("", _INT, ""), "int({0})"),
-    STR: ("%s", ('"', r"[ !#-\[\]-~]*", '"'), "{0}"),
-    OPT: ("%s", ("", "null|" + _INT, ""), '(None if {0} == "null" else int({0}))'),
+    INT: ("%d", ("", _INT, "")),
+    STR: ("%s", ('"', r"[ !#-\[\]-~]*", '"')),
+    OPT: ("%s", ("", "null|-?" + _INT, "")),
 }
 
 _JSON_SPACE = " \t\n\r"
@@ -100,44 +103,29 @@ def _pattern(template: str, slots, captured) -> str:
 
 @functools.cache
 def _matcher():
-    """The line matcher and its group readers, compiled on first use.
+    """The pattern that reads a piece of trace text, compiled on first use.
 
-    The pattern matches a run of transport lines, then at most one
-    operation line, each exactly as its template writes it. Group 1 is the
-    operation's t, then come each operation kind's fields and an empty
-    group named after the kind: it closes last, so ``lastgroup`` names the
-    kind that matched. ``readers[ev]`` turns the groups into that kind's
-    values in ``RECORD_FIELDS`` order, t first. A slot with a range takes
-    only its strings, so an invoke of another kind is decoded and refused.
+    Every match ends at a line end: a run of transport lines, each exactly
+    as its template writes it, then one more line. That line is an
+    operation line in its template's form, group 1 its t and then each
+    operation kind's fields in ``RECORD_FIELDS`` order, or else any other
+    line, held whole without its LF by the last group. A slot with a range
+    takes only its strings, so an invoke of another kind is that other
+    line, decoded and refused.
     """
-    transport, operations, readers = [], [], {}
-    group = 1
+    transport, operations = [], []
     for ev, template in TEMPLATES.items():
         fields = RECORD_FIELDS[ev]
-        kinds = [kind for _, kind in fields]
         table = _OPERATION_TABLES.get(ev)  # a transport kind's fields have no range
         slots = [(kind, table and table[name][3]) for name, kind in fields]
-        tail = _pattern(template[len(_HEAD) :], slots, [ev in OPERATIONS] * len(kinds))
-        if ev not in OPERATIONS:
-            transport.append(tail)
-            continue
-        operations.append(f"{tail}(?P<{ev}>)")
-        names = ["t", *(name for name, _ in fields)]
-        groups = [1, *range(group + 1, group + 1 + len(fields))]
-        values = [_SLOTS[kind][2].format(name) for name, kind in zip(names, (INT, *kinds))]
-        source = (
-            f"def read(m):\n"
-            f"    {', '.join(names)} = m.group({', '.join(map(str, groups))})\n"
-            f"    return ({', '.join(values)},)\n"
-        )
-        env = {}
-        exec(source, env)
-        readers[ev] = env["read"]
-        group += len(fields) + 1
+        tail = _pattern(template[len(_HEAD) :], slots, [ev in OPERATIONS] * len(fields))
+        (operations if ev in OPERATIONS else transport).append(tail)
     head = _pattern(_HEAD, [(INT, None)] * 2, (False, False))
     first = _pattern(_HEAD, [(INT, None)] * 2, (True, False))
-    pattern = f"(?:{head}(?:{'|'.join(transport)}))*(?:{first}(?:{'|'.join(operations)}))?"
-    return re.compile(pattern).match, readers
+    other = r"([^\n]*)(?:\n|\Z)"
+    return re.compile(
+        f"(?:{head}(?:{'|'.join(transport)}))*(?:{first}(?:{'|'.join(operations)})|{other})"
+    )
 
 
 def _decode(line: str, line_no: int = 0) -> dict | None:
@@ -189,41 +177,43 @@ def scan_operations(pieces):
 
     ``pieces`` is the text as one str, or as pieces that each end a line
     (``config.text_pieces``), read once. Every line is read as
-    ``Trace.from_jsonl`` reads it, but no dict is built for a line in the
-    writer's own form, LF or CRLF ended: the matcher checks it, a
-    transport line is then dropped and an operation line gives its typed
-    values. Any other line is decoded by ``json`` on its own, an
-    operation's dict typed into the same values. The first bad line,
-    numbered by the LFs before it, raises its error once the rest of the
-    pieces are read, so a later piece that is not UTF-8 is reported first.
+    ``Trace.from_jsonl`` reads it, but one ``findall`` of the matcher reads
+    each piece, and no dict is built for a line in the writer's own form,
+    LF or CRLF ended: a transport line is dropped and an operation line's
+    groups become its typed values. Any other line, such as one with a
+    negative id or tick, is decoded by ``json`` on its own, an operation's
+    dict typed into the same values. The first bad line raises its error
+    once the rest of the pieces are read, so a later piece that is not
+    UTF-8 is reported first; only its piece is matched again, to number it.
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
-    match, readers = _matcher()
+    matcher = _matcher()
     lines = 0  # the LFs in the pieces before this one
     rest = iter(pieces)
     for text in rest:
-        pos, end = 0, len(text)
-        while pos < end:
-            m = match(text, pos)
-            if m.end() > pos:
-                pos = m.end()
-                ev = m.lastgroup
-                if ev is not None:
-                    yield ev, readers[ev](m)
-                continue
-            stop = text.find("\n", pos)
-            if stop < 0:
-                stop = end
-            try:
-                record = _decode(text[pos:stop])
-                if record is not None and (ev := record["ev"]) in OPERATIONS:
-                    yield ev, _values(record, ev)
-            except TraceParseError as exc:
-                for _ in rest:  # a later piece that is not UTF-8 is reported first
-                    pass
-                raise TraceParseError(lines + text.count("\n", 0, pos) + 1, exc.message) from None
-            pos = stop + 1
+        decoded = 0  # the other lines of this piece read so far
+        # the groups of the operation kinds, in RECORD_FIELDS order, then the other line
+        for t, op, node, kind, key, val, r_op, r_val, u_op, line in matcher.findall(text):
+            if op:
+                yield "invoke", (int(t), int(op), int(node), kind, key,
+                                 None if val == "null" else int(val))
+            elif r_op:
+                yield "respond", (int(t), int(r_op), None if r_val == "null" else int(r_val))
+            elif u_op:
+                yield "unanswered", (int(t), int(u_op))
+            elif line:
+                decoded += 1
+                try:
+                    record = _decode(line)
+                    if record is not None and (ev := record["ev"]) in OPERATIONS:
+                        yield ev, _values(record, ev)
+                except TraceParseError as exc:
+                    for _ in rest:  # a later piece that is not UTF-8 is reported first
+                        pass
+                    last = matcher.groups
+                    start = [m.start(last) for m in matcher.finditer(text) if m[last]][decoded - 1]
+                    raise TraceParseError(lines + text.count("\n", 0, start) + 1, exc.message) from None
         lines += text.count("\n")
 
 

@@ -345,6 +345,18 @@ REGRESSIONS = {
         "check", [_INVOKE, _RESPOND, _unanswered(0)],
         "trace error: unanswered marker for answered op 0",
     ),
+    "trace response after its unanswered marker": (
+        "check", [_INVOKE, {**_unanswered(0), "t": 5}, {**_RESPOND, "t": 6, "seq": 3}],
+        "trace error: response for op 0 after its unanswered marker",
+    ),
+    "trace duplicate unanswered marker": (
+        "check", [_INVOKE, _unanswered(0), {**_unanswered(0), "seq": 3}],
+        "trace error: duplicate unanswered marker for op 0",
+    ),
+    "trace unanswered marker before its invoke": (
+        "check", [{**_INVOKE, "t": 5}, {**_unanswered(0), "t": 2}],
+        "trace error: op 0 is marked unanswered before it is invoked",
+    ),
 }
 
 

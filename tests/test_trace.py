@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -90,10 +93,11 @@ def outcome(read):
         return type(exc), str(exc)
 
 
-# (trace text, how scan_operations takes its last operation: "matched",
+# (trace text, how scan_operations takes its last line: "matched",
 # "decoded", or None when reading fails or no operation is left)
 BORDER_CASES = {
-    "negative zero": (invoke("-0"), "matched"),
+    "negative zero": (invoke("-0"), "decoded"),  # an id slot takes no sign
+    "negative written value": (invoke().replace('"val": 5', '"val": -5'), "matched"),
     "leading zero": (invoke("01"), None),
     "18 digits": (invoke("9" * 18), "matched"),
     "19 digits": (invoke("9" * 19), "decoded"),
@@ -121,7 +125,9 @@ BORDER_CASES = {
     "write without a value after blank lines": (
         "\n \n" + invoke().replace('"val": 5', '"val": null'), None
     ),
-    "negative tick": (invoke().replace('"t": 2', '"t": -1'), None),
+    "negative tick": (invoke().replace('"t": 2', '"t": -1'), "decoded"),
+    "negative tick on a transport line": (invoke() + SEND.replace('"t": 2', '"t": -1') + "\n", "decoded"),
+    "transport line with more text after it": (TIMER + "\n" + SEND + " " + SEND + "\n" + invoke(), None),
     "respond without invoke": ('{"t": 2, "seq": 0, "ev": "respond", "op": 0, "val": 1}\n', None),
     "respond value a string": (
         invoke() + '{"t": 3, "seq": 1, "ev": "respond", "op": 0, "val": "x"}\n', None
@@ -154,7 +160,7 @@ def test_text_reader_agrees_with_the_reference_reader(text, path, monkeypatch):
         monkeypatch.setattr(trace_module, "_decode", spy)
         *_, (_, values) = scan_operations(text)
         lines = [line for line in text.split("\n") if line.strip(" \t\r\n")]
-        last = [line for line in lines if json.loads(line)["ev"] in OPERATIONS][-1]
+        last = lines[-1]
         assert lines.count(last) == 1  # so the line's text names it
         assert ("decoded" if last in decoded else "matched") == path
         assert type(values) is tuple
@@ -370,7 +376,10 @@ def _rewrite(line, rng):
     return pad() + "{" + body + "}" + pad() + rng.choice(["\n", "\r\n"])
 
 
-@given(
+# a scenario of any strategy, with outages that may outlast the horizon, so
+# round-based strategies leave ops unanswered and the trace holds every
+# operation kind
+SCENARIOS = dict(
     kind=st.sampled_from(["LocalFirst", "SyncAll", "HybridDeadline"]),
     nodes=st.integers(min_value=1, max_value=4),
     outages=st.lists(
@@ -384,13 +393,11 @@ def _rewrite(line, rng):
         ),
         max_size=8,
     ),
-    rng=st.randoms(use_true_random=False),
 )
-@settings(max_examples=60, deadline=None)
-def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
-    # outages may outlast the horizon, so round-based strategies leave ops
-    # unanswered and the trace holds every operation kind
-    config = ScenarioConfig.from_dict({
+
+
+def _scenario_trace(kind, nodes, outages, ops):
+    return run_scenario(ScenarioConfig.from_dict({
         "nodes": nodes, "latency": 1, "horizon": 40,
         "strategy": {"kind": kind, "G": 3, "R": 2, "D": 4},
         "partitions": [
@@ -403,8 +410,13 @@ def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
              "key": key, "val": val if write else None}
             for t, node, write, key, val in ops
         ],
-    })
-    trace = run_scenario(config)
+    }))
+
+
+@given(**SCENARIOS, rng=st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
+    trace = _scenario_trace(kind, nodes, outages, ops)
     expected = extract_history(trace)
     text = trace.to_jsonl()
     assert extract_history(text) == expected
@@ -413,6 +425,49 @@ def test_text_reader_builds_the_kernel_history(kind, nodes, outages, ops, rng):
         for line in text.split("\n")[:-1]
     )
     assert extract_history(rewritten) == expected
+
+
+BAD_LINES = {
+    "broken JSON": "{broken\n",
+    "a bad op kind": BAD_KIND,
+    "a string id": invoke('"9999"'),
+}
+
+
+def _check_outcome(path):
+    """``capsim check``'s exit code, stdout and stderr on the trace at ``path``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["check", path, "--tc", "4", "--ta", "4"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(
+    **SCENARIOS,
+    bad=st.lists(st.tuples(st.integers(0, 1 << 16), st.sampled_from(sorted(BAD_LINES))),
+                 min_size=1, max_size=3),
+    twice=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_check_refuses_bad_kernel_trace_lines_at_any_block_size(kind, nodes, outages, ops, bad,
+                                                               twice):
+    lines = _scenario_trace(kind, nodes, outages, ops).to_jsonl().splitlines(keepends=True)
+    for index, name in bad:
+        index %= len(lines) + 1  # the end, too
+        lines[index : index + 1] = [BAD_LINES[name]]
+    if twice:  # two identical bad lines, the last one again
+        lines.insert(index, lines[index])
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = os.path.join(tmp, "t.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("".join(lines))
+        patch.setattr(cli_module, "text_pieces", _read_whole)
+        whole = _check_outcome(path)
+        patch.undo()
+        assert whole[0] == 2 and whole[2].startswith("trace error: line ")
+        for size in (1, 7, 256, config_module.BLOCK):
+            patch.setattr(config_module, "BLOCK", size)
+            assert _check_outcome(path) == whole, size
 
 
 # two nodes cut apart for the whole run, so a HybridDeadline write answers
