@@ -77,22 +77,12 @@ _NO_WRITES = KeyIndex([], [], {})
 
 
 class History:
-    """Operation records plus a per-key index of the total write order."""
+    """Operation records, trusted as ``extract_history`` checked them, indexed per key."""
 
     def __init__(self, records: list[OperationRecord]):
         self.records = records
-        seen = set()
         by_key: dict[str, list[OperationRecord]] = {}
         for rec in records:
-            if rec.op_id in seen:
-                raise HistoryIntegrityError(f"duplicate op id {rec.op_id}")
-            seen.add(rec.op_id)
-            if rec.invoke_tick < 0:
-                raise HistoryIntegrityError(f"op {rec.op_id} is invoked before tick 0")
-            if rec.answered and rec.response_tick < rec.invoke_tick:
-                raise HistoryIntegrityError(
-                    f"op {rec.op_id} responds before it is invoked"
-                )
             if rec.kind == "write":
                 by_key.setdefault(rec.key, []).append(rec)
         self._index = {}
@@ -125,11 +115,12 @@ def extract_history(source) -> History:
     history is built as its lines are read: no list of every operation is
     held. A line fault names its file line; a fault between operations
     names its op, and is raised only once every line is read, so a line
-    fault anywhere in the text is the one reported.
+    fault anywhere in the text is the one reported. Every rule between
+    operations is checked in this one pass, so of several such faults the
+    first faulty operation line in file order is the one named.
     """
     ops = iter(source.operations if isinstance(source, Trace) else scan_operations(source))
-    by_op: dict[int, OperationRecord] = {}
-    order: list[int] = []
+    by_op: dict[int, OperationRecord] = {}  # in invoke order
     marked: set[int] = set()  # the ops an unanswered marker names
     try:
         for ev, values in ops:
@@ -143,8 +134,9 @@ def extract_history(source) -> History:
                     if val is None:
                         raise HistoryIntegrityError(f"write invoke without a value for op {op_id}")
                     record.written = val
+                if t < 0:
+                    raise HistoryIntegrityError(f"op {op_id} is invoked before tick 0")
                 by_op[op_id] = record
-                order.append(op_id)
             elif ev == "respond":
                 if op_id not in by_op:
                     raise HistoryIntegrityError(f"response for unknown op {op_id}")
@@ -153,6 +145,8 @@ def extract_history(source) -> History:
                     raise HistoryIntegrityError(f"duplicate response for op {op_id}")
                 if op_id in marked:
                     raise HistoryIntegrityError(f"response for op {op_id} after its unanswered marker")
+                if values[0] < record.invoke_tick:
+                    raise HistoryIntegrityError(f"op {op_id} responds before it is invoked")
                 record.response_tick = values[0]
                 record.answered = True
                 if record.kind == "read":
@@ -171,7 +165,7 @@ def extract_history(source) -> History:
         for _ in ops:  # the rest is read only for a line fault, which is reported first
             pass
         raise
-    return History([by_op[op_id] for op_id in order])
+    return History(list(by_op.values()))
 
 
 def valid_read_values(

@@ -19,7 +19,8 @@ Scheduling rules the strategies rely on:
   at send time and only a drop record remains (no sender feedback),
 * the reachability test happens once, at send time,
 * messages still in flight when the horizon closes settle as drops at
-  the horizon, so every send has exactly one disposition in the trace,
+  the horizon, in order of their due tick and then in queue order, so
+  every send has exactly one disposition in the trace,
 * timers fire delay >= 1 ticks later, in registration order on ties,
 * an action field the trace writes must have its type (an integer
   destination and delay, bool excluded, a string timer id), a response

@@ -108,7 +108,7 @@ class PartitionSchedule:
                 if group != label[b]:
                     continue
                 skip = down[a] | down[b]
-                if any(c not in skip for c in members[group] if c != a and c != b):
+                if any(c not in skip for c in members[group]):
                     continue  # a live common neighbour still joins a and b
                 parts = _complement_components(members.pop(group), down)
                 if len(parts) == 1:  # joined through a longer path

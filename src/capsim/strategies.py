@@ -20,11 +20,15 @@ Registers resolve conflicting writes last-writer-wins: versions are
 ordered lexicographically by (write tick, writer id, per-writer seq)
 and merges never move a key backwards.
 
-Payloads live in memory only (the trace never holds one) and carry
-versions as tuples. One payload may be shared by every send and every
-retransmit of a round, and an idle node's timer re-arm is one action
-list built once, so a handler must never mutate a payload it receives
-or an action list it is given.
+LocalFirst gossips digests, ``{"entries": [(key, val, ver), ...]}``, and
+a write's broadcast is the one-entry digest of that write. A round sends
+each peer one ``req`` (its ``ver`` None for a read), and each peer answers
+with one ``rep`` carrying its cell after any merge. Payloads live in
+memory only (the trace never holds one) and carry versions as tuples.
+One payload may be shared by every send and every retransmit of a round,
+and an idle node's timer re-arm is one action list built once, so a
+handler must never mutate a payload it receives or an action list it is
+given.
 """
 
 from __future__ import annotations
@@ -96,9 +100,12 @@ class StrategyNode:
         self.registers = RegisterMap()
         self._write_seq = 0
 
-    def next_version(self, now: int) -> Version:
+    def write(self, op, now: int) -> Version:
+        """Apply a client write locally under a fresh version, and return that version."""
         self._write_seq += 1
-        return (now, self.node_id, self._write_seq)
+        version = (now, self.node_id, self._write_seq)
+        self.registers.merge(op.key, op.val, version)
+        return version
 
     def on_init(self) -> list[Action]:
         return []
@@ -125,25 +132,17 @@ class LocalFirstNode(StrategyNode):
 
     def on_invoke(self, op, now: int) -> list[Action]:
         if op.kind == "write":
-            version = self.next_version(now)
-            self.registers.merge(op.key, op.val, version)
-            update = {"type": "update", "key": op.key, "val": op.val, "ver": version}
-            return [Respond(op.op_id, None)] + [Send(peer, update) for peer in self.peers]
+            digest = {"entries": [(op.key, op.val, self.write(op, now))]}
+            return [Respond(op.op_id, None)] + [Send(peer, digest) for peer in self.peers]
         return [Respond(op.op_id, self.registers.value(op.key))]
 
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
-        kind = payload.get("type")
-        if kind == "update":
-            self.registers.merge(payload["key"], payload["val"], payload["ver"])
-            return []
-        if kind == "digest":
-            for key, val, ver in payload["entries"]:
-                self.registers.merge(key, val, ver)
-            return []
-        raise ValueError(f"unknown message type {kind!r}")
+        for key, val, ver in payload["entries"]:
+            self.registers.merge(key, val, ver)
+        return []
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        digest = {"type": "digest", "entries": self.registers.items()}
+        digest = {"entries": self.registers.items()}
         actions: list[Action] = [Send(peer, digest) for peer in self.peers]
         actions.append(SetTimer(self.params.anti_entropy_period, self.GOSSIP_TIMER))
         return actions
@@ -171,10 +170,10 @@ class SyncAllNode(StrategyNode):
     """Round per request: answer only once every peer has acknowledged.
 
     Writes apply locally at invoke time and at each peer on delivery;
-    reads answer with the highest version seen across all replies and
-    the local cell. Outstanding round messages retransmit every R
-    ticks, so blocked rounds complete after a partition heals rather
-    than timing out.
+    every peer replies with its cell, and reads answer with the highest
+    version seen across all replies and the local cell. Outstanding
+    round messages retransmit every R ticks, so blocked rounds complete
+    after a partition heals rather than timing out.
     """
 
     RETRANSMIT_TIMER = "retransmit"
@@ -203,12 +202,8 @@ class SyncAllNode(StrategyNode):
         return [Respond(rnd.op_id, self._respond_value(rnd))]
 
     def _start_round(self, op, now: int) -> tuple[_Round, list[Action]]:
-        if op.kind == "write":
-            version = self.next_version(now)
-            self.registers.merge(op.key, op.val, version)
-            request = {"type": "wreq", "op": op.op_id, "key": op.key, "val": op.val, "ver": version}
-        else:
-            request = {"type": "rreq", "op": op.op_id, "key": op.key}
+        version = self.write(op, now) if op.kind == "write" else None
+        request = {"type": "req", "op": op.op_id, "key": op.key, "val": op.val, "ver": version}
         waiting = {peer: Send(peer, request) for peer in self.peers}
         rnd = _Round(op.op_id, op.kind, op.key, waiting, now)
         self.rounds[op.op_id] = rnd
@@ -220,25 +215,21 @@ class SyncAllNode(StrategyNode):
         return self._start_round(op, now)[1]
 
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
-        kind = payload.get("type")
-        if kind == "wreq":
-            self.registers.merge(payload["key"], payload["val"], payload["ver"])
-            return [Send(src, {"type": "wack", "op": payload["op"]})]
-        if kind == "rreq":
-            val, ver = self.registers.get(payload["key"])
-            return [Send(src, {"type": "rrep", "op": payload["op"], "val": val, "ver": ver})]
-        if kind in ("wack", "rrep"):
-            rnd = self.rounds.get(payload["op"])
-            if rnd is None:
-                return []  # stale ack from a retransmission after completion
-            if kind == "rrep" and (ver := payload["ver"]) is not None:
-                if rnd.best_ver is None or ver > rnd.best_ver:
-                    rnd.best_val, rnd.best_ver = payload["val"], ver
-            rnd.waiting.pop(src, None)
-            if not rnd.waiting:
-                return self._finish(rnd)
-            return []
-        raise ValueError(f"unknown message type {kind!r}")
+        if payload["type"] == "req":
+            key = payload["key"]
+            if payload["ver"] is not None:
+                self.registers.merge(key, payload["val"], payload["ver"])
+            val, ver = self.registers.get(key)
+            return [Send(src, {"type": "rep", "op": payload["op"], "val": val, "ver": ver})]
+        rnd = self.rounds.get(payload["op"])
+        if rnd is None:
+            return []  # stale reply from a retransmission after completion
+        if (ver := payload["ver"]) is not None and (rnd.best_ver is None or ver > rnd.best_ver):
+            rnd.best_val, rnd.best_ver = payload["val"], ver
+        rnd.waiting.pop(src, None)
+        if not rnd.waiting:
+            return self._finish(rnd)
+        return []
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
         if timer_id != self.RETRANSMIT_TIMER:

@@ -107,6 +107,13 @@ class TestMinConsistencyBound:
         with pytest.raises(HistoryIntegrityError):
             min_consistency_bound(h)
 
+    def test_same_tick_writes_order_by_writer(self):
+        # node 1's write at tick 5 follows node 0's in version order, so a
+        # read answered at 5 that returns node 0's value needs budget 1
+        h = History([w(0, 5, 1, node=0), w(1, 5, 2, node=1), r(2, 5, 1)])
+        assert min_consistency_bound(h) == 1
+        assert read_staleness(h.index("A"), 5, 5, 1) == 1
+
     def test_invoke_anchor_ignores_writes_after_the_read_started(self):
         h = History([w(0, 2, 1), w(1, 6, 2), r(2, 5, 1, response=8)])
         assert min_consistency_bound(h, time_ref="response") == 3

@@ -357,6 +357,19 @@ REGRESSIONS = {
         "check", [{**_INVOKE, "t": 5}, {**_unanswered(0), "t": 2}],
         "trace error: op 0 is marked unanswered before it is invoked",
     ),
+    "trace response one tick before its invoke": (
+        "check", [{**_INVOKE, "t": 5}, {**_RESPOND, "t": 4}],
+        "trace error: op 0 responds before it is invoked",
+    ),
+    # of two faults between operations, the one on the earlier line is named
+    "trace response before its invoke, then a duplicate response": (
+        "check", [{**_INVOKE, "t": 5}, {**_RESPOND, "t": 4}, {**_RESPOND, "t": 6, "seq": 2}],
+        "trace error: op 0 responds before it is invoked",
+    ),
+    "trace invoke before tick 0, then a response for an unknown op": (
+        "check", [{**_INVOKE, "t": -1}, {**_RESPOND, "op": 7}],
+        "trace error: op 0 is invoked before tick 0",
+    ),
 }
 
 

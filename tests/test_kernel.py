@@ -675,6 +675,27 @@ def test_golden_trace_and_frontier_digests():
         assert _sha256(frontier_csv(frontier_sweep(tp, deadlines, base))) == digest, tp
 
 
+# latency 3 under HybridDeadline timers of 2 and 5 ticks: the horizon finds
+# messages due on three ticks, whose queues were made out of tick order
+HORIZON_DROPS = {
+    "nodes": 3, "latency": 3, "horizon": 40, "seed": 0,
+    "strategy": {"kind": "HybridDeadline", "R": 2, "D": 5},
+    "workload_gen": {"ops": 6, "keys": ["A"], "span": [20, 39]},
+}
+
+
+def test_horizon_drops_settle_by_due_tick_then_queue_order():
+    trace = run_scenario(ScenarioConfig.from_dict(HORIZON_DROPS))
+    assert _sha256(trace.to_jsonl()) == (
+        "aedcf3baa6a9262682491371dcc8d5e80506f5bf17bbab7efab27cd27133be23")
+    records = trace.records
+    due = {rec["msg"]: rec["t"] + 3 for rec in records if rec["ev"] == "send"}
+    settled = [rec["msg"] for rec in records if rec["ev"] == "drop" and rec["t"] == 40]
+    assert len({due[msg] for msg in settled}) == 3
+    # a queue holds its messages in send order, which is message id order
+    assert settled == sorted(settled, key=lambda msg: (due[msg], msg))
+
+
 def test_frontier_and_prove_make_no_trace_text(monkeypatch):
     # both read only a run's operations, so with every way to a trace's
     # text refused they still give the golden CSVs and the same reports
