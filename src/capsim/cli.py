@@ -9,6 +9,7 @@ usage errors, running out of memory and a stdout closed too early.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -89,6 +90,7 @@ def _cmd_tp(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first call, then shared: a parse leaves no state in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="capsim",
@@ -139,9 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

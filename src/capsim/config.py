@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import random
 from collections import namedtuple
@@ -17,14 +19,6 @@ MAX_GEN_OPS = 10**6
 
 class ConfigError(ValueError):
     """The scenario description is invalid."""
-
-
-class OpError(ConfigError):
-    """An op the scenario cannot hold, worded by its id: its ``field`` must ``words``."""
-
-    def __init__(self, message: str, op_id: int, field: str, words: str):
-        super().__init__(message)
-        self.op_id, self.field, self.words = op_id, field, words
 
 
 # the bytes read at a time: a piece holds at most this plus one line. A
@@ -162,16 +156,17 @@ def check_range(value, bounds, where: str) -> None:
 
 
 def _compile_reader(table: dict):
-    """Build ``read(value)``: ``read_json(value, table, ...)``'s dict, or None.
+    """Build ``read(value)``: an accepted item's values in table order, or None.
 
-    None stands for every refusal, and the caller words it through
-    ``read_json``. Presence, type and range are checked inline, field by
-    field, so an accepted object costs a few lookups; a field whose kind is
-    a table or a list is refused whenever it is present.
+    An absent optional field reads as None. None stands for every refusal,
+    and the caller words it through ``read_json``. Presence, type and range
+    are checked inline, field by field, so an accepted object costs a few
+    lookups and one tuple; a field whose kind is a table or a list is
+    refused whenever it is present.
     """
     env = {"__name__": __name__}
     required, optional = [], []
-    for i, (key, (name, kind, must, bounds)) in enumerate(table.items()):
+    for i, (key, (_, kind, must, bounds)) in enumerate(table.items()):
         test = "False"  # a table or [kind]: the generic branch reads it
         if type(kind) is frozenset:
             env.update((t.__name__, t) for t in kind)
@@ -183,19 +178,17 @@ def _compile_reader(table: dict):
             elif bounds is not None:
                 lo, hi = bounds
                 test = f"({test}) and {lo} <= v{i}" + ("" if hi is None else f" <= {hi}")
-        (required if must else optional).append((i, key, name, test))
+        (required if must else optional).append((i, key, test))
     source = ["def read(value):", "    if type(value) is not dict:", "        return None"]
     if required:
-        source += ["    try:", *(f"        v{i} = value[{key!r}]" for i, key, _, _ in required),
+        source += ["    try:", *(f"        v{i} = value[{key!r}]" for i, key, _ in required),
                    "    except KeyError:", "        return None",
                    f"    if not ({' and '.join(f'({test})' for *_, test in required)}):",
                    "        return None"]
-    source.append(f"    out = {{{', '.join(f'{name!r}: v{i}' for i, _, name, _ in required)}}}")
-    for i, key, name, test in optional:
-        source += [f"    if {key!r} in value:", f"        v{i} = value[{key!r}]",
-                   f"        if not ({test}):", "            return None",
-                   f"        out[{name!r}] = v{i}"]
-    source.append("    return out")
+    for i, key, test in optional:
+        source += [f"    v{i} = None", f"    if {key!r} in value:", f"        v{i} = value[{key!r}]",
+                   f"        if not ({test}):", "            return None"]
+    source.append(f"    return ({''.join(f'v{i}, ' for i in range(len(table)))})")
     exec("\n".join(source) + "\n", env)
     return env["read"]
 
@@ -220,7 +213,8 @@ def read_json(value, kind, where: str):
     field in table order, so the first such fault is the one named; rules
     that span fields are the classes'. ``where`` names the value in errors.
     The items of a list of objects go through their table's compiled
-    reader; the generic object branch runs only to word a refusal.
+    reader, so each comes back as its values in table order; the generic
+    object branch runs only to word a refusal.
     """
     if type(kind) is dict:
         if type(value) is not dict:
@@ -243,7 +237,7 @@ def read_json(value, kind, where: str):
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {describe(value)}")
         item_kind, items = kind[0], []
-        if type(item_kind) is dict:  # each item through the table's compiled reader
+        if type(item_kind) is dict:  # each item's values through the table's compiled reader
             items = list(map(_reader(item_kind), value))
             if None not in items:
                 return items
@@ -289,23 +283,19 @@ class ClientOp:
 
     def __init__(self, op_id: int, t: int, node: int, kind: str, key: str, val: int | None = None):
         if kind == "write" and not isinstance(val, int):
-            raise OpError(f"write op {op_id} needs an integer value", op_id, "val",
-                          "be an integer for a write")
+            raise ConfigError(f"write op {op_id} needs an integer value")
         self.op_id, self.t, self.node = op_id, t, node
         self.kind, self.key, self.val = kind, key, val
 
 
-def generate_workload(
-    seed: int, node_count: int, horizon: int, *, ops: int = 10, keys=("A",),
-    read_fraction: float = 0.5, span=None,
-) -> list[dict]:
-    """A small seeded random workload, as ``ClientOp`` keyword dicts.
+def generate_workload(seed: int, node_count: int, horizon: int, *, ops: int = 10, keys=("A",),
+                      read_fraction: float = 0.5, span=None):
+    """A small seeded random workload: an iterator of ``(t, node, kind, key, val)``.
 
     The keyword arguments are ``GEN_FIELDS``'; ``span`` defaults to the
-    whole run. The deterministic RNG keeps the workload reproducible from
-    the arguments.
+    whole run. They are checked now, and the ops drawn as they are read,
+    by a deterministic RNG that keeps them reproducible from the arguments.
     """
-    rng = random.Random(seed)
     if not keys:
         raise ConfigError("config.workload_gen.keys must not be empty")
     if span is not None and len(span) != 2:
@@ -315,38 +305,37 @@ def generate_workload(
         raise ConfigError(f"config.workload_gen.span must have lo <= hi, got [{lo}, {hi}]")
     if lo < 0 or hi >= horizon:  # checked before any draw, so no seed or op count hides it
         raise ConfigError(f"config.workload_gen.span must lie in [0, {horizon - 1}], got [{lo}, {hi}]")
-    out = []
-    next_val = 1000
-    for _ in range(ops):
-        t = rng.randint(lo, hi)
-        node = rng.randrange(node_count)
-        key = rng.choice(keys)
-        if rng.random() < read_fraction:
-            out.append({"t": t, "node": node, "kind": "read", "key": key, "val": None})
-        else:
-            out.append({"t": t, "node": node, "kind": "write", "key": key, "val": next_val})
-            next_val += 1
-    return out
+
+    def draw():
+        rng, next_val = random.Random(seed), 1000
+        for _ in range(ops):
+            t, node, key = rng.randint(lo, hi), rng.randrange(node_count), rng.choice(keys)
+            if rng.random() < read_fraction:
+                yield t, node, "read", key, None
+            else:
+                yield t, node, "write", key, next_val
+                next_val += 1
+
+    return draw()
 
 
-def number_ops(ops: list[dict]) -> tuple[ClientOp, ...]:
-    """``ClientOp`` keyword dicts as ops, numbered in tick order.
+def number_ops(ops) -> tuple[ClientOp, ...]:
+    """Ops given as an iterable of ``(t, node, kind, key, val)``, numbered in tick order.
 
     The sort is stable: same-tick ops keep their input order.
     """
-    ops = sorted(ops, key=itemgetter("t"))
-    return tuple([ClientOp(op_id, **op) for op_id, op in enumerate(ops)])
+    return tuple([ClientOp(op_id, *op) for op_id, op in enumerate(sorted(ops, key=itemgetter(0)))])
 
 
-def _read_schedule(items: list[dict], node_count: int) -> PartitionSchedule:
+def _read_schedule(items: list[tuple], node_count: int) -> PartitionSchedule:
     """The schedule of ``read_json``'s outage items; a refusal names its item."""
     outages = []
     for i, item in enumerate(items):
-        for node in (item["a"], item["b"]):
+        for node in item[:2]:
             if not 0 <= node < node_count:
                 raise ConfigError(f"config.partitions[{i}] addresses unknown node {node}")
         try:
-            outages.append(LinkOutage(**item))
+            outages.append(LinkOutage(*item))
         except ValueError as exc:
             raise ConfigError(f"config.partitions[{i}]: {exc}") from None
     return PartitionSchedule(node_count, tuple(outages))
@@ -367,7 +356,7 @@ class ScenarioConfig:
         strategy: StrategyParams = StrategyParams("LocalFirst"),
         message_latency: int = 1,
         partitions: PartitionSchedule | None = None,
-        workload: tuple[ClientOp, ...] = (),
+        workload: tuple[ClientOp, ...] | None = (),
     ):
         if partitions is None:
             partitions = PartitionSchedule(node_count)
@@ -375,34 +364,47 @@ class ScenarioConfig:
             raise ConfigError("partition schedule node count mismatch")
         self.node_count, self.horizon, self.strategy = node_count, horizon, strategy
         self.message_latency, self.partitions = message_latency, partitions
+        if workload is None:  # from_dict's ops, checked there and numbered on first read
+            return
         self.workload = workload = tuple(workload)
         for op in workload:
             if not 0 <= op.node < node_count:
-                raise OpError(f"op {op.op_id} addresses unknown node {op.node}", op.op_id, "node",
-                              f"be in [0, {node_count - 1}]")
-            if not 0 <= op.t < horizon:  # generated ops never pass OP_FIELDS' range
-                raise OpError(f"op {op.op_id} at tick {op.t} is outside the run's ticks "
-                              f"[0, {horizon})", op.op_id, "t", f"lie in [0, {horizon - 1}]")
+                raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
+            if not 0 <= op.t < horizon:
+                raise ConfigError(f"op {op.op_id} at tick {op.t} is outside the run's ticks [0, {horizon})")
+
+    @functools.cached_property
+    def workload(self) -> tuple[ClientOp, ...]:
+        """``from_dict``'s listed then generated ops, drawn and numbered when first read."""
+        return number_ops(itertools.chain(*self.__dict__.pop("_unnumbered", ())))
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         fields = read_json(d, CONFIG_FIELDS, "config")
-        ops = fields.get("workload", [])
+        ops, gen = fields.pop("workload", []), fields.pop("workload_gen", None)
         seed = fields.pop("seed", 0)  # the kernel draws no randomness: only workload_gen reads it
-        gen = fields.pop("workload_gen", None)
-        if gen is not None:
-            ops += generate_workload(seed, fields["node_count"], fields["horizon"], **gen)
-        try:
-            fields["workload"] = number_ops(ops)
-            if "strategy" in fields:
-                fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
-            if "partitions" in fields:
-                fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
-            return cls(**fields)
-        except OpError as exc:  # only a refusal maps its op id back: number_ops' sort is stable
-            i = sorted(range(len(ops)), key=lambda i: ops[i]["t"])[exc.op_id]
-            value = json.dumps(ops[i].get(exc.field))  # a generated op is never refused
-            raise ConfigError(f"config.workload[{i}].{exc.field} must {exc.words}, got {value}") from None
+        count, horizon = fields["node_count"], fields["horizon"]
+        drawn = () if gen is None else generate_workload(seed, count, horizon, **gen)
+        # The rules between a listed op's fields, which generated ops keep, in
+        # op-id order: (t, JSON index), as numbering's stable sort orders them.
+        # A write's value is checked before the strategy and partitions, the rest after.
+        faults = sorted((t, i) for i, (t, node, kind, _, val) in enumerate(ops)
+                        if not (0 <= node < count and t < horizon) or val is None and kind == "write")
+        for _, i in faults:
+            if ops[i][4] is None and ops[i][2] == "write":
+                raise ConfigError(f"config.workload[{i}].val must be an integer for a write, got null")
+        if "strategy" in fields:
+            fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
+        if "partitions" in fields:
+            fields["partitions"] = _read_schedule(fields["partitions"], count)
+        if faults:
+            t, i = faults[0]
+            if not 0 <= ops[i][1] < count:
+                raise ConfigError(f"config.workload[{i}].node must be in [0, {count - 1}], got {ops[i][1]}")
+            raise ConfigError(f"config.workload[{i}].t must lie in [0, {horizon - 1}], got {t}")
+        config = cls(**fields, workload=None)
+        config._unnumbered = ops, drawn
+        return config
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":

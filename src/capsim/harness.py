@@ -201,23 +201,19 @@ class FrontierRow(
         return [self.label, str(self.empirical_tc_min), ta, str(self.tp), ok]
 
 
-def build_frontier_workload(tp: int) -> list[dict]:
+def build_frontier_workload(tp: int) -> list[tuple]:
     """Periodic writes on one side of the cut, periodic reads on the other.
 
     Writes land on even offsets starting before the cut and running past
     the heal, with one write exactly at the cut's first tick; reads
     interleave on odd offsets. Values are distinct so the checker can
-    attribute every read.
+    attribute every read. Each op is ``(t, node, kind, key, val)``.
     """
     first, last = FRONTIER_T_START - FRONTIER_LEAD, FRONTIER_T_START + tp + FRONTIER_TAIL
     writes = range(first, last + 1, 2)
     reads = range(first + 1, last + 2, 2)
-    return [
-        {"t": t, "node": _WRITE_NODE, "kind": "write", "key": _FRONTIER_KEY, "val": val}
-        for val, t in enumerate(writes, start=10)
-    ] + [
-        {"t": t, "node": _READ_NODE, "kind": "read", "key": _FRONTIER_KEY, "val": None}
-        for t in reads
+    return [(t, _WRITE_NODE, "write", _FRONTIER_KEY, val) for val, t in enumerate(writes, start=10)] + [
+        (t, _READ_NODE, "read", _FRONTIER_KEY, None) for t in reads
     ]
 
 

@@ -7,9 +7,11 @@ implementations they pin down.
 
 from __future__ import annotations
 
+import json
 import random
 
 from capsim.checker import History, OperationRecord
+from capsim.config import GEN_FIELDS, OP_FIELDS, ClientOp, read_json
 from capsim.partitions import LinkOutage, PartitionSchedule
 
 
@@ -218,3 +220,58 @@ def partition_span_oracle(schedule: PartitionSchedule, horizon: int) -> int:
                     run += 1
                     best = max(best, run)
     return best
+
+
+def dict_generated_ops(
+    seed: int, node_count: int, horizon: int, *, ops: int = 10, keys=("A",),
+    read_fraction: float = 0.5, span=None,
+) -> list[dict]:
+    """A generated workload as ``ClientOp`` keyword dicts, one per op, drawn at once.
+
+    The same RNG calls in the same order as ``config.generate_workload``;
+    its arguments are taken as valid.
+    """
+    rng = random.Random(seed)
+    lo, hi = (0, horizon - 1) if span is None else span
+    out = []
+    next_val = 1000
+    for _ in range(ops):
+        t = rng.randint(lo, hi)
+        node = rng.randrange(node_count)
+        key = rng.choice(keys)
+        if rng.random() < read_fraction:
+            out.append({"t": t, "node": node, "kind": "read", "key": key, "val": None})
+        else:
+            out.append({"t": t, "node": node, "kind": "write", "key": key, "val": next_val})
+            next_val += 1
+    return out
+
+
+def dict_path_workload(doc: dict):
+    """The ops of scenario config ``doc`` read the way of one dict per op.
+
+    Each listed op is read to a keyword dict by the generic object reader,
+    the generated ops follow the listed ones, a stable sort on ``t``
+    numbers them and ``ClientOp(op_id, **op)`` builds each. Returns each
+    op's ``(op_id, t, node, kind, key, val)``, or the message of the
+    refusal: a write without a value first, as its op is built, then an
+    op off the nodes or past the horizon, each the first in op-id order
+    and named by its JSON index. Faults of any other field are taken as
+    absent.
+    """
+    nodes, horizon = doc["nodes"], doc["horizon"]
+    ops = [read_json(item, OP_FIELDS, "") for item in doc.get("workload", [])]
+    if "workload_gen" in doc:
+        gen = {GEN_FIELDS[key][0]: value for key, value in doc["workload_gen"].items()}
+        ops += dict_generated_ops(doc.get("seed", 0), nodes, horizon, **gen)
+    order = sorted(range(len(ops)), key=lambda i: ops[i]["t"])
+    for i in order:
+        if ops[i]["kind"] == "write" and not isinstance(ops[i].get("val"), int):
+            return f"config.workload[{i}].val must be an integer for a write, got {json.dumps(ops[i].get('val'))}"
+    built = [ClientOp(op_id, **ops[i]) for op_id, i in enumerate(order)]
+    for op, i in zip(built, order):
+        if not 0 <= op.node < nodes:
+            return f"config.workload[{i}].node must be in [0, {nodes - 1}], got {op.node}"
+        if not 0 <= op.t < horizon:
+            return f"config.workload[{i}].t must lie in [0, {horizon - 1}], got {op.t}"
+    return [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in built]

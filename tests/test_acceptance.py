@@ -21,7 +21,7 @@ from capsim.checker import (
     valid_read_values,
 )
 from capsim.cli import main
-from capsim.config import ScenarioConfig, StrategyParams
+from capsim.config import OP_FIELDS, ScenarioConfig, StrategyParams
 from capsim.harness import (
     ProofReplaySpec,
     bound_slack,
@@ -153,7 +153,7 @@ def test_criterion_4_corner_cases():
             "latency": LATENCY,
             "horizon": frontier.horizon,
             "strategy": {"kind": "LocalFirst", "G": gossip},
-            "workload": build_frontier_workload(10) + extra,
+            "workload": [dict(zip(OP_FIELDS, op)) for op in build_frontier_workload(10)] + extra,
         })
         tc, ta = _empirical(healthy)
         assert ta == 0

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import capsim
-from capsim.cli import main
+from capsim.cli import build_parser, main
 from capsim.config import ConfigError, ScenarioConfig
 from capsim.kernel import Simulation
 from capsim.partitions import PartitionSchedule
@@ -164,6 +164,48 @@ def test_tp_prints_the_span(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", demo_config())
     assert main(["tp", cfg]) == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+def test_tp_checks_every_op_and_builds_none(tmp_path, capsys, monkeypatch):
+    def built(config):
+        raise AssertionError("tp read the ops")
+
+    monkeypatch.setattr(ScenarioConfig, "workload", property(built))
+    cfg = write_json(tmp_path / "cfg.json", demo_config(workload_gen={"ops": 1000, "keys": ["A", "B"]}))
+    assert main(["tp", cfg]) == 0
+    assert capsys.readouterr().out == "10\n"
+    ops = demo_config()["workload"] + [{"t": 7, "node": 0, "kind": "write", "key": "A"}]
+    cfg = write_json(tmp_path / "bad.json", demo_config(workload=ops, workload_gen={"ops": 3}))
+    assert main(["tp", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: config.workload[2].val must be an integer for a write, got null\n"
+    )
+
+
+def test_main_builds_its_parser_once_and_each_call_prints_what_a_fresh_process_does(tmp_path, capsys):
+    src = str(Path(capsim.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import capsim.cli as c; print(c.build_parser.cache_info().currsize)"
+    built_at_import = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert built_at_import == "0\n"
+    cfg = write_json(tmp_path / "cfg.json", demo_config())
+    trace = str(tmp_path / "demo.trace")
+    calls = [
+        ["simulate", cfg, "-o", trace], ["tp", cfg], ["check", trace, "--tc", "2", "--ta", "2"],
+        ["frontier", "--nope"], ["check", trace, "--tc", "9", "--ta", "9", "--tp", "10"], ["tp", cfg],
+    ]
+    fresh = []
+    for argv in calls:
+        done = subprocess.run([sys.executable, "-m", "capsim", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        fresh.append((done.returncode, done.stdout, done.stderr))
+    in_process = []
+    for argv in calls:
+        code = main(argv)
+        in_process.append((code, *capsys.readouterr()))
+    assert in_process == fresh
+    assert build_parser() is build_parser()
 
 
 def test_usage_errors_exit_two(tmp_path, capsys):

@@ -15,7 +15,7 @@ from capsim.checker import (
     extract_history,
     min_consistency_bound,
 )
-from capsim.config import STRATEGY_KINDS, ConfigError, ScenarioConfig, StrategyParams
+from capsim.config import OP_FIELDS, STRATEGY_KINDS, ConfigError, ScenarioConfig, StrategyParams
 from capsim.harness import (
     FRONTIER_T_START,
     FRONTIER_TAIL,
@@ -380,7 +380,7 @@ def reference_frontier_config(tp, strategy, *, latency=1, seed=0, horizon=None, 
         "seed": seed,
         "partitions": [{"a": 0, "b": 1, "start": FRONTIER_T_START, "end": end}],
         "strategy": strategy_dict(strategy),
-        "workload": build_frontier_workload(tp),
+        "workload": [dict(zip(OP_FIELDS, op)) for op in build_frontier_workload(tp)],
     }
     if noise_reads:
         d["workload_gen"] = {

@@ -37,6 +37,7 @@ from capsim.config import (
     read_json,
 )
 from capsim.kernel import run_scenario
+from histgen import dict_path_workload
 
 CONFIG = {
     "nodes": 2,
@@ -441,9 +442,13 @@ MULTI_FAULT = {
 @pytest.mark.parametrize("name", list(MULTI_FAULT))
 def test_a_config_with_several_faults_names_the_first(name):
     change, message = MULTI_FAULT[name]
+    doc = {"nodes": 2, "horizon": 10, **change}
     with pytest.raises(ConfigError) as info:
-        ScenarioConfig.from_dict({"nodes": 2, "horizon": 10, **change})
+        ScenarioConfig.from_dict(doc)
     assert str(info.value) == message
+    # tp builds no op, yet names the same fault
+    for command in ("simulate", "tp"):
+        assert run(command, json.dumps(doc)) == (2, f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("ops", [0, 1, 3])
@@ -458,7 +463,7 @@ def test_a_workload_gen_span_past_the_horizon_is_refused_at_every_seed(ops):
 def test_a_config_built_in_code_names_its_op_by_id():
     def refusal(ops):
         with pytest.raises(ConfigError) as info:
-            ScenarioConfig(2, 10, workload=number_ops(ops))
+            ScenarioConfig(2, 10, workload=number_ops([tuple(op.values()) for op in ops]))
         return str(info.value)
 
     assert refusal([_write(t=12), _write(t=3, node=9)]) == "op 0 addresses unknown node 9"
@@ -483,6 +488,14 @@ def regression_input(command, change):
 def test_bad_input_exits_two_with_one_line(name):
     command, change, message = REGRESSIONS[name]
     assert run(command, regression_input(command, change)) == (2, message + "\n")
+
+
+@pytest.mark.parametrize("name", [name for name, row in REGRESSIONS.items() if row[0] == "simulate"])
+def test_tp_refuses_each_bad_scenario_config_as_simulate_does(name):
+    # tp checks every op, listed or generated, though it builds none
+    _, change, message = REGRESSIONS[name]
+    text = regression_input("simulate", change)
+    assert run("tp", text) == run("simulate", text) == (2, message + "\n")
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -737,6 +750,62 @@ def test_a_value_just_outside_a_range_exits_two_naming_its_json_path(target, dat
     assert err.endswith(f", got {describe(value)}\n"), err
 
 
+# -- a config's ops against the dict path ----------------------------------
+
+
+@st.composite
+def scenario_docs(draw):
+    """A scenario config with 0 to 60 listed ops on a few ticks, some with generated ops too.
+
+    In half of them one op in ten breaks a rule between its fields: it is
+    off the nodes, past the horizon or a write without a value.
+    """
+    nodes, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    faulty = draw(st.booleans())
+    ops = []
+    for _ in range(draw(st.integers(0, 60))):
+        fault = faulty and draw(st.integers(0, 9)) == 0 and draw(st.sampled_from(["t", "node", "val"]))
+        kind = draw(st.sampled_from(["read", "write"]))
+        op = {
+            "t": horizon + draw(st.integers(0, 2)) if fault == "t" else draw(st.integers(0, min(horizon - 1, 3))),
+            "node": nodes if fault == "node" else draw(st.integers(0, nodes - 1)),
+            "kind": "write" if fault == "val" else kind,
+            "key": draw(st.sampled_from(["A", "B"])),
+        }
+        val = draw(st.sampled_from(["absent", None, "int"]))
+        if op["kind"] == "write" and fault != "val":
+            val = "int"
+        elif fault == "val":
+            val = draw(st.sampled_from(["absent", None]))
+        if val != "absent":
+            op["val"] = draw(st.integers(0, 9)) if val == "int" else None
+        ops.append(op)
+    doc = {"nodes": nodes, "horizon": horizon, "seed": draw(st.integers(0, 1000)), "workload": ops}
+    if draw(st.booleans()):
+        gen = {"ops": draw(st.integers(0, 30)),
+               "keys": draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3)),
+               "read_fraction": draw(st.sampled_from([0, 0.3, 0.5, 1]))}
+        if draw(st.booleans()):
+            lo = draw(st.integers(0, horizon - 1))
+            gen["span"] = [lo, draw(st.integers(lo, horizon - 1))]
+        doc["workload_gen"] = gen
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_docs())
+def test_a_configs_ops_are_the_ops_of_the_dict_path(doc):
+    expected = dict_path_workload(doc)
+    try:
+        config = ScenarioConfig.from_dict(doc)
+    except ConfigError as exc:
+        assert str(exc) == expected
+        return
+    ops = [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload]
+    assert ops == expected
+    assert [type(op.val) for op in config.workload] == [type(op[-1]) for op in expected]
+
+
 # -- the reader of listed items against the generic object reader ---------
 
 LISTED = {
@@ -783,13 +852,17 @@ def _outcome(read):
 
 
 def _reference(items, table, where):
-    """The generic object reader over each item, naming the first that fails."""
+    """The generic object reader over each item, naming the first that fails.
+
+    Each item comes back as its values in table order, an absent one as None.
+    """
     out = []
     for i, item in enumerate(items):
         try:
-            out.append(read_json(item, table, ""))
+            fields = read_json(item, table, "")
         except ConfigError as exc:
             raise ConfigError(f"{where}[{i}]{exc}") from None
+        out.append(tuple(fields.get(name) for name, *_ in table.values()))
     return out
 
 
