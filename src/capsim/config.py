@@ -282,8 +282,6 @@ class ClientOp:
     __slots__ = ("op_id", "t", "node", "kind", "key", "val")
 
     def __init__(self, op_id: int, t: int, node: int, kind: str, key: str, val: int | None = None):
-        if kind == "write" and not isinstance(val, int):
-            raise ConfigError(f"write op {op_id} needs an integer value")
         self.op_id, self.t, self.node = op_id, t, node
         self.kind, self.key, self.val = kind, key, val
 
@@ -319,14 +317,6 @@ def generate_workload(seed: int, node_count: int, horizon: int, *, ops: int = 10
     return draw()
 
 
-def number_ops(ops) -> tuple[ClientOp, ...]:
-    """Ops given as an iterable of ``(t, node, kind, key, val)``, numbered in tick order.
-
-    The sort is stable: same-tick ops keep their input order.
-    """
-    return tuple([ClientOp(op_id, *op) for op_id, op in enumerate(sorted(ops, key=itemgetter(0)))])
-
-
 def _read_schedule(items: list[tuple], node_count: int) -> PartitionSchedule:
     """The schedule of ``read_json``'s outage items; a refusal names its item."""
     outages = []
@@ -344,9 +334,12 @@ def _read_schedule(items: list[tuple], node_count: int) -> PartitionSchedule:
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
-    Every op lies in [0, horizon) on a known node; the field tables hold
-    each single field's range, such as a message latency of at least one
-    tick, so that causality always moves the clock forward.
+    The keyword arguments are ``CONFIG_FIELDS``', whose tables hold each
+    single field's range, such as a message latency of at least one tick,
+    so that causality always moves the clock forward. ``workload`` lists
+    ``(t, node, kind, key, val)`` tuples; ``workload_gen`` and ``seed`` are
+    ``generate_workload``'s. Every rule between an op's fields is checked
+    here, for JSON and code alike, and the ops are built on first read.
     """
 
     def __init__(
@@ -356,7 +349,9 @@ class ScenarioConfig:
         strategy: StrategyParams = StrategyParams("LocalFirst"),
         message_latency: int = 1,
         partitions: PartitionSchedule | None = None,
-        workload: tuple[ClientOp, ...] | None = (),
+        workload: list | tuple = (),
+        workload_gen: dict | None = None,
+        seed: int = 0,  # the kernel draws no randomness: only workload_gen reads it
     ):
         if partitions is None:
             partitions = PartitionSchedule(node_count)
@@ -364,47 +359,45 @@ class ScenarioConfig:
             raise ConfigError("partition schedule node count mismatch")
         self.node_count, self.horizon, self.strategy = node_count, horizon, strategy
         self.message_latency, self.partitions = message_latency, partitions
-        if workload is None:  # from_dict's ops, checked there and numbered on first read
-            return
-        self.workload = workload = tuple(workload)
-        for op in workload:
-            if not 0 <= op.node < node_count:
-                raise ConfigError(f"op {op.op_id} addresses unknown node {op.node}")
-            if not 0 <= op.t < horizon:
-                raise ConfigError(f"op {op.op_id} at tick {op.t} is outside the run's ticks [0, {horizon})")
+        # the span is checked now; the ops are drawn when first read
+        drawn = () if workload_gen is None else generate_workload(seed, node_count, horizon, **workload_gen)
+        # The first listed op, in op-id order ((t, index), as numbering's
+        # stable sort orders them), that breaks a rule between its fields;
+        # generated ops keep them all.
+        fault = min(((t, i) for i, (t, node, kind, _, val) in enumerate(workload)
+                     if not (0 <= node < node_count and 0 <= t < horizon) or val is None and kind == "write"),
+                    default=None)
+        if fault is not None:
+            t, i = fault
+            _, node, kind, _, val = workload[i]
+            if val is None and kind == "write":
+                raise ConfigError(f"config.workload[{i}].val must be an integer for a write, got null")
+            if not 0 <= node < node_count:
+                raise ConfigError(f"config.workload[{i}].node must be in [0, {node_count - 1}], got {node}")
+            raise ConfigError(f"config.workload[{i}].t must lie in [0, {horizon - 1}], got {t}")
+        self._unbuilt = workload, drawn
 
     @functools.cached_property
     def workload(self) -> tuple[ClientOp, ...]:
-        """``from_dict``'s listed then generated ops, drawn and numbered when first read."""
-        return number_ops(itertools.chain(*self.__dict__.pop("_unnumbered", ())))
+        """The listed then the generated ops, in tick order, drawn and numbered when first read.
+
+        The sort is stable: same-tick ops keep their order, listed before
+        generated. Each op replaces its tuple as it is built, so the tuples
+        go as the ops come.
+        """
+        ops = sorted(itertools.chain(*self.__dict__.pop("_unbuilt")), key=itemgetter(0))
+        for op_id, op in enumerate(ops):
+            ops[op_id] = ClientOp(op_id, *op)
+        return tuple(ops)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         fields = read_json(d, CONFIG_FIELDS, "config")
-        ops, gen = fields.pop("workload", []), fields.pop("workload_gen", None)
-        seed = fields.pop("seed", 0)  # the kernel draws no randomness: only workload_gen reads it
-        count, horizon = fields["node_count"], fields["horizon"]
-        drawn = () if gen is None else generate_workload(seed, count, horizon, **gen)
-        # The rules between a listed op's fields, which generated ops keep, in
-        # op-id order: (t, JSON index), as numbering's stable sort orders them.
-        # A write's value is checked before the strategy and partitions, the rest after.
-        faults = sorted((t, i) for i, (t, node, kind, _, val) in enumerate(ops)
-                        if not (0 <= node < count and t < horizon) or val is None and kind == "write")
-        for _, i in faults:
-            if ops[i][4] is None and ops[i][2] == "write":
-                raise ConfigError(f"config.workload[{i}].val must be an integer for a write, got null")
         if "strategy" in fields:
             fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
         if "partitions" in fields:
-            fields["partitions"] = _read_schedule(fields["partitions"], count)
-        if faults:
-            t, i = faults[0]
-            if not 0 <= ops[i][1] < count:
-                raise ConfigError(f"config.workload[{i}].node must be in [0, {count - 1}], got {ops[i][1]}")
-            raise ConfigError(f"config.workload[{i}].t must lie in [0, {horizon - 1}], got {t}")
-        config = cls(**fields, workload=None)
-        config._unnumbered = ops, drawn
-        return config
+            fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
+        return cls(**fields)
 
     @classmethod
     def read(cls, path) -> "ScenarioConfig":

@@ -51,13 +51,10 @@ from .config import (
     FRONTIER_FIELDS,
     MAX_HORIZON,
     PROOF_FIELDS,
-    ClientOp,
     ConfigError,
     ScenarioConfig,
     StrategyParams,
     check_range,
-    generate_workload,
-    number_ops,
     read_json,
 )
 from .kernel import Simulation, run_scenario
@@ -146,14 +143,13 @@ def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:
 
     The schedule isolates n_a completely, a warmup write replicates before
     the cut so the stale side has a concrete value to return, and the
-    write/read pair lands inside the dead window. The ops are built in
-    tick order, so their ids are the ones numbering would give.
+    write/read pair lands inside the dead window.
     """
     t = spec.t_start + 1
     workload = (
-        ClientOp(0, spec.t_start - spec.latency - 1, spec.n_a, "write", "A", 100),
-        ClientOp(1, t, spec.n_a, "write", "A", 200),
-        ClientOp(2, t + spec.claimed_tc, spec.n_b, "read", "A"),
+        (spec.t_start - spec.latency - 1, spec.n_a, "write", "A", 100),
+        (t, spec.n_a, "write", "A", 200),
+        (t + spec.claimed_tc, spec.n_b, "read", "A", None),
     )
     return ScenarioConfig(
         spec.node_count, spec.run_horizon(), spec.strategy, spec.latency,
@@ -233,14 +229,11 @@ def build_frontier_config(
 ) -> ScenarioConfig:
     if horizon is None:
         horizon = frontier_horizon(tp, strategy.deadline, latency)
-    ops = build_frontier_workload(tp)
-    if noise_reads:
-        # read-only noise: extra writes on the read side would let stale
-        # reads hide behind locally-fresh values and blunt the experiment
-        ops += generate_workload(seed, 2, horizon, ops=noise_reads, keys=[_FRONTIER_KEY],
-                                 read_fraction=1.0)
+    # read-only noise: extra writes on the read side would let stale
+    # reads hide behind locally-fresh values and blunt the experiment
+    noise = {"ops": noise_reads, "keys": [_FRONTIER_KEY], "read_fraction": 1.0} if noise_reads else None
     cut = isolation(_WRITE_NODE, 2, FRONTIER_T_START, FRONTIER_T_START + tp)
-    return ScenarioConfig(2, horizon, strategy, latency, cut, number_ops(ops))
+    return ScenarioConfig(2, horizon, strategy, latency, cut, build_frontier_workload(tp), noise, seed)
 
 
 def frontier_sweep(

@@ -25,8 +25,8 @@ Scheduling rules the strategies rely on:
 * an action field the trace writes must have its type (an integer
   destination and delay, bool excluded, a string timer id), a response
   must name an op an invoke has dispatched, and a workload op must have
-  an integer id and node, the kind "read" or "write" and an integer or
-  null value, or the run is refused before the action or op records a line,
+  an integer node, the kind "read" or "write" and an integer or null
+  value, or the run is refused before the action or op records a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -160,10 +160,9 @@ class Simulation:
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
                         op_id, node_id, kind, val = op.op_id, op.node, op.kind, op.val
-                        if type(op_id) is not int or type(node_id) is not int or type(val) not in OPT:
-                            raise _refused(f"an op's id and node must be integers and its value "
-                                           f"an integer or null, got {op_id!r}, {node_id!r}, "
-                                           f"{val!r}", now, event)
+                        if type(node_id) is not int or type(val) not in OPT:
+                            raise _refused(f"an op's node must be an integer and its value an integer "
+                                           f"or null, got {node_id!r}, {val!r}", now, event)
                         if kind not in KINDS:
                             raise _refused(f"an op's kind must be \"read\" or \"write\", "
                                            f"got {kind!r}", now, event)

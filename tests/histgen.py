@@ -254,10 +254,9 @@ def dict_path_workload(doc: dict):
     the generated ops follow the listed ones, a stable sort on ``t``
     numbers them and ``ClientOp(op_id, **op)`` builds each. Returns each
     op's ``(op_id, t, node, kind, key, val)``, or the message of the
-    refusal: a write without a value first, as its op is built, then an
-    op off the nodes or past the horizon, each the first in op-id order
-    and named by its JSON index. Faults of any other field are taken as
-    absent.
+    refusal: the first op in op-id order that is a write without a value,
+    off the nodes or past the horizon, checked in that order and named by
+    its JSON index. Faults of any other field are taken as absent.
     """
     nodes, horizon = doc["nodes"], doc["horizon"]
     ops = [read_json(item, OP_FIELDS, "") for item in doc.get("workload", [])]
@@ -265,11 +264,10 @@ def dict_path_workload(doc: dict):
         gen = {GEN_FIELDS[key][0]: value for key, value in doc["workload_gen"].items()}
         ops += dict_generated_ops(doc.get("seed", 0), nodes, horizon, **gen)
     order = sorted(range(len(ops)), key=lambda i: ops[i]["t"])
-    for i in order:
-        if ops[i]["kind"] == "write" and not isinstance(ops[i].get("val"), int):
-            return f"config.workload[{i}].val must be an integer for a write, got {json.dumps(ops[i].get('val'))}"
     built = [ClientOp(op_id, **ops[i]) for op_id, i in enumerate(order)]
     for op, i in zip(built, order):
+        if op.kind == "write" and not isinstance(op.val, int):
+            return f"config.workload[{i}].val must be an integer for a write, got {json.dumps(op.val)}"
         if not 0 <= op.node < nodes:
             return f"config.workload[{i}].node must be in [0, {nodes - 1}], got {op.node}"
         if not 0 <= op.t < horizon:

@@ -33,7 +33,6 @@ from capsim.config import (
     ConfigError,
     ScenarioConfig,
     describe,
-    number_ops,
     read_json,
 )
 from capsim.kernel import run_scenario
@@ -380,7 +379,8 @@ def _write(**changes):
 
 # name -> (a config with more than one fault, the one error it gives): the
 # first type or range fault in table order wins, as it did before listed
-# items had a compiled reader; only then are the rules between fields checked
+# items had a compiled reader; only then are the rules between fields
+# checked: the strategy's, the partitions', the span's, then each op's in op-id order
 MULTI_FAULT = {
     "no nodes, op on node 9": (
         {"nodes": 0, "workload": [_write(node=9)]}, "config.nodes must be in [1, 1024], got 0",
@@ -436,6 +436,33 @@ MULTI_FAULT = {
         {"partitions": [{"a": 0, "b": 5, "start": 3, "end": 2}]},
         "config.partitions[0] addresses unknown node 5",
     ),
+    "write without value, earlier op on node 9": (
+        {"workload": [_write(t=5, val=None), _write(t=2, node=9)]},
+        "config.workload[1].node must be in [0, 1], got 9",
+    ),
+    "write without value, HybridDeadline without D": (
+        {"strategy": {"kind": "HybridDeadline"}, "workload": [_write(val=None)]},
+        "config.strategy: missing required field 'D'",
+    ),
+    "write without value, outage past node count": (
+        {"partitions": [{"a": 0, "b": 5, "start": 1, "end": 2}], "workload": [_write(val=None)]},
+        "config.partitions[0] addresses unknown node 5",
+    ),
+    "one op: write without value, on node 9, past horizon": (
+        {"workload": [_write(t=12, node=9, val=None)]},
+        "config.workload[0].val must be an integer for a write, got null",
+    ),
+    "one op: on node 9, past horizon": (
+        {"workload": [_write(t=12, node=9)]}, "config.workload[0].node must be in [0, 1], got 9",
+    ),
+    "span past horizon, HybridDeadline without D": (
+        {"strategy": {"kind": "HybridDeadline"}, "workload_gen": {"span": [5, 40]}},
+        "config.strategy: missing required field 'D'",
+    ),
+    "span past horizon, op on node 9": (
+        {"workload": [_write(node=9)], "workload_gen": {"span": [5, 40]}},
+        "config.workload_gen.span must lie in [0, 9], got [5, 40]",
+    ),
 }
 
 
@@ -460,15 +487,19 @@ def test_a_workload_gen_span_past_the_horizon_is_refused_at_every_seed(ops):
         assert str(info.value) == "config.workload_gen.span must lie in [0, 9], got [5, 40]"
 
 
-def test_a_config_built_in_code_names_its_op_by_id():
+def test_a_config_built_in_code_names_its_op_as_json_does():
     def refusal(ops):
         with pytest.raises(ConfigError) as info:
-            ScenarioConfig(2, 10, workload=number_ops([tuple(op.values()) for op in ops]))
+            ScenarioConfig(2, 10, workload=[tuple(op.values()) for op in ops])
         return str(info.value)
 
-    assert refusal([_write(t=12), _write(t=3, node=9)]) == "op 0 addresses unknown node 9"
-    assert refusal([_write(t=12), _write(t=3)]) == "op 1 at tick 12 is outside the run's ticks [0, 10)"
-    assert refusal([_write(t=5, node=9), _write(t=2, val=None)]) == "write op 0 needs an integer value"
+    assert refusal([_write(t=12), _write(t=3, node=9)]) == "config.workload[1].node must be in [0, 1], got 9"
+    assert refusal([_write(t=12), _write(t=3)]) == "config.workload[0].t must lie in [0, 9], got 12"
+    assert refusal([_write(t=5, node=9), _write(t=2, val=None)]) == (
+        "config.workload[1].val must be an integer for a write, got null"
+    )
+    # JSON refuses a negative tick as a range fault; code reaches this rule
+    assert refusal([_write(t=3), _write(t=-1)]) == "config.workload[1].t must lie in [0, 9], got -1"
 
 
 def regression_input(command, change):
@@ -804,6 +835,22 @@ def test_a_configs_ops_are_the_ops_of_the_dict_path(doc):
     ops = [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload]
     assert ops == expected
     assert [type(op.val) for op in config.workload] == [type(op[-1]) for op in expected]
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenario_docs())
+def test_a_config_built_in_code_has_the_ops_or_the_refusal_of_its_json(doc):
+    def ops(build):
+        try:
+            config = build()
+        except ConfigError as exc:
+            return str(exc)
+        return [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload]
+
+    listed = [(op["t"], op["node"], op["kind"], op["key"], op.get("val")) for op in doc["workload"]]
+    in_code = ops(lambda: ScenarioConfig(doc["nodes"], doc["horizon"], workload=listed,
+                                         workload_gen=doc.get("workload_gen"), seed=doc["seed"]))
+    assert in_code == ops(lambda: ScenarioConfig.from_dict(doc))
 
 
 # -- the reader of listed items against the generic object reader ---------

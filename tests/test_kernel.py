@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from capsim.config import INT, STR, ClientOp, ConfigError, ScenarioConfig, StrategyParams
+from capsim.config import INT, STR, ConfigError, ScenarioConfig, StrategyParams
 from capsim.harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
 from capsim.kernel import Simulation, SimulationError, run_scenario
 from capsim.strategies import Respond, Send, SetTimer, StrategyNode
@@ -392,24 +392,24 @@ def test_kernel_refuses_a_malformed_action_field_before_any_line(name):
     assert sim.trace.lines == []
 
 
-# a workload op built by hand skips config.read_json, so the kernel types
+# a workload op built in code skips config.read_json, so the kernel types
 # the fields its invoke line writes: else 0.5 and True would be written
-@pytest.mark.parametrize("op_id, node, val", [(0.5, 0, 7), (0, True, 7), (0, 0, True)])
-def test_kernel_refuses_a_mistyped_workload_op_before_its_line(op_id, node, val):
-    config = ScenarioConfig(2, 20, workload=[ClientOp(op_id, 1, node, "write", "A", val)])
+@pytest.mark.parametrize("node, val", [(0.5, 7), (True, 7), (0, True)])
+def test_kernel_refuses_a_mistyped_workload_op_before_its_line(node, val):
+    config = ScenarioConfig(2, 20, workload=[(1, node, "write", "A", val)])
     sim = Simulation(config)
     with pytest.raises(SimulationError) as info:
         sim.run()
     assert str(info.value) == (
-        f"an op's id and node must be integers and its value an integer or null, "
-        f"got {op_id!r}, {node!r}, {val!r} while handling invoke of op {op_id!r} at tick 1"
+        f"an op's node must be an integer and its value an integer or null, "
+        f"got {node!r}, {val!r} while handling invoke of op 0 at tick 1"
     )
     assert sim.trace.lines == []
 
 
 def test_kernel_refuses_an_op_kind_no_history_reads_before_its_line():
     # a reader of the trace refuses an invoke of any other kind
-    config = ScenarioConfig(2, 5, workload=(ClientOp(0, 1, 0, "scan", "A"),))
+    config = ScenarioConfig(2, 5, workload=[(1, 0, "scan", "A", None)])
     sim = Simulation(config)
     with pytest.raises(SimulationError) as info:
         sim.run()
@@ -422,7 +422,7 @@ def test_kernel_refuses_an_op_kind_no_history_reads_before_its_line():
 @pytest.mark.parametrize("key", [5, None, b"A"])
 def test_kernel_refuses_a_non_string_op_key_before_its_line(key):
     # the line would carry a key the trace reader refuses
-    config = ScenarioConfig(2, 5, workload=(ClientOp(0, 1, 0, "read", key),))
+    config = ScenarioConfig(2, 5, workload=[(1, 0, "read", key, None)])
     sim = Simulation(config)
     with pytest.raises(SimulationError) as info:
         sim.run()
