@@ -137,7 +137,11 @@ FRONTIER_FIELDS = {
 
 
 def describe(value) -> str:
-    text = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+    """``value`` as JSON writes it, cut to 40 characters; ``repr`` for a value JSON has no form for."""
+    try:
+        text = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+    except (TypeError, ValueError):  # built in code, such as a bytes key
+        text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
 
 
@@ -317,29 +321,16 @@ def generate_workload(seed: int, node_count: int, horizon: int, *, ops: int = 10
     return draw()
 
 
-def _read_schedule(items: list[tuple], node_count: int) -> PartitionSchedule:
-    """The schedule of ``read_json``'s outage items; a refusal names its item."""
-    outages = []
-    for i, item in enumerate(items):
-        for node in item[:2]:
-            if not 0 <= node < node_count:
-                raise ConfigError(f"config.partitions[{i}] addresses unknown node {node}")
-        try:
-            outages.append(LinkOutage(*item))
-        except ValueError as exc:
-            raise ConfigError(f"config.partitions[{i}]: {exc}") from None
-    return PartitionSchedule(node_count, tuple(outages))
-
-
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
     The keyword arguments are ``CONFIG_FIELDS``', whose tables hold each
     single field's range, such as a message latency of at least one tick,
-    so that causality always moves the clock forward. ``workload`` lists
+    so that causality always moves the clock forward. ``partitions`` lists
+    ``(a, b, start, end)`` tuples, such as ``LinkOutage``s, and ``workload``
     ``(t, node, kind, key, val)`` tuples; ``workload_gen`` and ``seed`` are
-    ``generate_workload``'s. Every rule between an op's fields is checked
-    here, for JSON and code alike, and the ops are built on first read.
+    ``generate_workload``'s. Every op and outage is checked here, in the
+    words ``from_dict`` gives its JSON, and the ops are built on first read.
     """
 
     def __init__(
@@ -348,24 +339,40 @@ class ScenarioConfig:
         horizon: int,
         strategy: StrategyParams = StrategyParams("LocalFirst"),
         message_latency: int = 1,
-        partitions: PartitionSchedule | None = None,
+        partitions: list | tuple = (),
         workload: list | tuple = (),
         workload_gen: dict | None = None,
         seed: int = 0,  # the kernel draws no randomness: only workload_gen reads it
     ):
-        if partitions is None:
-            partitions = PartitionSchedule(node_count)
-        if partitions.node_count != node_count:
-            raise ConfigError("partition schedule node count mismatch")
-        self.node_count, self.horizon, self.strategy = node_count, horizon, strategy
-        self.message_latency, self.partitions = message_latency, partitions
+        self.node_count, self.horizon, self.strategy, self.message_latency = (
+            node_count, horizon, strategy, message_latency)
+        # First each field's type and range, in list order, partitions before workload, as
+        # read_json reads a config: one test per item, and read_json words the first that fails.
+        for i, (a, b, start, end) in enumerate(partitions):
+            if not (type(a) is type(b) is type(start) is type(end) is int and start >= 0):
+                read_json(dict(zip(OUTAGE_FIELDS, partitions[i])), OUTAGE_FIELDS, f"config.partitions[{i}]")
+        kinds = OP_FIELDS["kind"][3]
+        for i, (t, node, kind, key, val) in enumerate(workload):
+            if not (type(t) is type(node) is int and t >= 0 and type(kind) is type(key) is str
+                    and kind in kinds and (val is None or type(val) is int)):
+                read_json(dict(zip(OP_FIELDS, workload[i])), OP_FIELDS, f"config.workload[{i}]")
+        # Then the rules between fields: each outage's, the span's, then the ops'.
+        outages = []
+        for i, item in enumerate(partitions):
+            for node in item[:2]:
+                if not 0 <= node < node_count:
+                    raise ConfigError(f"config.partitions[{i}] addresses unknown node {node}")
+            try:
+                outages.append(LinkOutage(*item))
+            except ValueError as exc:
+                raise ConfigError(f"config.partitions[{i}]: {exc}") from None
+        self.partitions = PartitionSchedule(node_count, tuple(outages))
         # the span is checked now; the ops are drawn when first read
         drawn = () if workload_gen is None else generate_workload(seed, node_count, horizon, **workload_gen)
-        # The first listed op, in op-id order ((t, index), as numbering's
-        # stable sort orders them), that breaks a rule between its fields;
-        # generated ops keep them all.
+        # The first listed op, in op-id order ((t, index), as numbering's stable sort orders
+        # them), that breaks a rule between its fields; generated ops keep them all.
         fault = min(((t, i) for i, (t, node, kind, _, val) in enumerate(workload)
-                     if not (0 <= node < node_count and 0 <= t < horizon) or val is None and kind == "write"),
+                     if not (0 <= node < node_count and t < horizon) or val is None and kind == "write"),
                     default=None)
         if fault is not None:
             t, i = fault
@@ -395,8 +402,6 @@ class ScenarioConfig:
         fields = read_json(d, CONFIG_FIELDS, "config")
         if "strategy" in fields:
             fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
-        if "partitions" in fields:
-            fields["partitions"] = _read_schedule(fields["partitions"], fields["node_count"])
         return cls(**fields)
 
     @classmethod

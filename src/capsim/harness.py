@@ -58,7 +58,6 @@ from .config import (
     read_json,
 )
 from .kernel import Simulation, run_scenario
-from .partitions import LinkOutage, PartitionSchedule
 from .strategies import HybridDeadlineNode
 
 
@@ -127,15 +126,13 @@ class ProofReplaySpec(
         return cls(**fields)
 
 
-def isolation(node: int, node_count: int, start: int, end: int) -> PartitionSchedule:
-    """``node`` cut from every other node over [start, end).
+def isolation(node: int, node_count: int, start: int, end: int) -> list[tuple[int, int, int, int]]:
+    """The outages that cut ``node`` from every other node over [start, end).
 
     A bipartition, so no relay can carry a value across the cut. On two
     nodes it is the one outage of the link {0, 1}.
     """
-    return PartitionSchedule(node_count, tuple(
-        LinkOutage(node, other, start, end) for other in range(node_count) if other != node
-    ))
+    return [(node, other, start, end) for other in range(node_count) if other != node]
 
 
 def build_proof_config(spec: ProofReplaySpec) -> ScenarioConfig:

@@ -23,10 +23,9 @@ Scheduling rules the strategies rely on:
   every send has exactly one disposition in the trace,
 * timers fire delay >= 1 ticks later, in registration order on ties,
 * an action field the trace writes must have its type (an integer
-  destination and delay, bool excluded, a string timer id), a response
-  must name an op an invoke has dispatched, and a workload op must have
-  an integer node, the kind "read" or "write" and an integer or null
-  value, or the run is refused before the action or op records a line,
+  destination and delay, bool excluded, a string timer id), and a
+  response must name an op an invoke has dispatched, or the run is
+  refused before the action records a line,
 * client requests scheduled for tick t dispatch after the deliveries
   and timer firings already in flight for t, which is what makes a
   one-tick-latency hand trace come out the obvious way.
@@ -36,14 +35,13 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 
-from .config import OP_FIELDS, OPT, ClientOp, ScenarioConfig
+from .config import OPT, ClientOp, ScenarioConfig
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
 from .trace import HEADS, STAMP, TextCache, Trace
 
 _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
-KINDS = OP_FIELDS["kind"][3]  # the op kinds a history reads
-# A line's middle is its kind's head in trace.py filled with values that are
-# exact ints the loop checked or the trace's quoted strings: an operation's
+# A line's middle is its kind's head in trace.py filled with values that are exact
+# ints the loop or the config checked or the trace's quoted strings: an operation's
 # per line, a transport head once per link, a timer's once per node and id.
 INVOKE_PARTS, RESPOND_PARTS = (  # split at its %d and %s slots
     HEADS[ev].replace("%s", "%d").split("%d") for ev in ("invoke", "respond")
@@ -160,14 +158,6 @@ class Simulation:
                     elif tag == _INVOKE:
                         op: ClientOp = event[1]
                         op_id, node_id, kind, val = op.op_id, op.node, op.kind, op.val
-                        if type(node_id) is not int or type(val) not in OPT:
-                            raise _refused(f"an op's node must be an integer and its value an integer "
-                                           f"or null, got {node_id!r}, {val!r}", now, event)
-                        if kind not in KINDS:
-                            raise _refused(f"an op's kind must be \"read\" or \"write\", "
-                                           f"got {kind!r}", now, event)
-                        if type(op.key) is not str:
-                            raise _refused(f"an op's key must be a string, got {op.key!r}", now, event)
                         record((stamp, f"{inv_op}{op_id}{inv_node}{node_id}{inv_kind}{quoted[kind]}"
                                        f"{inv_key}{quoted[op.key]}{inv_val}", "null" if val is None else val))
                         if history:

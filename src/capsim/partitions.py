@@ -39,13 +39,10 @@ class LinkOutage(namedtuple("LinkOutage", "a b start end")):
 
 
 class PartitionSchedule:
-    """All outages for a scenario, plus the size of the node set."""
+    """All outages for a scenario, plus the size of the node set; ``ScenarioConfig`` checks them."""
 
     def __init__(self, node_count: int, outages: tuple[LinkOutage, ...] = ()):
         self.node_count, self.outages = node_count, tuple(outages)
-        for o in self.outages:
-            if o.a < 0 or o.b >= node_count:
-                raise ValueError(f"outage {o} references a node outside [0, {node_count})")
 
     @cached_property
     def _segments(self) -> tuple[list[int], list[list[int]]]:

@@ -11,7 +11,7 @@ import json
 import random
 
 from capsim.checker import History, OperationRecord
-from capsim.config import GEN_FIELDS, OP_FIELDS, ClientOp, read_json
+from capsim.config import GEN_FIELDS, OP_FIELDS, OUTAGE_FIELDS, ClientOp, ConfigError, read_json
 from capsim.partitions import LinkOutage, PartitionSchedule
 
 
@@ -250,16 +250,35 @@ def dict_generated_ops(
 def dict_path_workload(doc: dict):
     """The ops of scenario config ``doc`` read the way of one dict per op.
 
-    Each listed op is read to a keyword dict by the generic object reader,
-    the generated ops follow the listed ones, a stable sort on ``t``
-    numbers them and ``ClientOp(op_id, **op)`` builds each. Returns each
-    op's ``(op_id, t, node, kind, key, val)``, or the message of the
-    refusal: the first op in op-id order that is a write without a value,
-    off the nodes or past the horizon, checked in that order and named by
-    its JSON index. Faults of any other field are taken as absent.
+    Each listed outage, then each listed op, is read to a keyword dict by
+    the generic object reader, the generated ops follow the listed ones, a
+    stable sort on ``t`` numbers them and ``ClientOp(op_id, **op)`` builds
+    each. Returns each op's ``(op_id, t, node, kind, key, val)``, or the
+    message of the refusal. The first item the reader refuses, named by
+    its JSON index, comes first; then the first outage off the nodes, on
+    one node or with an empty interval; then the first op in op-id order
+    that is a write without a value, off the nodes or past the horizon,
+    checked in that order.
     """
     nodes, horizon = doc["nodes"], doc["horizon"]
-    ops = [read_json(item, OP_FIELDS, "") for item in doc.get("workload", [])]
+    read = {}
+    for name, table in (("partitions", OUTAGE_FIELDS), ("workload", OP_FIELDS)):
+        read[name] = []
+        for i, item in enumerate(doc.get(name, [])):
+            try:
+                read[name].append(read_json(item, table, ""))
+            except ConfigError as exc:
+                return f"config.{name}[{i}]{exc}"
+    for i, outage in enumerate(read["partitions"]):
+        a, b, start, end = outage["a"], outage["b"], outage["start"], outage["end"]
+        for node in (a, b):
+            if not 0 <= node < nodes:
+                return f"config.partitions[{i}] addresses unknown node {node}"
+        if a == b:
+            return f"config.partitions[{i}]: outage endpoints must differ, got {a}"
+        if start >= end:
+            return f"config.partitions[{i}]: empty outage interval [{start}, {end})"
+    ops = read["workload"]
     if "workload_gen" in doc:
         gen = {GEN_FIELDS[key][0]: value for key, value in doc["workload_gen"].items()}
         ops += dict_generated_ops(doc.get("seed", 0), nodes, horizon, **gen)

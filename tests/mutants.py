@@ -1,0 +1,126 @@
+"""A mutation gate for capsim's fast paths: each listed mutant must fail the tests named for it.
+
+Run it from anywhere, ``python tests/mutants.py``, or name mutants to run
+only those: ``python tests/mutants.py "outage node check"``. It is a
+script, not a test module.
+
+Each mutant is one textual change to a file of ``src/capsim``. It is
+applied alone, to a copy of ``src/``, ``tests/`` and ``README.md`` in a
+temporary directory, never to the working tree. Then its tests run there
+with ``pytest -x`` under the derandomized ``ci`` hypothesis profile, so a
+verdict is the same on every run. A mutant is killed when a test fails
+and survives when all pass. First the tests of every selected mutant run
+once on an unchanged copy, since a kill means nothing if the test fails
+anyway.
+
+It prints one line per mutant and exits 1 when a mutant survives that
+``ALLOWED`` does not list, or when a mutant's text is not found exactly
+once in its file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+REFUSED_IN_CODE = "tests/test_inputs.py::test_a_config_built_in_code_is_refused_as_its_json_is"
+
+# (name, file in src/capsim, old text, new text, the tests that should kill it)
+MUTANTS = [
+    ("op type scan without type(t) is int", "config.py",
+     "if not (type(t) is type(node) is int and t >= 0", "if not (type(node) is int and t >= 0",
+     [REFUSED_IN_CODE]),
+    ("outage type scan without start >= 0", "config.py",
+     "is type(end) is int and start >= 0):", "is type(end) is int):",
+     [REFUSED_IN_CODE]),
+    ("no outage start range in OUTAGE_FIELDS", "config.py",
+     '(key, INT, REQUIRED, (0, None) if key == "start" else None)', "(key, INT, REQUIRED, None)",
+     [REFUSED_IN_CODE]),
+    ("outage node check < -> <=", "config.py",
+     "if not 0 <= node < node_count:\n                    raise ConfigError(f\"config.partitions[",
+     "if not 0 <= node <= node_count:\n                    raise ConfigError(f\"config.partitions[",
+     [REFUSED_IN_CODE]),
+    ("type faults named in op-id order", "config.py",
+     "for i, (t, node, kind, key, val) in enumerate(workload):",
+     "for i, (t, node, kind, key, val) in sorted(enumerate(workload), key=lambda item: item[1][0]):",
+     [REFUSED_IN_CODE]),
+    ("read_staleness ticks[i] > anchor -> >=", "checker.py",
+     "if ticks[i] > anchor:", "if ticks[i] >= anchor:",
+     ["tests/test_checker.py::TestMinConsistencyBound"]),
+    ("horizon settlement over buckets unsorted", "kernel.py",
+     "for tick in sorted(buckets):", "for tick in buckets:",
+     ["tests/test_kernel.py::test_horizon_drops_settle_by_due_tick_then_queue_order"]),
+    ("extract_history response_tick < invoke_tick -> < invoke_tick - 1", "checker.py",
+     "if values[0] < record.invoke_tick:", "if values[0] < record.invoke_tick - 1:",
+     ["tests/test_inputs.py::test_bad_input_exits_two_with_one_line"]),
+    ("RegisterMap.merge >= -> >", "strategies.py",
+     "if current is not None and current[1] >= version:", "if current is not None and current[1] > version:",
+     ["tests/test_strategies.py", "tests/test_kernel.py"]),
+    ("rep ver > rnd.best_ver -> >=", "strategies.py",
+     "ver > rnd.best_ver):", "ver >= rnd.best_ver):",
+     ["tests/test_strategies.py", "tests/test_kernel.py"]),
+]
+
+# name -> why the mutant cannot change what the program gives
+ALLOWED = {
+    "RegisterMap.merge >= -> >": "an equal version is the same write with the same value, "
+                                 "and no caller reads merge's result",
+    "rep ver > rnd.best_ver -> >=": "an equal version is the same write, so best_val keeps its value",
+}
+
+
+def pytest(tmp: Path, tests: list[str]) -> int:
+    """pytest's exit code for ``tests`` in the copy at ``tmp``: 0 all passed, 1 some failed."""
+    env = {**os.environ, "PYTHONPATH": str(tmp / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--hypothesis-profile=ci", *tests],
+        cwd=tmp, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    ).returncode
+
+
+def copy_of_repo(tmp: Path) -> None:
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, tmp / part, ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+    shutil.copy(ROOT / "README.md", tmp)
+
+
+def main(names: list[str]) -> int:
+    mutants = [m for m in MUTANTS if not names or any(n in m[0] for n in names)]
+    faults = 0
+    with tempfile.TemporaryDirectory(prefix="capsim-mutants-") as root:
+        clean = Path(root) / "clean"
+        copy_of_repo(clean)
+        tests = sorted({test for *_, kill in mutants for test in kill})
+        if pytest(clean, tests):
+            print("the unchanged code fails the mutants' tests; no verdict", file=sys.stderr)
+            return 1
+        for name, file, old, new, kill in mutants:
+            tmp = Path(root) / "mutant"
+            shutil.rmtree(tmp, ignore_errors=True)
+            copy_of_repo(tmp)
+            path = tmp / "src" / "capsim" / file
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"error     {name}: its text occurs {text.count(old)} times in {file}")
+                faults += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            code = pytest(tmp, kill)
+            if code == 1:
+                print(f"killed    {name}")
+            elif code == 0 and name in ALLOWED:
+                print(f"survived  {name} (allowed: {ALLOWED[name]})")
+            else:
+                print(f"survived  {name}" if code == 0 else f"error     {name}: pytest exited {code}")
+                faults += 1
+    return 1 if faults else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

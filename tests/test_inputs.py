@@ -498,8 +498,69 @@ def test_a_config_built_in_code_names_its_op_as_json_does():
     assert refusal([_write(t=5, node=9), _write(t=2, val=None)]) == (
         "config.workload[1].val must be an integer for a write, got null"
     )
-    # JSON refuses a negative tick as a range fault; code reaches this rule
-    assert refusal([_write(t=3), _write(t=-1)]) == "config.workload[1].t must lie in [0, 9], got -1"
+    assert refusal([_write(t=3), _write(t=-1)]) == "config.workload[1].t must be >= 0, got -1"
+
+
+def _outage(a=0, b=1, start=2, end=5):
+    return a, b, start, end
+
+
+def _op(t=1, node=0, kind="write", key="A", val=7):
+    return t, node, kind, key, val
+
+
+# name -> (ScenarioConfig's partitions and workload on 2 nodes and horizon
+# 20, its refusal): first each field's type and range, item by item in list
+# order, partitions before workload, then the rules between fields
+CODE_REFUSALS = {
+    "fractional tick": ({"workload": [_op(t=1.5)]}, "config.workload[0].t must be an integer, got 1.5"),
+    "bool tick": ({"workload": [_op(t=True)]}, "config.workload[0].t must be an integer, got true"),
+    "fractional node": ({"workload": [_op(node=0.5)]}, "config.workload[0].node must be an integer, got 0.5"),
+    "bool node": ({"workload": [_op(node=True)]}, "config.workload[0].node must be an integer, got true"),
+    "bool value": ({"workload": [_op(val=True)]},
+                   "config.workload[0].val must be an integer or null, got true"),
+    "a kind no history reads": ({"workload": [_op(kind="scan", val=None)]},
+                                'config.workload[0].kind must be one of "read", "write", got "scan"'),
+    "integer key": ({"workload": [_op(kind="read", key=5, val=None)]},
+                    "config.workload[0].key must be a string, got 5"),
+    "null key": ({"workload": [_op(kind="read", key=None, val=None)]},
+                 "config.workload[0].key must be a string, got null"),
+    "bytes key": ({"workload": [_op(kind="read", key=b"A", val=None)]},
+                  "config.workload[0].key must be a string, got b'A'"),
+    # op 1 comes first in op-id order, but a type fault is named in list order
+    "list order before op-id order": ({"workload": [_op(t=5, kind="read", key=7, val=None),
+                                                    _op(node=0.5, kind="read", val=None)]},
+                                      "config.workload[0].key must be a string, got 7"),
+    # tp would count the ticks before the run: 15 for a cut of 10 ticks
+    "outage before the run": ({"partitions": [_outage(start=-5, end=10)]},
+                              "config.partitions[0].start must be >= 0, got -5"),
+    "fractional outage ticks": ({"partitions": [_outage(start=2.0, end=5.5)]},
+                                "config.partitions[0].start must be an integer, got 2.0"),
+    "outage on an unknown node": ({"partitions": [_outage(b=2)]},
+                                  "config.partitions[0] addresses unknown node 2"),
+    "outage on one node": ({"partitions": [_outage(a=1)]},
+                           "config.partitions[0]: outage endpoints must differ, got 1"),
+    "mistyped outage, mistyped op": ({"partitions": [_outage(end="5")], "workload": [_op(t=0.5)]},
+                                     'config.partitions[0].end must be an integer, got "5"'),
+    "outage on an unknown node, mistyped op": ({"partitions": [_outage(a=-1)], "workload": [_op(key=1)]},
+                                               "config.workload[0].key must be a string, got 1"),
+}
+
+
+@pytest.mark.parametrize("name", list(CODE_REFUSALS))
+def test_a_config_built_in_code_is_refused_as_its_json_is(name):
+    fields, message = CODE_REFUSALS[name]
+    with pytest.raises(ConfigError) as info:
+        ScenarioConfig(2, 20, **fields)
+    assert str(info.value) == message
+    doc = {"nodes": 2, "horizon": 20,
+           **{field: [dict(zip(table, item)) for item in fields.get(field, ())]
+              for field, table in (("partitions", OUTAGE_FIELDS), ("workload", OP_FIELDS))}}
+    try:
+        text = json.dumps(doc)
+    except TypeError:  # JSON has no bytes
+        return
+    assert run("simulate", text) == (2, f"config error: {message}\n")
 
 
 def regression_input(command, change):
@@ -786,16 +847,20 @@ def test_a_value_just_outside_a_range_exits_two_naming_its_json_path(target, dat
 
 @st.composite
 def scenario_docs(draw):
-    """A scenario config with 0 to 60 listed ops on a few ticks, some with generated ops too.
+    """A scenario config with 0 to 60 listed ops on a few ticks, some with outages or generated ops.
 
-    In half of them one op in ten breaks a rule between its fields: it is
-    off the nodes, past the horizon or a write without a value.
+    In half of them one op in ten has a fault: a field of the wrong type,
+    a negative tick, or a break of a rule between its fields (off the
+    nodes, past the horizon or a write without a value). One outage in
+    four of those has one too: a field of the wrong type, a node off the
+    nodes, one node, an empty interval or a negative start.
     """
     nodes, horizon = draw(st.integers(1, 4)), draw(st.integers(1, 12))
     faulty = draw(st.booleans())
     ops = []
     for _ in range(draw(st.integers(0, 60))):
-        fault = faulty and draw(st.integers(0, 9)) == 0 and draw(st.sampled_from(["t", "node", "val"]))
+        fault = faulty and draw(st.integers(0, 9)) == 0 and draw(
+            st.sampled_from(["t", "node", "val", "type", "negative"]))
         kind = draw(st.sampled_from(["read", "write"]))
         op = {
             "t": horizon + draw(st.integers(0, 2)) if fault == "t" else draw(st.integers(0, min(horizon - 1, 3))),
@@ -810,8 +875,31 @@ def scenario_docs(draw):
             val = draw(st.sampled_from(["absent", None]))
         if val != "absent":
             op["val"] = draw(st.integers(0, 9)) if val == "int" else None
+        if fault == "type":
+            op[draw(st.sampled_from(sorted(OP_FIELDS)))] = draw(WRONG)
+        elif fault == "negative":
+            op["t"] = draw(st.integers(-3, -1))
         ops.append(op)
     doc = {"nodes": nodes, "horizon": horizon, "seed": draw(st.integers(0, 1000)), "workload": ops}
+    if draw(st.booleans()) and (nodes > 1 or faulty):
+        doc["partitions"] = []
+        for _ in range(draw(st.integers(0, 3))):
+            fault = faulty and draw(st.integers(0, 3)) == 0 and draw(
+                st.sampled_from(["type", "node", "one node", "empty", "negative"]))
+            a, b = (0, 0) if nodes == 1 else draw(st.permutations(range(nodes)))[:2]
+            start = draw(st.integers(0, horizon))
+            outage = {"a": a, "b": b, "start": start, "end": start + draw(st.integers(1, horizon))}
+            if fault == "type":
+                outage[draw(st.sampled_from(sorted(OUTAGE_FIELDS)))] = draw(WRONG)
+            elif fault == "node":
+                outage[draw(st.sampled_from("ab"))] = draw(st.sampled_from([-1, nodes, nodes + 2]))
+            elif fault == "one node":
+                outage["b"] = outage["a"]
+            elif fault == "empty":
+                outage["end"] = start - draw(st.integers(0, 2))
+            elif fault == "negative":
+                outage["start"] = draw(st.integers(-3, -1))
+            doc["partitions"].append(outage)
     if draw(st.booleans()):
         gen = {"ops": draw(st.integers(0, 30)),
                "keys": draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=3)),
@@ -840,17 +928,20 @@ def test_a_configs_ops_are_the_ops_of_the_dict_path(doc):
 @settings(max_examples=200, deadline=None)
 @given(scenario_docs())
 def test_a_config_built_in_code_has_the_ops_or_the_refusal_of_its_json(doc):
-    def ops(build):
+    def scenario(build):
         try:
             config = build()
         except ConfigError as exc:
             return str(exc)
-        return [(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload]
+        schedule = config.partitions
+        return ([(op.op_id, op.t, op.node, op.kind, op.key, op.val) for op in config.workload],
+                schedule.outages, schedule.max_partition_span(config.horizon))
 
+    cut = [(o["a"], o["b"], o["start"], o["end"]) for o in doc.get("partitions", [])]
     listed = [(op["t"], op["node"], op["kind"], op["key"], op.get("val")) for op in doc["workload"]]
-    in_code = ops(lambda: ScenarioConfig(doc["nodes"], doc["horizon"], workload=listed,
-                                         workload_gen=doc.get("workload_gen"), seed=doc["seed"]))
-    assert in_code == ops(lambda: ScenarioConfig.from_dict(doc))
+    in_code = scenario(lambda: ScenarioConfig(doc["nodes"], doc["horizon"], partitions=cut, workload=listed,
+                                              workload_gen=doc.get("workload_gen"), seed=doc["seed"]))
+    assert in_code == scenario(lambda: ScenarioConfig.from_dict(doc))
 
 
 # -- the reader of listed items against the generic object reader ---------

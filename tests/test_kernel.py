@@ -392,46 +392,6 @@ def test_kernel_refuses_a_malformed_action_field_before_any_line(name):
     assert sim.trace.lines == []
 
 
-# a workload op built in code skips config.read_json, so the kernel types
-# the fields its invoke line writes: else 0.5 and True would be written
-@pytest.mark.parametrize("node, val", [(0.5, 7), (True, 7), (0, True)])
-def test_kernel_refuses_a_mistyped_workload_op_before_its_line(node, val):
-    config = ScenarioConfig(2, 20, workload=[(1, node, "write", "A", val)])
-    sim = Simulation(config)
-    with pytest.raises(SimulationError) as info:
-        sim.run()
-    assert str(info.value) == (
-        f"an op's node must be an integer and its value an integer or null, "
-        f"got {node!r}, {val!r} while handling invoke of op 0 at tick 1"
-    )
-    assert sim.trace.lines == []
-
-
-def test_kernel_refuses_an_op_kind_no_history_reads_before_its_line():
-    # a reader of the trace refuses an invoke of any other kind
-    config = ScenarioConfig(2, 5, workload=[(1, 0, "scan", "A", None)])
-    sim = Simulation(config)
-    with pytest.raises(SimulationError) as info:
-        sim.run()
-    assert str(info.value) == (
-        "an op's kind must be \"read\" or \"write\", got 'scan' while handling invoke of op 0 at tick 1"
-    )
-    assert sim.trace.lines == []
-
-
-@pytest.mark.parametrize("key", [5, None, b"A"])
-def test_kernel_refuses_a_non_string_op_key_before_its_line(key):
-    # the line would carry a key the trace reader refuses
-    config = ScenarioConfig(2, 5, workload=[(1, 0, "read", key, None)])
-    sim = Simulation(config)
-    with pytest.raises(SimulationError) as info:
-        sim.run()
-    assert str(info.value) == (
-        f"an op's key must be a string, got {key!r} while handling invoke of op 0 at tick 1"
-    )
-    assert sim.trace.lines == []
-
-
 @pytest.mark.parametrize(
     "ids, message",
     [((0,), "expected 2 nodes, got 1"), ((), "expected 2 nodes, got 0"),

@@ -216,8 +216,6 @@ def test_outage_validation():
         LinkOutage(1, 1, 0, 5)
     with pytest.raises(ValueError):
         LinkOutage(0, 1, 5, 5)
-    with pytest.raises(ValueError):
-        PartitionSchedule(2, (LinkOutage(0, 5, 0, 3),))
 
 
 def test_outage_pair_is_canonical():
