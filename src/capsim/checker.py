@@ -34,15 +34,12 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
+from .errors import HistoryIntegrityError
 from .trace import Trace, scan_operations
 
 INFINITE = math.inf
 
 TIME_REFS = ("response", "invoke")
-
-
-class HistoryIntegrityError(ValueError):
-    """The history contradicts itself; no verdict can be computed."""
 
 
 class OperationRecord:

@@ -4,6 +4,11 @@ Subcommands: simulate, check, prove, frontier, tp. Exit codes: 0 for
 success (for ``prove``, success means the expected violation WAS
 found), 1 for violations or a failed bound, 2 for configuration and
 usage errors, running out of memory and a stdout closed too early.
+
+Every command runs in a fresh process, so each imports only the layers it
+runs, when it runs: ``tp`` needs only ``config``, ``simulate`` the kernel,
+``check`` the checker, ``prove`` and ``frontier`` the harness. ``main``
+catches every error it words from ``errors``, which imports no layer.
 """
 
 from __future__ import annotations
@@ -13,16 +18,8 @@ import functools
 import os
 import sys
 
-from .checker import (
-    HistoryIntegrityError,
-    bound_holds,
-    check,
-    extract_history,
-)
-from .config import ConfigError, ScenarioConfig, check_range, describe, load_json_object, text_pieces
-from .harness import ProofReplaySpec, frontier_csv, frontier_sweep, proof_replay
-from .kernel import Simulation, SimulationError
-from .trace import TraceParseError
+from .config import ScenarioConfig, check_range, describe, load_json_object, text_pieces
+from .errors import ConfigError, HistoryIntegrityError, SimulationError, TraceParseError
 
 
 def _emit(pieces, path) -> None:
@@ -38,12 +35,16 @@ def _emit(pieces, path) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    from .kernel import Simulation
+
     config = ScenarioConfig.read(args.config)
     _emit(Simulation(config).run(history=False).chunks(), args.output)
     return 0
 
 
 def _cmd_check(args) -> int:
+    from .checker import bound_holds, check, extract_history
+
     for flag in ("tc", "ta", "tp", "slack"):
         if (value := getattr(args, flag)) is not None:
             check_range(value, (0, None), f"--{flag}")
@@ -61,6 +62,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_prove(args) -> int:
+    from .harness import ProofReplaySpec, proof_replay
+
     spec = ProofReplaySpec.from_dict(load_json_object(args.spec))
     report = proof_replay(spec)
     print(report.to_json())
@@ -72,6 +75,8 @@ def _cmd_prove(args) -> int:
 
 
 def _cmd_frontier(args) -> int:
+    from .harness import frontier_csv, frontier_sweep
+
     base = load_json_object(args.config)
     deadlines = []
     for part in filter(None, args.deadlines.split(",")):

@@ -9,16 +9,13 @@ import random
 from collections import namedtuple
 from operator import itemgetter
 
+from .errors import ConfigError
 from .partitions import LinkOutage, PartitionSchedule
 
 # size caps: no single field may make a run allocate or loop without bound
 MAX_NODES = 1024
 MAX_HORIZON = 10**6
 MAX_GEN_OPS = 10**6
-
-
-class ConfigError(ValueError):
-    """The scenario description is invalid."""
 
 
 # the bytes read at a time: a piece holds at most this plus one line. A
@@ -321,6 +318,23 @@ def generate_workload(seed: int, node_count: int, horizon: int, *, ops: int = 10
     return draw()
 
 
+def _misshapen(items, table: dict, where: str) -> ConfigError | None:
+    """The refusal of the first of ``items`` that holds other than one value per field of ``table``."""
+    fields = f"{len(table)} fields ({', '.join(table)})"
+    for i, item in enumerate(items):
+        try:
+            count = len(item)
+        except TypeError:
+            return ConfigError(f"{where}[{i}] must be a sequence of {fields}, got {describe(item)}")
+        if count != len(table):
+            return ConfigError(f"{where}[{i}] must hold {fields}, got {count}")
+    return None
+
+
+# the fields of a config that are single values, checked in ScenarioConfig.__init__
+_SCALAR_FIELDS = {key: CONFIG_FIELDS[key] for key in ("nodes", "horizon", "latency", "seed")}
+
+
 class ScenarioConfig:
     """Everything one deterministic run needs.
 
@@ -329,8 +343,8 @@ class ScenarioConfig:
     so that causality always moves the clock forward. ``partitions`` lists
     ``(a, b, start, end)`` tuples, such as ``LinkOutage``s, and ``workload``
     ``(t, node, kind, key, val)`` tuples; ``workload_gen`` and ``seed`` are
-    ``generate_workload``'s. Every op and outage is checked here, in the
-    words ``from_dict`` gives its JSON, and the ops are built on first read.
+    ``generate_workload``'s. Every field, op and outage is checked here, in
+    the words ``from_dict`` gives its JSON, and the ops are built on first read.
     """
 
     def __init__(
@@ -346,16 +360,28 @@ class ScenarioConfig:
     ):
         self.node_count, self.horizon, self.strategy, self.message_latency = (
             node_count, horizon, strategy, message_latency)
-        # First each field's type and range, in list order, partitions before workload, as
-        # read_json reads a config: one test per item, and read_json words the first that fails.
-        for i, (a, b, start, end) in enumerate(partitions):
-            if not (type(a) is type(b) is type(start) is type(end) is int and start >= 0):
-                read_json(dict(zip(OUTAGE_FIELDS, partitions[i])), OUTAGE_FIELDS, f"config.partitions[{i}]")
-        kinds = OP_FIELDS["kind"][3]
-        for i, (t, node, kind, key, val) in enumerate(workload):
-            if not (type(t) is type(node) is int and t >= 0 and type(kind) is type(key) is str
-                    and kind in kinds and (val is None or type(val) is int)):
-                read_json(dict(zip(OP_FIELDS, workload[i])), OP_FIELDS, f"config.workload[{i}]")
+        # First each field's type and range, in CONFIG_FIELDS' order, as read_json reads a
+        # config: the scalars, each outage, the strategy, each op, then workload_gen. One
+        # test per listed item, in list order, and read_json words the first that fails.
+        read_json(dict(zip(_SCALAR_FIELDS, (node_count, horizon, message_latency, seed))),
+                  _SCALAR_FIELDS, "config")
+        try:
+            for i, (a, b, start, end) in enumerate(partitions):
+                if not (type(a) is type(b) is type(start) is type(end) is int and start >= 0):
+                    read_json(dict(zip(OUTAGE_FIELDS, partitions[i])), OUTAGE_FIELDS, f"config.partitions[{i}]")
+            read_json(dict(zip(STRATEGY_FIELDS, strategy)), STRATEGY_FIELDS, "config.strategy")
+            kinds = OP_FIELDS["kind"][3]
+            for i, (t, node, kind, key, val) in enumerate(workload):
+                if not (type(t) is type(node) is int and t >= 0 and type(kind) is type(key) is str
+                        and kind in kinds and (val is None or type(val) is int)):
+                    read_json(dict(zip(OP_FIELDS, workload[i])), OP_FIELDS, f"config.workload[{i}]")
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:  # an item that does not unpack to one value per field
+            raise (_misshapen(partitions, OUTAGE_FIELDS, "config.partitions")
+                   or _misshapen(workload, OP_FIELDS, "config.workload") or exc) from None
+        if workload_gen is not None:
+            workload_gen = read_json(workload_gen, GEN_FIELDS, "config.workload_gen")
         # Then the rules between fields: each outage's, the span's, then the ops'.
         outages = []
         for i, item in enumerate(partitions):

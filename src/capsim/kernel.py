@@ -36,6 +36,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from .config import OPT, ClientOp, ScenarioConfig
+from .errors import SimulationError
 from .strategies import Respond, Send, SetTimer, StrategyNode, build_node
 from .trace import HEADS, STAMP, TextCache, Trace
 
@@ -46,10 +47,6 @@ _DELIVER, _TIMER, _INVOKE, _INIT = 0, 1, 2, 3
 INVOKE_PARTS, RESPOND_PARTS = (  # split at its %d and %s slots
     HEADS[ev].replace("%s", "%d").split("%d") for ev in ("invoke", "respond")
 )
-
-
-class SimulationError(RuntimeError):
-    """A strategy misbehaved; the message names the triggering event."""
 
 
 def _context(now: int, event: tuple) -> str:

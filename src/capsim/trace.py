@@ -18,7 +18,8 @@ import functools
 import json
 import re
 
-from .config import INT, OP_FIELDS, OPT, REQUIRED, STR, ConfigError, read_json
+from .config import INT, OP_FIELDS, OPT, REQUIRED, STR, read_json
+from .errors import ConfigError, TraceParseError
 
 # The fields of each record kind after "t", "seq" and "ev", in wire order,
 # with their JSON types, which also say how each value is written: INT
@@ -61,14 +62,6 @@ _raw_decode = json.JSONDecoder().raw_decode
 STAMP = '{"t": %d, "seq": '  # how every line starts, up to its seq
 END = "}\n"  # how every line ends, after its last value
 CHUNK_LINES = 4096  # the most lines Trace.chunks joins into one text
-
-
-class TraceParseError(ValueError):
-    """A trace line could not be decoded; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no, self.message = line_no, message
 
 
 def _rest(ev: str) -> str:

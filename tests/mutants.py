@@ -30,6 +30,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 REFUSED_IN_CODE = "tests/test_inputs.py::test_a_config_built_in_code_is_refused_as_its_json_is"
+LAYERS_LOADED = "tests/test_cli.py::test_importing_the_cli_loads_no_dataclasses_inspect_or_typing"
 
 # (name, file in src/capsim, old text, new text, the tests that should kill it)
 MUTANTS = [
@@ -49,6 +50,23 @@ MUTANTS = [
     ("type faults named in op-id order", "config.py",
      "for i, (t, node, kind, key, val) in enumerate(workload):",
      "for i, (t, node, kind, key, val) in sorted(enumerate(workload), key=lambda item: item[1][0]):",
+     [REFUSED_IN_CODE]),
+    ("cli imports the kernel at the top", "cli.py",
+     "from .errors import ConfigError, HistoryIntegrityError, SimulationError, TraceParseError\n",
+     "from .errors import ConfigError, HistoryIntegrityError, SimulationError, TraceParseError\n"
+     "from .kernel import Simulation\n",
+     [LAYERS_LOADED]),
+    ("check imports the harness", "cli.py",
+     "    from .checker import bound_holds, check, extract_history\n",
+     "    from .checker import bound_holds, check, extract_history\n    from .harness import frontier_sweep\n",
+     [LAYERS_LOADED]),
+    ("latency range >= 1 -> >= 0", "config.py",
+     '"latency": ("message_latency", INT, OPTIONAL, (1, None)),',
+     '"latency": ("message_latency", INT, OPTIONAL, (0, None)),',
+     [REFUSED_IN_CODE]),
+    ("no refusal of an item that does not unpack", "config.py",
+     "except (TypeError, ValueError) as exc:  # an item that does not unpack",
+     "except () as exc:  # an item that does not unpack",
      [REFUSED_IN_CODE]),
     ("read_staleness ticks[i] > anchor -> >=", "checker.py",
      "if ticks[i] > anchor:", "if ticks[i] >= anchor:",

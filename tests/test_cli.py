@@ -305,20 +305,64 @@ def test_check_splits_trace_lines_on_lf_only(tmp_path, capsys):
     assert capsys.readouterr().err == "trace error: line 1: invalid JSON: Extra data\n"
 
 
-def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing():
-    # every command runs in a fresh process and pays this import once; the
-    # modules are compared before and after it, so one a site hook preloads
-    # does not count
+TP_LAYERS = {"capsim", "capsim.cli", "capsim.config", "capsim.errors", "capsim.partitions"}
+ALL_LAYERS = TP_LAYERS | {"capsim.kernel", "capsim.strategies", "capsim.trace", "capsim.checker",
+                          "capsim.harness"}
+# command -> the capsim modules a fresh process holds after running it; None: the bare import
+COMMAND_LAYERS = {
+    None: TP_LAYERS,
+    "tp": TP_LAYERS,
+    "simulate": TP_LAYERS | {"capsim.kernel", "capsim.strategies", "capsim.trace"},
+    "check": TP_LAYERS | {"capsim.trace", "capsim.checker"},
+    "prove": ALL_LAYERS,
+    "frontier": ALL_LAYERS,
+}
+# import capsim.cli, run the command named in argv (if any) and print the modules it added
+LAYER_PROBE = """
+import sys
+before = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import capsim.cli
+code = capsim.cli.main(sys.argv[2:]) if len(sys.argv) > 2 else 0
+print(code, *sorted(set(sys.modules) - before), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", list(COMMAND_LAYERS), ids=lambda c: c or "import")
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_typing(tmp_path, command):
+    # every command runs in a fresh process and pays its imports once, so each
+    # loads only the layers it runs; the modules are compared before and after,
+    # so one a site hook preloads does not count
+    cfg = write_json(tmp_path / "cfg.json", demo_config())
+    trace = tmp_path / "run.jsonl"
+    assert main(["simulate", cfg, "-o", str(trace)]) == 0
+    spec = write_json(tmp_path / "spec.json", {"strategy": {"kind": "LocalFirst", "G": 4},
+                                               "tp": 20, "claimed_tc": 5, "claimed_ta": 5})
+    argv = {
+        None: [],
+        "tp": ["tp", cfg],
+        "simulate": ["simulate", cfg, "-o", str(tmp_path / "again.jsonl")],
+        "check": ["check", str(trace), "--tc", "30", "--ta", "30"],
+        "prove": ["prove", spec],
+        "frontier": ["frontier", write_json(tmp_path / "base.json", {}), "--tp", "10",
+                     "--deadlines", "0,4", "-o", str(tmp_path / "rows.csv")],
+    }[command]
     src = str(Path(capsim.__file__).resolve().parents[1])
-    probe = (
-        "import sys; before = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
-        "import capsim.cli; print(*sorted(set(sys.modules) - before))"
-    )
-    added = subprocess.run(
-        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "capsim.cli" in added
+    code, *added = subprocess.run(
+        [sys.executable, "-c", LAYER_PROBE, src, *argv], capture_output=True, text=True, check=True
+    ).stderr.split()
+    assert code == "0"
+    assert {name for name in added if name.split(".")[0] == "capsim"} == COMMAND_LAYERS[command]
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize", "typing"} & set(added)
+
+
+def test_each_error_class_is_the_one_in_errors():
+    from capsim import checker, config, errors, kernel, trace
+
+    assert config.ConfigError is errors.ConfigError
+    assert trace.TraceParseError is errors.TraceParseError
+    assert checker.HistoryIntegrityError is errors.HistoryIntegrityError
+    assert kernel.SimulationError is errors.SimulationError
 
 
 def _out_of_memory(*args, **kwargs):

@@ -30,8 +30,10 @@ from capsim.config import (
     OP_FIELDS,
     OUTAGE_FIELDS,
     PROOF_FIELDS,
+    STRATEGY_FIELDS,
     ConfigError,
     ScenarioConfig,
+    StrategyParams,
     describe,
     read_json,
 )
@@ -509,9 +511,9 @@ def _op(t=1, node=0, kind="write", key="A", val=7):
     return t, node, kind, key, val
 
 
-# name -> (ScenarioConfig's partitions and workload on 2 nodes and horizon
-# 20, its refusal): first each field's type and range, item by item in list
-# order, partitions before workload, then the rules between fields
+# name -> (ScenarioConfig's keyword arguments over 2 nodes and horizon 20,
+# its refusal): first each field's type and range in CONFIG_FIELDS' order,
+# listed items one by one in list order, then the rules between fields
 CODE_REFUSALS = {
     "fractional tick": ({"workload": [_op(t=1.5)]}, "config.workload[0].t must be an integer, got 1.5"),
     "bool tick": ({"workload": [_op(t=True)]}, "config.workload[0].t must be an integer, got true"),
@@ -544,23 +546,76 @@ CODE_REFUSALS = {
                                      'config.partitions[0].end must be an integer, got "5"'),
     "outage on an unknown node, mistyped op": ({"partitions": [_outage(a=-1)], "workload": [_op(key=1)]},
                                                "config.workload[0].key must be a string, got 1"),
+    # an item that does not unpack to one value per field; JSON has no such item
+    "op of four fields": ({"workload": [_op(), (1, 0, "read", "A")]},
+                          "config.workload[1] must hold 5 fields (t, node, kind, key, val), got 4"),
+    "op of six fields": ({"workload": [(*_op(), 0)]},
+                         "config.workload[0] must hold 5 fields (t, node, kind, key, val), got 6"),
+    "outage of three fields": ({"partitions": [(0, 1, 2)]},
+                               "config.partitions[0] must hold 4 fields (a, b, start, end), got 3"),
+    "op that is no sequence": ({"workload": [5]},
+                               "config.workload[0] must be a sequence of 5 fields (t, node, kind, key, val), got 5"),
+    "mistyped outage, op of four fields": ({"partitions": [_outage(end="5")], "workload": [(1, 0, "read", "A")]},
+                                           'config.partitions[0].end must be an integer, got "5"'),
+    "outage of three fields, mistyped op": ({"partitions": [(0, 1, 2)], "workload": [_op(t=0.5)]},
+                                            "config.partitions[0] must hold 4 fields (a, b, start, end), got 3"),
+    # the single-valued fields and the strategy's, as JSON's ranges have them
+    "zero latency": ({"message_latency": 0}, "config.latency must be >= 1, got 0"),
+    "fractional latency": ({"message_latency": 1.5}, "config.latency must be an integer, got 1.5"),
+    "no nodes": ({"node_count": 0}, "config.nodes must be in [1, 1024], got 0"),
+    "too many nodes": ({"node_count": 1025}, "config.nodes must be in [1, 1024], got 1025"),
+    "zero horizon": ({"horizon": 0}, "config.horizon must be in [1, 1000000], got 0"),
+    "bool seed": ({"seed": True}, "config.seed must be an integer, got true"),
+    "zero gossip period": ({"strategy": StrategyParams("LocalFirst", 0)},
+                           "config.strategy.G must be >= 1, got 0"),
+    "negative deadline": ({"strategy": StrategyParams("HybridDeadline", deadline=-1)},
+                          "config.strategy.D must be >= 0, got -1"),
+    "unknown strategy": ({"strategy": StrategyParams("Gossip")},
+                         'config.strategy.kind must be one of "LocalFirst", "SyncAll", "HybridDeadline", '
+                         'got "Gossip"'),
+    "negative generated op count": ({"workload_gen": {"ops": -1}},
+                                    "config.workload_gen.ops must be in [0, 1000000], got -1"),
+    # CONFIG_FIELDS' order: latency, outages, strategy, ops
+    "zero latency, mistyped outage": ({"message_latency": 0, "partitions": [_outage(end="5")]},
+                                      "config.latency must be >= 1, got 0"),
+    "mistyped outage, zero gossip period": ({"partitions": [_outage(end="5")],
+                                             "strategy": StrategyParams("LocalFirst", 0)},
+                                            'config.partitions[0].end must be an integer, got "5"'),
+    "zero gossip period, mistyped op": ({"strategy": StrategyParams("LocalFirst", 0), "workload": [_op(t=0.5)]},
+                                        "config.strategy.G must be >= 1, got 0"),
 }
+
+
+def config_doc(fields):
+    """The JSON text of ``ScenarioConfig(**fields)``, or None where JSON has no form for a value."""
+    tables = {"partitions": OUTAGE_FIELDS, "workload": OP_FIELDS, "strategy": STRATEGY_FIELDS}
+    doc = {}
+    for key, (name, *_) in CONFIG_FIELDS.items():
+        if name not in fields:
+            continue
+        value, table = fields[name], tables.get(name)
+        if name == "strategy":
+            value = dict(zip(table, value))
+        elif table is not None:
+            if any(type(item) is not tuple or len(item) != len(table) for item in value):
+                return None
+            value = [dict(zip(table, item)) for item in value]
+        doc[key] = value
+    try:
+        return json.dumps(doc)
+    except TypeError:  # JSON has no bytes
+        return None
 
 
 @pytest.mark.parametrize("name", list(CODE_REFUSALS))
 def test_a_config_built_in_code_is_refused_as_its_json_is(name):
     fields, message = CODE_REFUSALS[name]
+    fields = {"node_count": 2, "horizon": 20, **fields}
     with pytest.raises(ConfigError) as info:
-        ScenarioConfig(2, 20, **fields)
+        ScenarioConfig(**fields)
     assert str(info.value) == message
-    doc = {"nodes": 2, "horizon": 20,
-           **{field: [dict(zip(table, item)) for item in fields.get(field, ())]
-              for field, table in (("partitions", OUTAGE_FIELDS), ("workload", OP_FIELDS))}}
-    try:
-        text = json.dumps(doc)
-    except TypeError:  # JSON has no bytes
-        return
-    assert run("simulate", text) == (2, f"config error: {message}\n")
+    if (text := config_doc(fields)) is not None:
+        assert run("simulate", text) == (2, f"config error: {message}\n")
 
 
 def regression_input(command, change):
