@@ -136,7 +136,7 @@ FRONTIER_FIELDS = {
 def describe(value) -> str:
     """``value`` as JSON writes it, cut to 40 characters; ``repr`` for a value JSON has no form for."""
     try:
-        text = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+        text = {list: "a list", tuple: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
     except (TypeError, ValueError):  # built in code, such as a bytes key
         text = repr(value)
     return text if len(text) <= 40 else text[:37] + "..."
@@ -156,66 +156,15 @@ def check_range(value, bounds, where: str) -> None:
     raise ConfigError(f"{where} must be {words}, got {describe(value)}")
 
 
-def _compile_reader(table: dict):
-    """Build ``read(value)``: an accepted item's values in table order, or None.
-
-    An absent optional field reads as None. None stands for every refusal,
-    and the caller words it through ``read_json``. Presence, type and range
-    are checked inline, field by field, so an accepted object costs a few
-    lookups and one tuple; a field whose kind is a table or a list is
-    refused whenever it is present.
-    """
-    env = {"__name__": __name__}
-    required, optional = [], []
-    for i, (key, (_, kind, must, bounds)) in enumerate(table.items()):
-        test = "False"  # a table or [kind]: the generic branch reads it
-        if type(kind) is frozenset:
-            env.update((t.__name__, t) for t in kind)
-            test = " or ".join(sorted(
-                f"v{i} is None" if t is type(None) else f"type(v{i}) is {t.__name__}" for t in kind
-            ))
-            if bounds is not None and type(bounds[0]) is str:  # check_range's test, inline
-                test = f"({test}) and v{i} in {bounds!r}"
-            elif bounds is not None:
-                lo, hi = bounds
-                test = f"({test}) and {lo} <= v{i}" + ("" if hi is None else f" <= {hi}")
-        (required if must else optional).append((i, key, test))
-    source = ["def read(value):", "    if type(value) is not dict:", "        return None"]
-    if required:
-        source += ["    try:", *(f"        v{i} = value[{key!r}]" for i, key, _ in required),
-                   "    except KeyError:", "        return None",
-                   f"    if not ({' and '.join(f'({test})' for *_, test in required)}):",
-                   "        return None"]
-    for i, key, test in optional:
-        source += [f"    v{i} = None", f"    if {key!r} in value:", f"        v{i} = value[{key!r}]",
-                   f"        if not ({test}):", "            return None"]
-    source.append(f"    return ({''.join(f'v{i}, ' for i in range(len(table)))})")
-    exec("\n".join(source) + "\n", env)
-    return env["read"]
-
-
-_READERS: dict[int, tuple[dict, object]] = {}  # id(table) -> (table, its reader)
-
-
-def _reader(table: dict):
-    """The compiled reader of ``table``, built on first use."""
-    entry = _READERS.get(id(table))
-    if entry is None:  # the entry holds the table, so its id is never reused
-        entry = _READERS[id(table)] = (table, _compile_reader(table))
-    return entry[1]
-
-
 def read_json(value, kind, where: str):
-    """Check one JSON value against its kind; the only JSON -> Python step.
+    """Check one JSON value against its kind, field by field in table order.
 
     An object comes back as a dict of keywords: an absent optional field is
     left out, so the class's default applies, and unknown fields are
-    ignored. It checks presence, JSON type and each field's range, field by
-    field in table order, so the first such fault is the one named; rules
-    that span fields are the classes'. ``where`` names the value in errors.
-    The items of a list of objects go through their table's compiled
-    reader, so each comes back as its values in table order; the generic
-    object branch runs only to word a refusal.
+    ignored; a list comes back as a list of its items. Presence, JSON type
+    and each field's range are checked, so the first such fault is the one
+    named; rules that span fields are the classes'. ``where`` names the
+    value in errors. ``ScenarioConfig.from_dict`` reads a config here only to word a refusal.
     """
     if type(kind) is dict:
         if type(value) is not dict:
@@ -237,16 +186,10 @@ def read_json(value, kind, where: str):
     if type(kind) is list:
         if type(value) is not list:
             raise ConfigError(f"{where} must be a list, got {describe(value)}")
-        item_kind, items = kind[0], []
-        if type(item_kind) is dict:  # each item's values through the table's compiled reader
-            items = list(map(_reader(item_kind), value))
-            if None not in items:
-                return items
-            del items[items.index(None):]  # the generic branch words the refusal
-        append = items.append
+        items = []
         try:
-            for item in value[len(items):]:
-                append(read_json(item, item_kind, ""))
+            for item in value:
+                items.append(read_json(item, kind[0], ""))
         except ConfigError as exc:  # name the item only when it fails
             raise ConfigError(f"{where}[{len(items)}]{exc}") from None
         return items
@@ -271,7 +214,7 @@ class StrategyParams(
 
     @classmethod
     def from_fields(cls, fields: dict, where: str) -> "StrategyParams":
-        """Build from ``read_json`` output of ``where``; JSON must state D for HybridDeadline."""
+        """Build from the keywords of JSON object ``where``, which must state D for HybridDeadline."""
         if fields["kind"] == "HybridDeadline" and "deadline" not in fields:
             raise ConfigError(f"{where}: missing required field 'D'")
         return cls(**fields)
@@ -333,6 +276,12 @@ def _misshapen(items, table: dict, where: str) -> ConfigError | None:
 
 # the fields of a config that are single values, checked in ScenarioConfig.__init__
 _SCALAR_FIELDS = {key: CONFIG_FIELDS[key] for key in ("nodes", "horizon", "latency", "seed")}
+_OUTAGE_VALUES, _OP_VALUES = itemgetter(*OUTAGE_FIELDS), itemgetter("t", "node", "kind", "key")
+
+
+def _present(obj: dict, table: dict) -> dict:
+    """``obj``'s fields by ``table``'s keywords, by presence alone: a missing required one raises KeyError."""
+    return {name: obj[key] for key, (name, _, required, _) in table.items() if required or key in obj}
 
 
 class ScenarioConfig:
@@ -343,8 +292,8 @@ class ScenarioConfig:
     so that causality always moves the clock forward. ``partitions`` lists
     ``(a, b, start, end)`` tuples, such as ``LinkOutage``s, and ``workload``
     ``(t, node, kind, key, val)`` tuples; ``workload_gen`` and ``seed`` are
-    ``generate_workload``'s. Every field, op and outage is checked here, in
-    the words ``from_dict`` gives its JSON, and the ops are built on first read.
+    ``generate_workload``'s. Here alone every field, op and outage is typed and
+    ranged, in the words ``from_dict`` gives its JSON; the ops are built on first read.
     """
 
     def __init__(
@@ -360,16 +309,21 @@ class ScenarioConfig:
     ):
         self.node_count, self.horizon, self.strategy, self.message_latency = (
             node_count, horizon, strategy, message_latency)
-        # First each field's type and range, in CONFIG_FIELDS' order, as read_json reads a
-        # config: the scalars, each outage, the strategy, each op, then workload_gen. One
-        # test per listed item, in list order, and read_json words the first that fails.
+        # First each field's type and range in CONFIG_FIELDS' order: the scalars, each outage, the
+        # strategy, each op, then workload_gen; one test per item, and read_json words a fault.
         read_json(dict(zip(_SCALAR_FIELDS, (node_count, horizon, message_latency, seed))),
                   _SCALAR_FIELDS, "config")
+        if type(partitions) not in (list, tuple):
+            raise ConfigError(f"config.partitions must be a list, got {describe(partitions)}")
         try:
             for i, (a, b, start, end) in enumerate(partitions):
                 if not (type(a) is type(b) is type(start) is type(end) is int and start >= 0):
                     read_json(dict(zip(OUTAGE_FIELDS, partitions[i])), OUTAGE_FIELDS, f"config.partitions[{i}]")
+            if not isinstance(strategy, StrategyParams):
+                raise ConfigError(f"config.strategy must be an object, got {describe(strategy)}")
             read_json(dict(zip(STRATEGY_FIELDS, strategy)), STRATEGY_FIELDS, "config.strategy")
+            if type(workload) not in (list, tuple):
+                raise ConfigError(f"config.workload must be a list, got {describe(workload)}")
             kinds = OP_FIELDS["kind"][3]
             for i, (t, node, kind, key, val) in enumerate(workload):
                 if not (type(t) is type(node) is int and t >= 0 and type(kind) is type(key) is str
@@ -425,9 +379,25 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        fields = read_json(d, CONFIG_FIELDS, "config")
-        if "strategy" in fields:
-            fields["strategy"] = StrategyParams.from_fields(fields["strategy"], "config.strategy")
+        """The config of JSON object ``d``: converted here by presence only, typed by ``__init__``.
+
+        One that does not convert goes to ``read_json``, which names its first fault in table order.
+        """
+        try:
+            fields = _present(d, CONFIG_FIELDS)
+            if type(outages := fields.get("partitions")) is list:
+                fields["partitions"] = list(map(_OUTAGE_VALUES, outages))
+            if type(ops := fields.get("workload")) is list:
+                fields["workload"] = [(*_OP_VALUES(op), op.get("val")) for op in ops]
+            if type(s := fields.get("strategy")) is dict:  # JSON must state D for HybridDeadline
+                fields["strategy"] = StrategyParams.from_fields(_present(s, STRATEGY_FIELDS), "config.strategy")
+            if fields.get("workload_gen", ()) is None:  # __init__ reads None as absent
+                raise TypeError("workload_gen")
+        except (KeyError, TypeError, ConfigError):
+            fields = read_json(d, CONFIG_FIELDS, "config")
+            if "strategy" in fields:
+                StrategyParams.from_fields(fields["strategy"], "config.strategy")
+            raise  # a config these two take converts: this is a fault in the conversion
         return cls(**fields)
 
     @classmethod

@@ -31,6 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 REFUSED_IN_CODE = "tests/test_inputs.py::test_a_config_built_in_code_is_refused_as_its_json_is"
 LAYERS_LOADED = "tests/test_cli.py::test_importing_the_cli_loads_no_dataclasses_inspect_or_typing"
+LISTED_ITEMS = "tests/test_inputs.py::test_listed_items_read_as_the_object_reader_reads_each"
+SEVERAL_FAULTS = "tests/test_inputs.py::test_a_config_with_several_faults_names_the_first"
 
 # (name, file in src/capsim, old text, new text, the tests that should kill it)
 MUTANTS = [
@@ -68,6 +70,16 @@ MUTANTS = [
      "except (TypeError, ValueError) as exc:  # an item that does not unpack",
      "except () as exc:  # an item that does not unpack",
      [REFUSED_IN_CODE]),
+    ("conversion refuses an op without val", "config.py",
+     '(*_OP_VALUES(op), op.get("val"))', '(*_OP_VALUES(op), op["val"])',
+     [LISTED_ITEMS]),
+    ("ops that are no list accepted", "config.py",
+     "if type(workload) not in (list, tuple):", "if False:",
+     [REFUSED_IN_CODE]),
+    ("presence fault named before an earlier type fault", "config.py",
+     'except (KeyError, TypeError, ConfigError):\n            fields = read_json(d, CONFIG_FIELDS, "config")',
+     'except (KeyError, TypeError, ConfigError) as exc:\n            raise ConfigError(f"config: missing required field {exc}")',
+     [SEVERAL_FAULTS]),
     ("read_staleness ticks[i] > anchor -> >=", "checker.py",
      "if ticks[i] > anchor:", "if ticks[i] >= anchor:",
      ["tests/test_checker.py::TestMinConsistencyBound"]),

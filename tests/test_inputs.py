@@ -380,9 +380,10 @@ def _write(**changes):
 
 
 # name -> (a config with more than one fault, the one error it gives): the
-# first type or range fault in table order wins, as it did before listed
-# items had a compiled reader; only then are the rules between fields
-# checked: the strategy's, the partitions', the span's, then each op's in op-id order
+# first presence, type or range fault in table order wins, whether
+# ScenarioConfig.__init__ or, for a config that does not convert, read_json
+# names it; only then are the rules between fields checked: the strategy's,
+# the partitions', the span's, then each op's in op-id order
 MULTI_FAULT = {
     "no nodes, op on node 9": (
         {"nodes": 0, "workload": [_write(node=9)]}, "config.nodes must be in [1, 1024], got 0",
@@ -460,6 +461,13 @@ MULTI_FAULT = {
     "span past horizon, HybridDeadline without D": (
         {"strategy": {"kind": "HybridDeadline"}, "workload_gen": {"span": [5, 40]}},
         "config.strategy: missing required field 'D'",
+    ),
+    "mistyped outage, HybridDeadline without D": (
+        {"partitions": [{"a": 0, "b": 1, "start": 1, "end": True}], "strategy": {"kind": "HybridDeadline"}},
+        "config.partitions[0].end must be an integer, got true",
+    ),
+    "zero latency, op without a key": (
+        {"latency": 0, "workload": [{"t": 1, "node": 0, "kind": "read"}]}, "config.latency must be >= 1, got 0",
     ),
     "span past horizon, op on node 9": (
         {"workload": [_write(node=9)], "workload_gen": {"span": [5, 40]}},
@@ -583,20 +591,38 @@ CODE_REFUSALS = {
                                             'config.partitions[0].end must be an integer, got "5"'),
     "zero gossip period, mistyped op": ({"strategy": StrategyParams("LocalFirst", 0), "workload": [_op(t=0.5)]},
                                         "config.strategy.G must be >= 1, got 0"),
+    # a list that is none, or a strategy that is no StrategyParams, at its field's turn
+    "outages not a list": ({"partitions": 7}, "config.partitions must be a list, got 7"),
+    "zero latency, outages not a list": ({"message_latency": 0, "partitions": 7},
+                                         "config.latency must be >= 1, got 0"),
+    "outages not a list, null strategy": ({"partitions": 7, "strategy": None},
+                                          "config.partitions must be a list, got 7"),
+    "ops not a list": ({"workload": 5}, "config.workload must be a list, got 5"),
+    "ops a string": ({"workload": "ab"}, 'config.workload must be a list, got "ab"'),
+    "zero gossip period, ops not a list": ({"strategy": StrategyParams("LocalFirst", 0), "workload": 5},
+                                           "config.strategy.G must be >= 1, got 0"),
+    "ops not a list, negative generated op count": ({"workload": "ab", "workload_gen": {"ops": -1}},
+                                                    'config.workload must be a list, got "ab"'),
+    "null strategy": ({"strategy": None}, "config.strategy must be an object, got null"),
+    "strategy a plain tuple": ({"strategy": ("SyncAll",)}, "config.strategy must be an object, got a list"),
+    "mistyped outage, null strategy": ({"partitions": [_outage(end="5")], "strategy": None},
+                                       'config.partitions[0].end must be an integer, got "5"'),
+    "null strategy, mistyped op": ({"strategy": None, "workload": [_op(t=0.5)]},
+                                   "config.strategy must be an object, got null"),
 }
 
 
 def config_doc(fields):
     """The JSON text of ``ScenarioConfig(**fields)``, or None where JSON has no form for a value."""
-    tables = {"partitions": OUTAGE_FIELDS, "workload": OP_FIELDS, "strategy": STRATEGY_FIELDS}
+    tables = {"partitions": OUTAGE_FIELDS, "workload": OP_FIELDS}
     doc = {}
     for key, (name, *_) in CONFIG_FIELDS.items():
         if name not in fields:
             continue
         value, table = fields[name], tables.get(name)
-        if name == "strategy":
-            value = dict(zip(table, value))
-        elif table is not None:
+        if isinstance(value, StrategyParams):
+            value = dict(zip(STRATEGY_FIELDS, value))
+        elif table is not None and type(value) in (list, tuple):  # another value is its own JSON
             if any(type(item) is not tuple or len(item) != len(table) for item in value):
                 return None
             value = [dict(zip(table, item)) for item in value]
@@ -1002,7 +1028,7 @@ def test_a_config_built_in_code_has_the_ops_or_the_refusal_of_its_json(doc):
 # -- the reader of listed items against the generic object reader ---------
 
 LISTED = {
-    "config.workload": (OP_FIELDS, {"t": 1, "node": 0, "kind": "read", "key": "A", "val": None}),
+    "config.workload": (OP_FIELDS, {"t": 1, "node": 0, "kind": "read", "key": "A"}),  # val absent
     "config.partitions": (OUTAGE_FIELDS, {"a": 0, "b": 1, "start": 2, "end": 5}),
 }
 # values no INT, STR or OPT slot takes all of: JSON true is no 1, 1.0 no tick
@@ -1062,8 +1088,22 @@ def _reference(items, table, where):
 @settings(max_examples=300, deadline=None)
 @given(listed_items())
 def test_listed_items_read_as_the_object_reader_reads_each(drawn):
+    """A 2-node config of the drawn list refuses as the reference does, or
+    gives its values to ``__init__`` from the conversion, never the fallback."""
     where, table, items = drawn
+    name = where.removeprefix("config.")
+    given_to_init = []
+
+    class Seen(ScenarioConfig):
+        def __init__(self, **fields):
+            given_to_init.append(fields[name])
+            super().__init__(**fields)
+
     before = copy.deepcopy(items)
-    got = _outcome(lambda: read_json(items, [table], where))
-    assert got == _outcome(lambda: _reference(items, table, where))
+    expected = _outcome(lambda: _reference(items, table, where))
+    got = _outcome(lambda: Seen.from_dict({"nodes": 2, "horizon": 10, name: items}))
+    if type(expected) is str:
+        assert got == expected
+    else:  # __init__'s rules between fields may still refuse the values
+        assert given_to_init == [expected]
     assert items == before
