@@ -18,11 +18,14 @@ per response deadline D, bracketed by the two extremes (LocalFirst as
 the instant-answer corner, SyncAll as the always-fresh corner). The
 sweep runs two simulations, not one per row. A HybridDeadline(D) node
 sends and merges exactly what a SyncAll node does; D only decides when
-it answers. So ``probed_run`` runs HybridDeadline nodes once with every
-deadline: each deadline timer that fires on a still-open round records
-the answer HybridDeadline(D) would give, and the nodes answer as SyncAll
-does. ``deadline_figures`` scores the SyncAll history's ops once, and
-a row re-scores only the reads its deadline answered. Rows anchor
+it answers. So ``probed_run`` runs SyncAll as ``DeadlineProbeNode``s,
+which note what every deadline would answer: a timer for each D up to
+the message latency, and for every later D the probing node's logs of
+its cells, its rounds' best replies and their ends, with no event per
+(op, deadline). Each op's answers come back as a few pieces, each a
+value over a run of deadlines. ``deadline_figures`` scores each read
+once per piece and once for its SyncAll answer, and one sweep over the
+deadlines takes every row's maximum staleness and latency. Rows anchor
 staleness at the invoke tick: a deadline strategy spends its D ticks
 waiting for fresher data, and response-tick anchoring would bill
 that same wait twice, once as latency and once as staleness, hiding
@@ -33,7 +36,9 @@ stays the default everywhere else.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from heapq import heappop, heappush
 
 from .checker import (
     INFINITE,
@@ -58,7 +63,7 @@ from .config import (
     read_json,
 )
 from .kernel import Simulation, run_scenario
-from .strategies import HybridDeadlineNode
+from .strategies import DeadlineProbeNode
 
 
 def bound_slack(params: StrategyParams, latency: int) -> int:
@@ -277,60 +282,77 @@ def frontier_sweep(
     tc = min_consistency_bound(history, time_ref="invoke")
     rows = [row("LocalFirst", None, local, tc, empirical_availability_bound(history))]
     sync = StrategyParams("SyncAll", retransmit_period=1)
-    synced, answers = probed_run(config(sync), cleaned)
-    figures = deadline_figures(synced)
+    figures = deadline_figures(*probed_run(config(sync), cleaned), [*cleaned, INFINITE])
     # a HybridDeadline row's slack is SyncAll's: no anti-entropy term
-    rows += [row(str(d), d, sync, *figures(answers[d], d)) for d in cleaned]
-    rows.append(row("SyncAll", None, sync, *figures({}, 0)))
+    rows += [row(str(d), d, sync, *f) for d, f in zip(cleaned, figures)]
+    rows.append(row("SyncAll", None, sync, *figures[-1]))
     return rows
 
 
 def probed_run(config: ScenarioConfig, deadlines: list[int]) -> tuple[History, dict]:
     """One run of the SyncAll ``config`` that notes every deadline's answers.
 
-    Returns its history and, per deadline D, ``{op: (tick, value)}`` for
-    the ops HybridDeadline(D) answers at its deadline.
+    Returns its history and ``{op: (last, pieces)}`` for the ops some
+    HybridDeadline(D) answers at its deadline: the op's deadline-D answer,
+    for each D <= ``last``, is the value of the last of ``pieces`` (pairs of
+    first deadline and value) that starts at or before D, at tick invoke + D.
     """
-    answers: dict[int, dict] = {d: {} for d in deadlines}
     nodes = [
-        HybridDeadlineNode(config.strategy, n, config.node_count, answers)
+        DeadlineProbeNode(config.strategy, n, config.node_count, deadlines, config.message_latency)
         for n in range(config.node_count)
     ]
-    return extract_history(Simulation(config, nodes).run()), answers
+    history = extract_history(Simulation(config, nodes).run())
+    answers = {}
+    for node in nodes:
+        answers.update(node.answers(config.horizon))
+    return history, answers
 
 
-def deadline_figures(synced: History):
-    """``figures(answers, D)``: (tc, ta) of ``synced`` with ``answers`` taken at latency D.
+def deadline_figures(synced: History, answers: dict, deadlines: list) -> list[tuple[int, float]]:
+    """(tc, ta) of ``synced`` with each deadline's answers put in, one pair per deadline.
 
-    One pass ranks ops by SyncAll latency and answered reads by (staleness,
-    -position), the first unadmitted read (inf) highest; a row re-scores
-    only the reads in ``answers``. ``figures({}, 0)`` is SyncAll's row.
+    An op in ``answers`` takes latency D and its piece's value at each
+    deadline D up to its ``last``; past it, and for every other op, its
+    SyncAll figure stands. So a deadline of INFINITE answers nothing and
+    its pair is SyncAll's. A read is scored once per piece and once for
+    its SyncAll answer, each covering a run of deadline positions, and
+    one sweep over the positions takes each row's stalest read from a heap
+    of the runs open there, the first unadmitted read (inf) highest. A
+    piece is scored at its first deadline's tick: its value was in the
+    node's state by then, and the frontier's writes carry distinct values,
+    so the later ticks it answers at give the same staleness.
     """
-    ops, latencies, stalest = {}, [], []
-
-    def staleness(i, op, tick, value):
-        needed = read_staleness(synced.index(op.key), op.invoke_tick, tick, value)
-        return (INFINITE if needed is None else needed, -i, op.op_id, value)
-
+    runs = [[] for _ in deadlines]  # staleness entries by first position
+    slowest = [0] * len(deadlines)  # the top SyncAll latency of the ops first unanswered at each
+    reach = -1  # the largest deadline some op answers at
     for i, op in enumerate(synced.records):
-        ops[op.op_id] = i, op
-        latencies.append((op.response_tick - op.invoke_tick if op.answered else INFINITE, op.op_id))
-        if op.answered and op.kind == "read":
-            stalest.append(staleness(i, op, op.response_tick, op.returned))
-    latencies.sort(reverse=True)
-    stalest.sort(reverse=True)
-
-    def figures(answers: dict, deadline: int) -> tuple[int, float]:
-        tc = next((s for s in stalest if s[2] not in answers), (0, 1))  # ahead of every 0 budget
-        for op_id, (tick, value) in answers.items():
-            i, op = ops[op_id]
-            if op.kind == "read":
-                tc = max(tc, staleness(i, op, tick, value))
-        if tc[0] == INFINITE:
-            raise unadmitted(*tc[2:])
-        ta = next((lat for lat, op_id in latencies if op_id not in answers), 0)
-        return tc[0], max(ta, deadline) if answers else ta
-
+        last, pieces = answers.get(op.op_id, (-1, ()))
+        stop = bisect_right(deadlines, last)  # the first position it is not answered at
+        reach = max(reach, last)
+        if stop < len(deadlines):
+            latency = op.response_tick - op.invoke_tick if op.answered else INFINITE
+            slowest[stop] = max(slowest[stop], latency)
+        if op.kind != "read":
+            continue
+        bounds = [bisect_left(deadlines, first) for first, _ in pieces] + [stop]
+        scored = [(lo, hi, op.invoke_tick + deadlines[lo], value)
+                  for lo, hi, (_, value) in zip(bounds, bounds[1:], pieces) if lo < hi]
+        if op.answered and stop < len(deadlines):
+            scored.append((stop, len(deadlines), op.response_tick, op.returned))
+        for lo, hi, tick, value in scored:
+            needed = read_staleness(synced.index(op.key), op.invoke_tick, tick, value)
+            runs[lo].append((-(INFINITE if needed is None else needed), i, hi, op.op_id, value))
+    figures, open_runs, ta = [], [], 0
+    for j, deadline in enumerate(deadlines):
+        for entry in runs[j]:
+            heappush(open_runs, entry)
+        while open_runs and open_runs[0][2] <= j:
+            heappop(open_runs)
+        tc = -open_runs[0][0] if open_runs else 0
+        if tc == INFINITE:
+            raise unadmitted(*open_runs[0][3:])
+        ta = max(ta, slowest[j])
+        figures.append((tc, max(ta, deadline) if deadline <= reach else ta))
     return figures
 
 

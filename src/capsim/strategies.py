@@ -16,6 +16,10 @@ to execute. Three strategies cover the staleness/latency spectrum:
   whatever acknowledgements and versions have arrived if the round is
   still incomplete, trading bounded staleness for bounded latency.
 
+``DeadlineProbeNode`` runs as SyncAll and notes, in the same run, what
+HybridDeadline would answer at each of many deadlines; the frontier
+sweep runs it.
+
 Registers resolve conflicting writes last-writer-wins: versions are
 ordered lexicographically by (write tick, writer id, per-writer seq)
 and merges never move a key backwards.
@@ -32,6 +36,8 @@ given.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from .config import StrategyParams
 
@@ -148,6 +154,14 @@ class LocalFirstNode(StrategyNode):
         return actions
 
 
+def _fresher(val: int | None, ver: Version | None, best_val: int | None,
+             best_ver: Version | None) -> int | None:
+    """A read round's answer: its best reply's value if that outranks the node's cell (val, ver)."""
+    if best_ver is not None and (ver is None or best_ver > ver):
+        return best_val
+    return val
+
+
 class _Round:
     """An in-flight request round on its coordinating node.
 
@@ -189,10 +203,7 @@ class SyncAllNode(StrategyNode):
     def _respond_value(self, rnd: _Round) -> int | None:
         if rnd.kind == "write":
             return None
-        val, ver = self.registers.get(rnd.key)
-        if rnd.best_ver is not None and (ver is None or rnd.best_ver > ver):
-            return rnd.best_val
-        return val
+        return _fresher(*self.registers.get(rnd.key), rnd.best_val, rnd.best_ver)
 
     def _finish(self, rnd: _Round) -> list[Action]:
         del self.rounds[rnd.op_id]
@@ -252,53 +263,183 @@ class HybridDeadlineNode(SyncAllNode):
     If the round is still incomplete at ``invoke + D`` the node answers
     with whatever arrived by then; the round itself keeps retransmitting
     until every peer has acknowledged, so replication still converges
-    after the network heals.
-
-    D changes only when the node answers, never what it sends or merges.
-    So with ``answers``, a dict of ``{D: {}}`` shared by all nodes, one
-    run serves every D in it: at each ``invoke + D`` that finds the round
-    still open the node records ``answers[D][op] = (tick, value)`` instead
-    of answering, and it answers as SyncAll does. Every deadline's timer is
-    set at invoke, also those that will find the round finished: its place
-    in tick ``t + D``'s FIFO queue, ahead of every delivery sent after
-    ``t``, is what makes a noted answer the one HybridDeadline(D) gives.
+    after the network heals. The deadline timer is set at invoke, after
+    the round's sends, so in tick ``invoke + D``'s FIFO queue it sits
+    ahead of every delivery sent after the invoke.
     """
 
     DEADLINE_PREFIX = "deadline:"
-
-    def __init__(
-        self, params: StrategyParams, node_id: int, node_count: int, answers: dict | None = None
-    ):
-        super().__init__(params, node_id, node_count)
-        self.answers = answers
-        self.deadlines = (params.deadline,) if answers is None else tuple(answers)
 
     def on_invoke(self, op, now: int) -> list[Action]:
         rnd, actions = self._start_round(op, now)
         if rnd.op_id not in self.rounds:
             return actions  # completed synchronously (no peers)
-        timer_id = f"{self.DEADLINE_PREFIX}{op.op_id}"
-        for deadline in self.deadlines:
-            if deadline == 0:
-                actions.extend(self._deadline_passed(rnd, now))
-            else:
-                actions.append(SetTimer(deadline, timer_id))
+        if self.params.deadline == 0:
+            actions.extend(self._deadline_passed(rnd))
+        else:
+            actions.append(SetTimer(self.params.deadline, f"{self.DEADLINE_PREFIX}{op.op_id}"))
         return actions
 
     def _other_timer(self, timer_id: str, now: int) -> list[Action]:
         rnd = self.rounds.get(int(timer_id[len(self.DEADLINE_PREFIX):]))
         if rnd is None:
             return []  # the round completed, and SyncAll's answer stands
-        return self._deadline_passed(rnd, now)
+        return self._deadline_passed(rnd)
 
-    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
-        """Answer an open round with what has arrived, or note that answer."""
-        value = self._respond_value(rnd)
-        if self.answers is not None:
-            self.answers[now - rnd.invoke_tick][rnd.op_id] = (now, value)
-            return []
+    def _deadline_passed(self, rnd: _Round) -> list[Action]:
+        """Answer an open round with what has arrived."""
         rnd.responded = True
-        return [Respond(rnd.op_id, value)]
+        return [Respond(rnd.op_id, self._respond_value(rnd))]
+
+
+class _Probe:
+    """A probed round's notes: its answers by deadline so far, its best replies by tick, its end.
+
+    ``pieces`` holds ``(first deadline, value)`` pairs, each value held
+    from its first deadline up to the next pair's; ``done`` is the tick
+    the round completed, or None while it is open.
+    """
+
+    __slots__ = ("rnd", "pieces", "ticks", "bests", "done")
+
+    def __init__(self, rnd: _Round, value: int | None):
+        self.rnd, self.pieces = rnd, [(0, value)]
+        self.ticks: list[int] = []
+        self.bests: list[tuple[int | None, Version | None]] = []
+        self.done: int | None = None
+
+
+class DeadlineProbeNode(SyncAllNode):
+    """A SyncAll node that notes what HybridDeadline(D) answers, for many D in one run.
+
+    D changes only when a HybridDeadline node answers, never what it
+    sends or merges, so a run of these nodes is the SyncAll run and serves
+    every D at once. HybridDeadline(D) answers an op invoked at t with the
+    round's value when its timer fires at t + D and finds the round open:
+
+    * D = 0: the answer is noted at invoke.
+    * 0 < D <= latency: one ``deadline:<op>`` timer per such D, set at
+      invoke, as HybridDeadline(D) sets it. Its place in tick t + D's FIFO
+      queue decides what it sees. The deliveries landing in that tick were
+      sent at t + D - latency, which is t or earlier: those sent before the
+      invoke land ahead of the timer and those sent later in tick t behind
+      it, so no end-of-tick state gives its answer. A timer re-armed from
+      an earlier deadline would queue behind both, and answer fresher than
+      HybridDeadline(D).
+    * D > latency: no timer. Every event queued ahead of HybridDeadline(D)'s
+      timer at t + D was queued at tick t or before; no such delivery lands
+      after t + latency, and no timer changes a cell or a round. The tick's
+      invokes run after it. So the answer is the round's value as of the
+      end of tick t + D - 1, and there is one exactly when t + D is before
+      the horizon and the round completes at or after t + D. The node logs
+      by tick each change to its own cells, each improvement of a round's
+      best reply and the tick each round completes, and ``answers`` reads
+      the logs: no event is made per (op, deadline).
+
+    Every round completes at or after t + 2 * latency, so the rounds a
+    timer probes are all still open.
+    """
+
+    DEADLINE_PREFIX = HybridDeadlineNode.DEADLINE_PREFIX
+
+    def __init__(self, params: StrategyParams, node_id: int, node_count: int,
+                 deadlines: list[int], latency: int):
+        super().__init__(params, node_id, node_count)
+        self.first_logged = latency + 1  # the least deadline the logs answer
+        self.timed = tuple(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged)
+        self._probes: dict[int, _Probe] = {}
+        # key -> (ticks, the cell at the end of each): this node's cell changes
+        self._cells: dict[str, tuple[list[int], list[tuple]]] = {}
+
+    def write(self, op, now: int) -> Version:
+        version = super().write(op, now)
+        self._log_cell(op.key, now)
+        return version
+
+    def on_invoke(self, op, now: int) -> list[Action]:
+        rnd, actions = self._start_round(op, now)
+        if rnd.op_id in self.rounds:  # not completed synchronously (no peers)
+            self._probes[rnd.op_id] = _Probe(rnd, self._respond_value(rnd))
+            timer_id = f"{self.DEADLINE_PREFIX}{op.op_id}"
+            actions.extend(SetTimer(d, timer_id) for d in self.timed)
+        return actions
+
+    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
+        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
+        pieces = self._probes[rnd.op_id].pieces
+        if (value := self._respond_value(rnd)) != pieces[-1][1]:
+            pieces.append((now - rnd.invoke_tick, value))
+        return []
+
+    def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
+        if payload["type"] == "req":
+            actions = super().on_message(payload, src, now)
+            if payload["ver"] is not None:  # a write's request may have changed a cell
+                self._log_cell(payload["key"], now)
+            return actions
+        rnd = self.rounds.get(payload["op"])
+        if rnd is None:
+            return super().on_message(payload, src, now)
+        best = rnd.best_ver
+        actions = super().on_message(payload, src, now)
+        probe = self._probes[rnd.op_id]
+        if rnd.best_ver != best and rnd.kind == "read":
+            _log(probe.ticks, probe.bests, now, (rnd.best_val, rnd.best_ver))
+        if not rnd.waiting:
+            probe.done = now
+        return actions
+
+    def _log_cell(self, key: str, now: int) -> None:
+        log = self._cells.get(key)
+        if log is None:
+            log = self._cells[key] = ([], [])
+        cell = self.registers.get(key)
+        if not log[1] or log[1][-1] is not cell:  # a merge stores a new cell
+            _log(*log, now, cell)
+
+    def answers(self, horizon: int) -> dict[int, tuple[int, list]]:
+        """``{op: (last, pieces)}`` for each round this node probed.
+
+        The op has an answer at every deadline D <= ``last`` and at no
+        other: the value of the last of ``pieces`` whose first deadline is
+        at most D, answered at tick invoke + D.
+        """
+        out = {}
+        for op_id, probe in self._probes.items():
+            rnd = probe.rnd
+            last = (horizon - 1 if probe.done is None else probe.done) - rnd.invoke_tick
+            if rnd.kind == "read" and last >= self.first_logged:
+                probe.pieces += self._logged(probe, last)
+            out[op_id] = last, probe.pieces
+        return out
+
+    def _logged(self, probe: _Probe, last: int) -> list[tuple[int, int | None]]:
+        """The pieces from the logs, for the deadlines from ``first_logged`` to ``last``."""
+        rnd = probe.rnd
+        edge = rnd.invoke_tick - 1  # deadline D answers with the state at the end of tick edge + D
+        ticks, cells = self._cells.get(rnd.key, ((), ()))
+        lo, hi = edge + self.first_logged, edge + last
+        changes = {lo}
+        changes.update(ticks[bisect_right(ticks, lo):bisect_right(ticks, hi)])
+        changes.update(s for s in probe.ticks if lo < s <= hi)
+        pieces, value = [], probe.pieces[-1][1]
+        for s in sorted(changes):
+            i, j = bisect_right(ticks, s) - 1, bisect_right(probe.ticks, s) - 1
+            fresh = _fresher(*(cells[i] if i >= 0 else (None, None)),
+                             *(probe.bests[j] if j >= 0 else (None, None)))
+            if fresh != value:
+                pieces.append((s - edge, fresh))
+                value = fresh
+        return pieces
+
+
+def _log(ticks: list[int], states: list, now: int, state) -> None:
+    """Note ``state`` as the one at the end of tick ``now``."""
+    if ticks and ticks[-1] == now:
+        states[-1] = state
+    else:
+        ticks.append(now)
+        states.append(state)
 
 
 STRATEGY_NODES = {

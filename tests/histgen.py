@@ -185,6 +185,36 @@ def random_schedule(
     return PartitionSchedule(nodes, tuple(outages)), horizon
 
 
+def flapping_schedule(
+    seed: int, max_nodes: int = 3, horizon: int = 200
+) -> tuple[PartitionSchedule, int]:
+    """One pair's link down on every k-th tick, k in 2-4, from any phase.
+
+    Apart from ``random_schedule``'s few long outages: a retransmit or a
+    reply gets through or is dropped by the tick it is sent on, so rounds
+    complete, and replies arrive, at scattered ticks.
+    """
+    rng = random.Random(seed)
+    nodes = rng.randint(2, max_nodes)
+    a, b = sorted(rng.sample(range(nodes), 2))
+    every = rng.randint(2, 4)
+    outages = tuple(LinkOutage(a, b, t, t + 1) for t in range(rng.randrange(every), horizon, every))
+    return PartitionSchedule(nodes, outages), horizon
+
+
+def deadline_answers(answers: dict, invoked: dict[int, int], deadline: int) -> dict:
+    """``{op: (tick, value)}`` that HybridDeadline(``deadline``) answers at its deadline.
+
+    Read from a probed run's ``{op: (last, pieces)}``; ``invoked`` maps
+    each op to its invoke tick.
+    """
+    out = {}
+    for op, (last, pieces) in answers.items():
+        if deadline <= last:
+            out[op] = invoked[op] + deadline, [v for first, v in pieces if first <= deadline][-1]
+    return out
+
+
 def reachable_oracle(schedule: PartitionSchedule, t: int, a: int, b: int) -> bool:
     """Depth-first walk over the links no outage covers at tick t."""
     down = set()

@@ -33,6 +33,36 @@ REFUSED_IN_CODE = "tests/test_inputs.py::test_a_config_built_in_code_is_refused_
 LAYERS_LOADED = "tests/test_cli.py::test_importing_the_cli_loads_no_dataclasses_inspect_or_typing"
 LISTED_ITEMS = "tests/test_inputs.py::test_listed_items_read_as_the_object_reader_reads_each"
 SEVERAL_FAULTS = "tests/test_inputs.py::test_a_config_with_several_faults_names_the_first"
+PROBE_PIN = "tests/test_strategies.py::TestDeadlineProbe::test_probes_change_no_message_and_name_their_timers_with_strings"
+TIMER_AT_LATENCY = ("tests/test_strategies.py::TestDeadlineProbe::"
+                    "test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does")
+PROBED_HISTORIES = "tests/test_harness.py::test_probed_histories_equal_one_run_per_deadline"
+
+# the deadline probe's timers for D <= latency, set at invoke -> one timer per
+# op, re-armed at each firing for the next such deadline
+REARMED = (
+    """            actions.extend(SetTimer(d, timer_id) for d in self.timed)
+        return actions
+
+    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
+        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
+        pieces = self._probes[rnd.op_id].pieces
+        if (value := self._respond_value(rnd)) != pieces[-1][1]:
+            pieces.append((now - rnd.invoke_tick, value))
+        return []
+""",
+    """            actions.extend(SetTimer(d, timer_id) for d in self.timed[:1])
+        return actions
+
+    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
+        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
+        pieces = self._probes[rnd.op_id].pieces
+        if (value := self._respond_value(rnd)) != pieces[-1][1]:
+            pieces.append((now - rnd.invoke_tick, value))
+        d = now - rnd.invoke_tick
+        return [SetTimer(e - d, timer_id) for e in self.timed if e > d][:1]
+""",
+)
 
 # (name, file in src/capsim, old text, new text, the tests that should kill it)
 MUTANTS = [
@@ -95,6 +125,17 @@ MUTANTS = [
     ("rep ver > rnd.best_ver -> >=", "strategies.py",
      "ver > rnd.best_ver):", "ver >= rnd.best_ver):",
      ["tests/test_strategies.py", "tests/test_kernel.py"]),
+    ("probe logs read as of the end of tick t + D", "strategies.py",
+     "edge = rnd.invoke_tick - 1  #", "edge = rnd.invoke_tick  #",
+     [PROBED_HISTORIES]),
+    ("probe treats a round completing at tick t + D as done", "strategies.py",
+     "else probe.done) - rnd.invoke_tick", "else probe.done - 1) - rnd.invoke_tick",
+     [PROBE_PIN]),
+    ("probe timers only for D < latency", "strategies.py",
+     "self.first_logged = latency + 1", "self.first_logged = latency",
+     [TIMER_AT_LATENCY]),
+    ("probe arms one timer per op and re-arms it for the next D <= latency", "strategies.py",
+     *REARMED, [TIMER_AT_LATENCY]),
 ]
 
 # name -> why the mutant cannot change what the program gives

@@ -33,6 +33,8 @@ from capsim.harness import (
 )
 from capsim.kernel import Simulation, run_scenario
 
+from histgen import deadline_answers
+
 
 LOCAL = StrategyParams("LocalFirst", anti_entropy_period=4)
 SYNC = StrategyParams("SyncAll", retransmit_period=2)
@@ -209,6 +211,11 @@ def deadline_history(synced, answers):
     ])
 
 
+def noted(synced, answers, deadline):
+    """``{op: (tick, value)}``: the probed run's answers at ``deadline``."""
+    return deadline_answers(answers, {op.op_id: op.invoke_tick for op in synced.records}, deadline)
+
+
 def responses(history):
     return [(op.op_id, op.answered, op.response_tick, op.returned) for op in history.records]
 
@@ -221,9 +228,9 @@ def responses(history):
     st.sampled_from([0, 5, 20]),
     st.integers(0, 2**16),
 )
-# every deadline timer is set at invoke, so at tick t + 3 it is queued ahead of
-# a delivery sent at t + 1; a probe that armed one timer per op and re-armed it
-# at t + 2 for the next deadline would answer 3 after that delivery merged
+# at tick t + 3 HybridDeadline(3)'s timer, set at invoke, is queued ahead of a
+# delivery sent at t + 1, so its answer is the state at the end of t + 2, which
+# the probe's logs give, and not at the end of t + 3, which holds that delivery
 @example(tp=1, latency=2, extra=[2, 3], noise_reads=0, seed=0)
 def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_reads, seed):
     cap = tp + 2 * latency
@@ -237,7 +244,7 @@ def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_r
     synced, answers = probed_run(sync_config, deadlines)
     assert responses(synced) == responses(oracle[-1][3])
     for _, deadline, _, history in oracle[1:-1]:
-        assert responses(deadline_history(synced, answers[deadline])) == responses(history)
+        assert responses(deadline_history(synced, noted(synced, answers, deadline))) == responses(history)
     # each deadline's history is built beside the SyncAll one, never in it
     assert responses(synced) == responses(oracle[-1][3])
     rows = [oracle_row(tp, latency, *entry) for entry in oracle]
@@ -262,15 +269,25 @@ def read_ids(synced, op_ids):
     return sorted(op.op_id for op in synced.records if op.kind == "read" and op.op_id in op_ids)
 
 
+def answered(answers, d):
+    return {op_id for op_id, (last, _) in answers.items() if d <= last}
+
+
 def spoil_a_response(synced, answers, answered_at, not_at):
     """The first read answered at deadline ``answered_at`` but not at ``not_at`` returns -1."""
-    op_id = read_ids(synced, set(answers[answered_at]) - set(answers[not_at]))[0]
+    op_id = read_ids(synced, answered(answers, answered_at) - answered(answers, not_at))[0]
     next(op for op in synced.records if op.op_id == op_id).returned = -1
 
 
 def spoil_an_answer(synced, answers, d, which):
-    op_id = read_ids(synced, answers[d])[which]
-    answers[d][op_id] = (answers[d][op_id][0], -2)
+    """The ``which``-th read answered at deadline ``d`` answers -2 there and nowhere else."""
+    op_id = read_ids(synced, answered(answers, d))[which]
+    last, pieces = answers[op_id]
+    after = [v for first, v in pieces if first <= d + 1][-1]
+    spoiled = [p for p in pieces if p[0] < d] + [(d, -2)]
+    if d < last:
+        spoiled.append((d + 1, after))
+    answers[op_id] = last, spoiled + [p for p in pieces if p[0] > d + 1]
 
 
 SPOILS = {
@@ -303,7 +320,7 @@ def test_a_read_no_budget_admits_is_the_one_its_rows_history_names(monkeypatch, 
     (synced, answers), = runs
     with pytest.raises(HistoryIntegrityError) as reference:
         for d in deadlines:
-            min_consistency_bound(deadline_history(synced, answers[d]), time_ref="invoke")
+            min_consistency_bound(deadline_history(synced, noted(synced, answers, d)), time_ref="invoke")
         min_consistency_bound(synced, time_ref="invoke")
     assert str(info.value) == str(reference.value)
 

@@ -1037,17 +1037,19 @@ WRONG = st.sampled_from([True, False, 1.0, "1", None, [], {}, 0, "A"])
 
 @st.composite
 def listed_items(draw):
-    """A list of op or outage items, some of them broken in a few ways."""
+    """A list of op or outage items: about half the lists are whole, the
+    rest have items broken in a few ways."""
     where = draw(st.sampled_from(sorted(LISTED)))
     table, valid = LISTED[where]
+    broken = draw(st.booleans())
     items = []
     for _ in range(draw(st.integers(0, 5))):
-        if draw(st.integers(0, 7)) == 0:
+        if broken and draw(st.integers(0, 7)) == 0:
             items.append(draw(JSON.filter(lambda v: not isinstance(v, dict))))
             continue
-        item = {key: draw(st.integers(-1, 3)) if type(value) is int else value
+        item = {key: draw(st.integers(-1 if broken else 0, 3)) if type(value) is int else value
                 for key, value in valid.items()}
-        for _ in range(draw(st.integers(0, 2))):
+        for _ in range(draw(st.integers(0, 2)) if broken else 0):
             key = draw(st.sampled_from(sorted(table)))
             change = draw(st.sampled_from(["missing", "wrong", "extra", "outside"]))
             if change == "missing":

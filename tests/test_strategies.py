@@ -1,15 +1,17 @@
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from capsim.checker import extract_history
 from capsim.config import ScenarioConfig
 from capsim.kernel import Simulation, run_scenario
-from capsim.strategies import HybridDeadlineNode, RegisterMap
+from capsim.strategies import DeadlineProbeNode, RegisterMap
 from capsim.trace import Trace
 
-from histgen import random_schedule
+from histgen import deadline_answers, flapping_schedule, random_schedule
 
 
 def scenario(**overrides):
@@ -233,17 +235,50 @@ class TestHybridDeadline:
                 assert rec["t"] - invokes[op] <= d
 
 
+def probe(config, deadlines):
+    """A run of ``config``'s SyncAll nodes as deadline probes: its trace and answers."""
+    nodes = [
+        DeadlineProbeNode(config.strategy, n, config.node_count, deadlines, config.message_latency)
+        for n in range(config.node_count)
+    ]
+    trace = Simulation(config, nodes).run()
+    answers = {}
+    for node in nodes:
+        answers.update(node.answers(config.horizon))
+    return trace, answers
+
+
+def invoked(trace):
+    return {op.op_id: op.invoke_tick for op in extract_history(trace).records}
+
+
+def answered(trace):
+    """``{op: (tick, value)}`` of each response, from the history, which decodes no line."""
+    return {op.op_id: (op.response_tick, op.returned)
+            for op in extract_history(trace).records if op.answered}
+
+
+def hybrid_answer(doc, deadline, op, period):
+    hybrid = scenario(**doc, strategy={"kind": "HybridDeadline", "R": period, "D": deadline})
+    got = responses(run_scenario(hybrid))[op]
+    return got["t"], got["val"]
+
+
+SCHEDULES = {
+    "random": lambda seed: random_schedule(seed, max_nodes=4, horizon=80),
+    "flapping": lambda seed: flapping_schedule(seed, horizon=80),
+}
+
+
 class TestDeadlineProbe:
     def test_probes_change_no_message_and_name_their_timers_with_strings(self):
-        cfg = scenario(
-            strategy={"kind": "SyncAll", "R": 1},
-            partitions=[{"a": 0, "b": 1, "start": 4, "end": 12}],
-            workload=[write(5, 0, 1), read(6, 1)],
-            horizon=30,
-        )
-        answers = {0: {}, 3: {}, 20: {}}
-        nodes = [HybridDeadlineNode(cfg.strategy, n, 2, answers) for n in range(2)]
-        probed = Simulation(cfg, nodes).run()
+        doc = {
+            "partitions": [{"a": 0, "b": 1, "start": 4, "end": 12}],
+            "workload": [write(5, 0, 1), read(6, 1)],
+            "horizon": 30,
+        }
+        cfg = scenario(**doc, strategy={"kind": "SyncAll", "R": 1})
+        probed, answers = probe(cfg, [0, 1, 3, 20])
 
         def without_timers(trace):
             return [
@@ -255,10 +290,15 @@ class TestDeadlineProbe:
         assert without_timers(probed) == without_timers(run_scenario(cfg))
         timers = [r["timer"] for r in probed.records if r["ev"] == "timer"]
         probes = [t for t in timers if t != "retransmit"]
-        assert probes == ["deadline:0", "deadline:1", "deadline:0", "deadline:1"]
+        # a timer only for D = 1 <= latency; the logs answer D = 3 and D = 20
+        assert probes == ["deadline:0", "deadline:1"]
         assert Trace.from_jsonl(probed.to_jsonl()).records == probed.records
-        # both rounds stay open until the heal at 12, so D=20 finds them done
-        assert answers == {0: {0: (5, None), 1: (6, None)}, 3: {0: (8, None), 1: (9, None)}, 20: {}}
+        # both rounds stay open until the heal at 12 and complete at 14; the
+        # write reaches node 1 at 13, so the read's answer at D = 8 holds it
+        assert answers == {0: (9, [(0, None)]), 1: (8, [(0, None), (8, 1)])}
+        for d in (0, 1, 3, 7, 8):
+            noted = deadline_answers(answers, invoked(probed), d)
+            assert noted == {op: hybrid_answer(doc, d, op, 1) for op in (0, 1)}
 
     def test_a_probe_answers_with_the_freshest_reply_of_an_open_round(self):
         # node 1 misses the write at 4 and reads at 11; node 0's reply brings
@@ -273,25 +313,39 @@ class TestDeadlineProbe:
             "workload": [write(4, 0, 7), read(11, 1)],
         }
         config = scenario(**doc, strategy={"kind": "SyncAll", "R": 5})
-        answers = {3: {}, 5: {}}
-        nodes = [HybridDeadlineNode(config.strategy, n, 3, answers) for n in range(3)]
-        Simulation(config, nodes).run()
-        assert answers[3][1] == (14, 7) and answers[5][1] == (16, 7)
-        for d in answers:
-            hybrid = scenario(**doc, strategy={"kind": "HybridDeadline", "R": 5, "D": d})
-            got = responses(run_scenario(hybrid))[1]
-            assert (got["t"], got["val"]) == answers[d][1]
+        trace, answers = probe(config, [3, 5])
+        noted = {d: deadline_answers(answers, invoked(trace), d) for d in (3, 5)}
+        assert noted[3][1] == (14, 7) and noted[5][1] == (16, 7)
+        for d in noted:
+            assert hybrid_answer(doc, d, 1, 5) == noted[d][1]
+
+    @pytest.mark.parametrize("write_first, answer", [(True, 9), (False, None)])
+    def test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does(
+        self, write_first, answer
+    ):
+        # latency 2: node 1's write of tick 5 reaches node 0 at 7. Invoked
+        # before node 0's read of tick 5 it lands ahead of the read's D = 2
+        # timer, invoked after it lands behind; the end of tick 6 holds
+        # neither, and a timer re-armed at 6 from D = 1 would see it either way
+        ops = [write(5, 1, 9), read(5, 0)]
+        doc = {"latency": 2, "horizon": 20, "workload": ops if write_first else ops[::-1]}
+        config = scenario(**doc, strategy={"kind": "SyncAll", "R": 5})
+        trace, answers = probe(config, [1, 2])
+        op = 1 if write_first else 0
+        assert deadline_answers(answers, invoked(trace), 2)[op] == (7, answer)
+        for d in (1, 2):
+            assert deadline_answers(answers, invoked(trace), d)[op] == hybrid_answer(doc, d, op, 5)
 
     @settings(max_examples=40, deadline=None)
     @given(
         st.integers(0, 2**16),
-        st.integers(1, 2),
+        st.sampled_from(sorted(SCHEDULES)),
         st.integers(1, 3),
-        st.lists(st.integers(0, 12), min_size=1, max_size=4, unique=True),
+        st.integers(1, 3),
     )
-    def test_probes_answer_as_each_hybrid_deadline_run_does(self, seed, latency, period, deadlines):
+    def test_probes_answer_as_each_hybrid_deadline_run_does(self, seed, schedule, latency, period):
         # up to 4 nodes, so that replies also arrive while a round stays open
-        schedule, horizon = random_schedule(seed, max_nodes=4, horizon=80)
+        schedule, horizon = SCHEDULES[schedule](seed)
         doc = {
             "nodes": schedule.node_count,
             "latency": latency,
@@ -302,20 +356,16 @@ class TestDeadlineProbe:
             ],
             "workload_gen": {"ops": 16, "keys": ["A", "B"], "span": [0, horizon - 1]},
         }
+        deadlines = range(schedule.max_partition_span(horizon) + 2 * latency + 1)
         config = ScenarioConfig.from_dict({**doc, "strategy": {"kind": "SyncAll", "R": period}})
-        answers = {d: {} for d in deadlines}
-        nodes = [
-            HybridDeadlineNode(config.strategy, n, config.node_count, answers)
-            for n in range(config.node_count)
-        ]
-        probed = Simulation(config, nodes).run()
-        synced = {op: (r["t"], r["val"]) for op, r in responses(probed).items()}
+        probed, answers = probe(config, deadlines)
+        synced, invokes = answered(probed), invoked(probed)
         hybrid_timers = Counter()
         for d in deadlines:
             hybrid = {"kind": "HybridDeadline", "R": period, "D": d}
             trace = run_scenario(ScenarioConfig.from_dict({**doc, "strategy": hybrid}))
-            expected = {op: (r["t"], r["val"]) for op, r in responses(trace).items()}
-            assert {**synced, **answers[d]} == expected
-            hybrid_timers += deadline_timers(trace)
-        # one timer path: the probed run sets each deadline timer a HybridDeadline(D) run does
+            assert {**synced, **deadline_answers(answers, invokes, d)} == answered(trace)
+            if d <= latency:
+                hybrid_timers += deadline_timers(trace)
+        # the probed run sets exactly the deadline timers HybridDeadline(D) runs set for D <= latency
         assert deadline_timers(probed) == hybrid_timers
