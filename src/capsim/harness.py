@@ -19,11 +19,13 @@ the instant-answer corner, SyncAll as the always-fresh corner). The
 sweep runs two simulations, not one per row. A HybridDeadline(D) node
 sends and merges exactly what a SyncAll node does; D only decides when
 it answers. So ``probed_run`` runs SyncAll as ``DeadlineProbeNode``s,
-which note what every deadline would answer: a timer for each D up to
-the message latency, and for every later D the probing node's logs of
-its cells, its rounds' best replies and their ends, with no event per
-(op, deadline). Each op's answers come back as a few pieces, each a
-value over a run of deadlines. ``deadline_figures`` scores each read
+whose history is SyncAll's. They retransmit one batch per peer, not one
+request per open round and peer, so the run's sends grow about linearly
+in tp, not as tp². They note what every deadline would answer: a timer
+for each D up to the message latency, and for every later D the probing
+node's logs of its cells, its rounds' best replies and their ends, with
+no event per (op, deadline). Each op's answers come back as a few
+pieces, each a value over a run of deadlines. ``deadline_figures`` scores each read
 once per piece and once for its SyncAll answer, and one sweep over the
 deadlines takes every row's maximum staleness and latency. Rows anchor
 staleness at the invoke tick: a deadline strategy spends its D ticks

@@ -27,8 +27,11 @@ and merges never move a key backwards.
 LocalFirst gossips digests, ``{"entries": [(key, val, ver), ...]}``, and
 a write's broadcast is the one-entry digest of that write. A round sends
 each peer one ``req`` (its ``ver`` None for a read), and each peer answers
-with one ``rep`` carrying its cell after any merge. Payloads live in
-memory only (the trace never holds one) and carry versions as tuples.
+with one ``rep`` carrying its cell after any merge. A deadline probe
+retransmits one ``{"type": "batch", "msgs": [req, ...]}`` per peer, holding
+the requests still waiting on that peer in round order, and the peer
+answers with one batch of the replies. Payloads live in memory only (the
+trace never holds one) and carry versions as tuples.
 One payload may be shared by every send and every retransmit of a round,
 and an idle node's timer re-arm is one action list built once, so a
 handler must never mutate a payload it receives or an action list it is
@@ -313,9 +316,10 @@ class DeadlineProbeNode(SyncAllNode):
     """A SyncAll node that notes what HybridDeadline(D) answers, for many D in one run.
 
     D changes only when a HybridDeadline node answers, never what it
-    sends or merges, so a run of these nodes is the SyncAll run and serves
-    every D at once. HybridDeadline(D) answers an op invoked at t with the
-    round's value when its timer fires at t + D and finds the round open:
+    sends or merges, so the history of a run of these nodes is SyncAll's,
+    and the run serves every D at once. HybridDeadline(D) answers an op
+    invoked at t with the round's value when its timer fires at t + D and
+    finds the round open:
 
     * D = 0: the answer is noted at invoke.
     * 0 < D <= latency: one ``deadline:<op>`` timer per such D, set at
@@ -338,6 +342,17 @@ class DeadlineProbeNode(SyncAllNode):
 
     Every round completes at or after t + 2 * latency, so the rounds a
     timer probes are all still open.
+
+    A retransmit sends each peer one batch of the requests still waiting
+    on it, in round order, from a per-peer map kept as requests are sent
+    and acknowledged, so a tick costs O(peers), not O(open rounds). SyncAll
+    queues the same requests as one handler call's block of single sends:
+    the batch takes that block's place in the delivery tick's queue, and
+    each peer still gets its requests in the same order at the same tick.
+    The reply batches land as contiguous blocks too, and a reply only
+    raises a round's best and pops its ``waiting``, so no event outside a
+    block sees another state, and each op is answered at the tick and
+    with the value SyncAll's run gives it.
     """
 
     DEADLINE_PREFIX = HybridDeadlineNode.DEADLINE_PREFIX
@@ -348,6 +363,8 @@ class DeadlineProbeNode(SyncAllNode):
         self.first_logged = latency + 1  # the least deadline the logs answer
         self.timed = tuple(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged)
         self._probes: dict[int, _Probe] = {}
+        # peer -> {op: request}: the requests still waiting on the peer, in round order
+        self._owed: dict[int, dict[int, dict]] = {peer: {} for peer in self.peers}
         # key -> (ticks, the cell at the end of each): this node's cell changes
         self._cells: dict[str, tuple[list[int], list[tuple]]] = {}
 
@@ -360,6 +377,8 @@ class DeadlineProbeNode(SyncAllNode):
         rnd, actions = self._start_round(op, now)
         if rnd.op_id in self.rounds:  # not completed synchronously (no peers)
             self._probes[rnd.op_id] = _Probe(rnd, self._respond_value(rnd))
+            for peer, send in rnd.waiting.items():
+                self._owed[peer][rnd.op_id] = send.payload
             timer_id = f"{self.DEADLINE_PREFIX}{op.op_id}"
             actions.extend(SetTimer(d, timer_id) for d in self.timed)
         return actions
@@ -371,12 +390,26 @@ class DeadlineProbeNode(SyncAllNode):
             pieces.append((now - rnd.invoke_tick, value))
         return []
 
+    def on_timer(self, timer_id: str, now: int) -> list[Action]:
+        if timer_id != self.RETRANSMIT_TIMER:
+            return self._other_timer(timer_id, now)
+        batches: list[Action] = [Send(peer, {"type": "batch", "msgs": list(owed.values())})
+                                 for peer, owed in self._owed.items() if owed]
+        return batches + self._rearm if batches else self._rearm
+
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
-        if payload["type"] == "req":
+        kind = payload["type"]
+        if kind == "batch":  # a retransmit's requests, or the replies to them
+            actions = [a for msg in payload["msgs"] for a in self.on_message(msg, src, now)]
+            if actions and type(actions[0]) is Send:  # each request is answered by one reply
+                return [Send(src, {"type": "batch", "msgs": [send.payload for send in actions]})]
+            return actions
+        if kind == "req":
             actions = super().on_message(payload, src, now)
             if payload["ver"] is not None:  # a write's request may have changed a cell
                 self._log_cell(payload["key"], now)
             return actions
+        self._owed[src].pop(payload["op"], None)  # a reply: the request waits on src no more
         rnd = self.rounds.get(payload["op"])
         if rnd is None:
             return super().on_message(payload, src, now)

@@ -33,10 +33,11 @@ REFUSED_IN_CODE = "tests/test_inputs.py::test_a_config_built_in_code_is_refused_
 LAYERS_LOADED = "tests/test_cli.py::test_importing_the_cli_loads_no_dataclasses_inspect_or_typing"
 LISTED_ITEMS = "tests/test_inputs.py::test_listed_items_read_as_the_object_reader_reads_each"
 SEVERAL_FAULTS = "tests/test_inputs.py::test_a_config_with_several_faults_names_the_first"
-PROBE_PIN = "tests/test_strategies.py::TestDeadlineProbe::test_probes_change_no_message_and_name_their_timers_with_strings"
+PROBE_PIN = "tests/test_strategies.py::TestDeadlineProbe::test_probes_batch_retransmits_per_peer_and_name_their_timers_with_strings"
 TIMER_AT_LATENCY = ("tests/test_strategies.py::TestDeadlineProbe::"
                     "test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does")
 PROBED_HISTORIES = "tests/test_harness.py::test_probed_histories_equal_one_run_per_deadline"
+PROBES_AS_HYBRID = "tests/test_strategies.py::TestDeadlineProbe::test_probes_answer_as_each_hybrid_deadline_run_does"
 
 # the deadline probe's timers for D <= latency, set at invoke -> one timer per
 # op, re-armed at each firing for the next such deadline
@@ -136,6 +137,15 @@ MUTANTS = [
      [TIMER_AT_LATENCY]),
     ("probe arms one timer per op and re-arms it for the next D <= latency", "strategies.py",
      *REARMED, [TIMER_AT_LATENCY]),
+    ("probe batch holds its rounds in reverse order", "strategies.py",
+     '"msgs": list(owed.values())}', '"msgs": list(owed.values())[::-1]}',
+     [PROBE_PIN]),
+    ("probe batch sent only to the lowest peer", "strategies.py",
+     "for peer, owed in self._owed.items() if owed]", "for peer, owed in self._owed.items() if owed][:1]",
+     [PROBES_AS_HYBRID]),
+    ("probe batch leaves out the oldest round", "strategies.py",
+     '"msgs": list(owed.values())}', '"msgs": list(owed.values())[1:]}',
+     [PROBE_PIN]),
 ]
 
 # name -> why the mutant cannot change what the program gives

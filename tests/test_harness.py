@@ -32,6 +32,7 @@ from capsim.harness import (
     proof_replay,
 )
 from capsim.kernel import Simulation, run_scenario
+from capsim.partitions import PartitionSchedule
 
 from histgen import deadline_answers
 
@@ -249,6 +250,24 @@ def test_probed_histories_equal_one_run_per_deadline(tp, latency, extra, noise_r
     assert responses(synced) == responses(oracle[-1][3])
     rows = [oracle_row(tp, latency, *entry) for entry in oracle]
     assert frontier_sweep(tp, deadlines, base) == rows
+
+
+@pytest.mark.parametrize("tp", [400, 1600])
+def test_a_probed_frontier_run_sends_about_linearly_in_tp(monkeypatch, tp):
+    # a retransmit sends each peer one batch of the requests still waiting on
+    # it; one send per open round would make about tp**2 / 2 of them
+    sends = 0
+    reachable = PartitionSchedule.reachable
+
+    def counting(self, t, a, b):  # the kernel tests reachability once per send
+        nonlocal sends
+        sends += 1
+        return reachable(self, t, a, b)
+
+    monkeypatch.setattr(PartitionSchedule, "reachable", counting)
+    config = build_frontier_config(tp, StrategyParams("SyncAll", retransmit_period=1))
+    probed_run(config, [0, tp])
+    assert sends < 4 * tp + len(config.workload)
 
 
 def test_one_sweep_runs_two_simulations(monkeypatch):

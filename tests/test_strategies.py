@@ -265,13 +265,22 @@ def hybrid_answer(doc, deadline, op, period):
 
 
 SCHEDULES = {
-    "random": lambda seed: random_schedule(seed, max_nodes=4, horizon=80),
-    "flapping": lambda seed: flapping_schedule(seed, horizon=80),
+    "random": lambda seed: random_schedule(seed, max_nodes=6, horizon=80),
+    "flapping": lambda seed: flapping_schedule(seed, max_nodes=6, horizon=80),
 }
 
 
+def without(trace, kinds):
+    """The trace's records but those of ``kinds``, each without its seq."""
+    return [{k: v for k, v in r.items() if k != "seq"} for r in trace.records if r["ev"] not in kinds]
+
+
+def sends_by_tick_and_node(trace):
+    return Counter((r["t"], r["src"]) for r in trace.records if r["ev"] == "send")
+
+
 class TestDeadlineProbe:
-    def test_probes_change_no_message_and_name_their_timers_with_strings(self):
+    def test_probes_batch_retransmits_per_peer_and_name_their_timers_with_strings(self):
         doc = {
             "partitions": [{"a": 0, "b": 1, "start": 4, "end": 12}],
             "workload": [write(5, 0, 1), read(6, 1)],
@@ -280,14 +289,9 @@ class TestDeadlineProbe:
         cfg = scenario(**doc, strategy={"kind": "SyncAll", "R": 1})
         probed, answers = probe(cfg, [0, 1, 3, 20])
 
-        def without_timers(trace):
-            return [
-                {k: v for k, v in r.items() if k != "seq"}
-                for r in trace.records
-                if r["ev"] != "timer"
-            ]
-
-        assert without_timers(probed) == without_timers(run_scenario(cfg))
+        # with at most one round open per peer, each batch holds one request
+        # and the trace is SyncAll's but for the timers
+        assert without(probed, {"timer"}) == without(run_scenario(cfg), {"timer"})
         timers = [r["timer"] for r in probed.records if r["ev"] == "timer"]
         probes = [t for t in timers if t != "retransmit"]
         # a timer only for D = 1 <= latency; the logs answer D = 3 and D = 20
@@ -299,6 +303,24 @@ class TestDeadlineProbe:
         for d in (0, 1, 3, 7, 8):
             noted = deadline_answers(answers, invoked(probed), d)
             assert noted == {op: hybrid_answer(doc, d, op, 1) for op in (0, 1)}
+
+        # two rounds of node 0 open across the cut: its ops and their answers
+        # are SyncAll's, in the same order, but each retransmit tick writes one
+        # send per peer, not one per round, and node 1 answers with one batch
+        two = {**doc, "workload": [write(5, 0, 1), read(6, 0)]}
+        cfg = scenario(**two, strategy={"kind": "SyncAll", "R": 1})
+        probed, _ = probe(cfg, [0, 1, 3, 20])
+        synced = run_scenario(cfg)
+        not_ops = {"timer", "send", "deliver", "drop"}
+        assert without(probed, not_ops) == without(synced, not_ops)
+        # both answer at 14, from one batch of replies, so their order is the batch's
+        assert [r["t"] for r in probed.records if r["ev"] == "respond"] == [14, 14]
+        # SyncAll resends both requests on ticks 7-13, and node 1 answers each
+        # on 13 and 14; tick 6 sends the read's request and the write's retransmit
+        batched, single = sends_by_tick_and_node(probed), sends_by_tick_and_node(synced)
+        resent = [(t, 0) for t in range(7, 14)] + [(13, 1), (14, 1)]
+        assert all(single[at] == 2 for at in resent) and single[6, 0] == 2
+        assert batched == {**single, **dict.fromkeys(resent, 1)}
 
     def test_a_probe_answers_with_the_freshest_reply_of_an_open_round(self):
         # node 1 misses the write at 4 and reads at 11; node 0's reply brings
@@ -344,7 +366,8 @@ class TestDeadlineProbe:
         st.integers(1, 3),
     )
     def test_probes_answer_as_each_hybrid_deadline_run_does(self, seed, schedule, latency, period):
-        # up to 4 nodes, so that replies also arrive while a round stays open
+        # up to 6 nodes, so that replies also arrive while a round stays open,
+        # and a retransmit sends batches to several peers
         schedule, horizon = SCHEDULES[schedule](seed)
         doc = {
             "nodes": schedule.node_count,
@@ -360,6 +383,7 @@ class TestDeadlineProbe:
         config = ScenarioConfig.from_dict({**doc, "strategy": {"kind": "SyncAll", "R": period}})
         probed, answers = probe(config, deadlines)
         synced, invokes = answered(probed), invoked(probed)
+        assert extract_history(probed) == extract_history(run_scenario(config))
         hybrid_timers = Counter()
         for d in deadlines:
             hybrid = {"kind": "HybridDeadline", "R": period, "D": d}
