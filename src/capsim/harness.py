@@ -16,10 +16,10 @@ strategy escapes; that is the point.
 ``frontier_sweep`` maps the achievable side of the tradeoff. One row
 per response deadline D, bracketed by the two extremes (LocalFirst as
 the instant-answer corner, SyncAll as the always-fresh corner). The
-sweep runs two simulations, not one per row. A HybridDeadline(D) node
-sends and merges exactly what a SyncAll node does; D only decides when
-it answers. So ``probed_run`` runs SyncAll as ``DeadlineProbeNode``s,
-whose history is SyncAll's. They retransmit one batch per peer, not one
+sweep runs two simulations, not one per row. SyncAll and HybridDeadline(D)
+are one round node, ``strategies.RoundNode``, and D only decides when it
+answers. So ``probed_run`` runs SyncAll as ``DeadlineProbeNode``s, round
+nodes whose history is SyncAll's. They retransmit one batch per peer, not one
 request per open round and peer, so the run's sends grow about linearly
 in tp, not as tp². They note what every deadline would answer: a timer
 for each D up to the message latency, and for every later D the probing

@@ -3,22 +3,23 @@
 Each node runs one strategy state machine. Handlers are pure in the
 simulation sense: they take the current tick plus an input (client
 request, message, timer) and return a list of actions for the kernel
-to execute. Three strategies cover the staleness/latency spectrum:
+to execute. Two node classes cover the staleness/latency spectrum:
 
 * LocalFirst answers every request from local state immediately and
   propagates writes via broadcast plus periodic anti-entropy digests.
   Responses are instant; reads can be stale for as long as a partition
   plus one gossip period lasts.
-* SyncAll runs a full round for every request and answers only after
-  every peer acknowledged, retransmitting into dead links until they
-  heal. Reads are fresh; responses can stall for an entire partition.
-* HybridDeadline behaves like SyncAll but answers at ``now + D`` with
-  whatever acknowledgements and versions have arrived if the round is
-  still incomplete, trading bounded staleness for bounded latency.
+* ``RoundNode`` runs a round per request, retransmitting into dead links
+  until every peer has acknowledged. Its one knob is the response
+  deadline D: HybridDeadline(D) answers at ``now + D`` with whatever has
+  arrived if the round is still open, trading bounded staleness for
+  bounded latency, and SyncAll, with no deadline, answers only when the
+  round completes: fresh reads, and responses that can stall for a whole
+  partition.
 
-``DeadlineProbeNode`` runs as SyncAll and notes, in the same run, what
-HybridDeadline would answer at each of many deadlines; the frontier
-sweep runs it.
+``DeadlineProbeNode`` is a SyncAll ``RoundNode`` that notes, in the same
+run, what HybridDeadline would answer at each of many deadlines; the
+frontier sweep runs it.
 
 Registers resolve conflicting writes last-writer-wins: versions are
 ordered lexicographically by (write tick, writer id, per-writer seq)
@@ -175,28 +176,33 @@ class _Round:
     __slots__ = ("op_id", "kind", "key", "waiting", "invoke_tick", "responded", "best_val",
                  "best_ver")
 
-    def __init__(self, op_id: int, kind: str, key: str, waiting: dict[int, Send],
-                 invoke_tick: int, responded: bool = False, best_val: int | None = None,
-                 best_ver: Version | None = None):
+    def __init__(self, op_id: int, kind: str, key: str, waiting: dict[int, Send], invoke_tick: int):
         self.op_id, self.kind, self.key = op_id, kind, key
-        self.waiting, self.invoke_tick, self.responded = waiting, invoke_tick, responded
-        self.best_val, self.best_ver = best_val, best_ver
+        self.waiting, self.invoke_tick, self.responded = waiting, invoke_tick, False
+        self.best_val = self.best_ver = None
 
 
-class SyncAllNode(StrategyNode):
-    """Round per request: answer only once every peer has acknowledged.
+class RoundNode(StrategyNode):
+    """Round per request, answered once every peer has acknowledged or at a deadline.
 
-    Writes apply locally at invoke time and at each peer on delivery;
-    every peer replies with its cell, and reads answer with the highest
-    version seen across all replies and the local cell. Outstanding
-    round messages retransmit every R ticks, so blocked rounds complete
-    after a partition heals rather than timing out.
+    ``deadlines`` is () for SyncAll and (D,) for HybridDeadline(D). Writes
+    apply locally at invoke time and at each peer on delivery; every peer
+    replies with its cell, and reads answer with the highest version seen
+    across all replies and the local cell. Outstanding round messages
+    retransmit every R ticks, so blocked rounds complete after a partition
+    heals, and replication converges even where a deadline answered first.
+    A round still open at ``invoke + D`` answers with what has arrived: at
+    invoke for D = 0, else by a ``deadline:<op>`` timer set at invoke after
+    the round's sends, so in tick ``invoke + D``'s FIFO queue it sits ahead
+    of every delivery sent after the invoke.
     """
 
     RETRANSMIT_TIMER = "retransmit"
+    DEADLINE_PREFIX = "deadline:"
 
     def __init__(self, params: StrategyParams, node_id: int, node_count: int):
         super().__init__(params, node_id, node_count)
+        self.deadlines = (params.deadline,) if params.kind == "HybridDeadline" else ()
         self.rounds: dict[int, _Round] = {}
         self._rearm = [SetTimer(params.retransmit_period, self.RETRANSMIT_TIMER)]
 
@@ -215,18 +221,23 @@ class SyncAllNode(StrategyNode):
         rnd.responded = True
         return [Respond(rnd.op_id, self._respond_value(rnd))]
 
-    def _start_round(self, op, now: int) -> tuple[_Round, list[Action]]:
+    def on_invoke(self, op, now: int) -> list[Action]:
         version = self.write(op, now) if op.kind == "write" else None
         request = {"type": "req", "op": op.op_id, "key": op.key, "val": op.val, "ver": version}
         waiting = {peer: Send(peer, request) for peer in self.peers}
-        rnd = _Round(op.op_id, op.kind, op.key, waiting, now)
-        self.rounds[op.op_id] = rnd
+        rnd = self.rounds[op.op_id] = _Round(op.op_id, op.kind, op.key, waiting, now)
         if not waiting:
-            return rnd, self._finish(rnd)
-        return rnd, list(waiting.values())
+            return self._finish(rnd)  # no peers: complete at invoke
+        actions: list[Action] = list(waiting.values())
+        for d in self.deadlines:
+            actions += self._deadline_passed(rnd, now) if d == 0 else [
+                SetTimer(d, f"{self.DEADLINE_PREFIX}{op.op_id}")]
+        return actions
 
-    def on_invoke(self, op, now: int) -> list[Action]:
-        return self._start_round(op, now)[1]
+    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+        """Answer an open round with what has arrived."""
+        rnd.responded = True
+        return [Respond(rnd.op_id, self._respond_value(rnd))]
 
     def on_message(self, payload: dict, src: int, now: int) -> list[Action]:
         if payload["type"] == "req":
@@ -246,8 +257,10 @@ class SyncAllNode(StrategyNode):
         return []
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
-        if timer_id != self.RETRANSMIT_TIMER:
-            return self._other_timer(timer_id, now)
+        if timer_id != self.RETRANSMIT_TIMER:  # a deadline:<op> timer
+            rnd = self.rounds.get(int(timer_id[len(self.DEADLINE_PREFIX):]))
+            # a completed round has its answer already
+            return [] if rnd is None else self._deadline_passed(rnd, now)
         if not self.rounds:
             return self._rearm
         actions: list[Action] = [
@@ -255,44 +268,6 @@ class SyncAllNode(StrategyNode):
         ]
         actions.append(self._rearm[0])
         return actions
-
-    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
-        raise ValueError(f"unknown timer {timer_id!r}")
-
-
-class HybridDeadlineNode(SyncAllNode):
-    """SyncAll with a response deadline of D ticks.
-
-    If the round is still incomplete at ``invoke + D`` the node answers
-    with whatever arrived by then; the round itself keeps retransmitting
-    until every peer has acknowledged, so replication still converges
-    after the network heals. The deadline timer is set at invoke, after
-    the round's sends, so in tick ``invoke + D``'s FIFO queue it sits
-    ahead of every delivery sent after the invoke.
-    """
-
-    DEADLINE_PREFIX = "deadline:"
-
-    def on_invoke(self, op, now: int) -> list[Action]:
-        rnd, actions = self._start_round(op, now)
-        if rnd.op_id not in self.rounds:
-            return actions  # completed synchronously (no peers)
-        if self.params.deadline == 0:
-            actions.extend(self._deadline_passed(rnd))
-        else:
-            actions.append(SetTimer(self.params.deadline, f"{self.DEADLINE_PREFIX}{op.op_id}"))
-        return actions
-
-    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
-        rnd = self.rounds.get(int(timer_id[len(self.DEADLINE_PREFIX):]))
-        if rnd is None:
-            return []  # the round completed, and SyncAll's answer stands
-        return self._deadline_passed(rnd)
-
-    def _deadline_passed(self, rnd: _Round) -> list[Action]:
-        """Answer an open round with what has arrived."""
-        rnd.responded = True
-        return [Respond(rnd.op_id, self._respond_value(rnd))]
 
 
 class _Probe:
@@ -312,14 +287,16 @@ class _Probe:
         self.done: int | None = None
 
 
-class DeadlineProbeNode(SyncAllNode):
-    """A SyncAll node that notes what HybridDeadline(D) answers, for many D in one run.
+class DeadlineProbeNode(RoundNode):
+    """A SyncAll round node that notes what HybridDeadline(D) answers, for many D in one run.
 
     D changes only when a HybridDeadline node answers, never what it
     sends or merges, so the history of a run of these nodes is SyncAll's,
     and the run serves every D at once. HybridDeadline(D) answers an op
     invoked at t with the round's value when its timer fires at t + D and
-    finds the round open:
+    finds the round open. This node's ``deadlines`` are 0 and each
+    D <= latency: ``RoundNode``'s code reaches each as HybridDeadline(D)'s
+    does, and ``_deadline_passed`` notes the answer in place of giving it.
 
     * D = 0: the answer is noted at invoke.
     * 0 < D <= latency: one ``deadline:<op>`` timer per such D, set at
@@ -355,18 +332,25 @@ class DeadlineProbeNode(SyncAllNode):
     with the value SyncAll's run gives it.
     """
 
-    DEADLINE_PREFIX = HybridDeadlineNode.DEADLINE_PREFIX
-
     def __init__(self, params: StrategyParams, node_id: int, node_count: int,
                  deadlines: list[int], latency: int):
         super().__init__(params, node_id, node_count)
-        self.first_logged = latency + 1  # the least deadline the logs answer
-        self.timed = tuple(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged)
         self._probes: dict[int, _Probe] = {}
         # peer -> {op: request}: the requests still waiting on the peer, in round order
         self._owed: dict[int, dict[int, dict]] = {peer: {} for peer in self.peers}
         # key -> (ticks, the cell at the end of each): this node's cell changes
         self._cells: dict[str, tuple[list[int], list[tuple]]] = {}
+        self.first_logged = latency + 1  # the least deadline the logs answer
+        self.deadlines = (0, *(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged))
+
+    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+        """Note the answer at deadline now - invoke, as a new piece if its value changed."""
+        value = self._respond_value(rnd)
+        if now == rnd.invoke_tick:  # D = 0 opens the round's notes
+            self._probes[rnd.op_id] = _Probe(rnd, value)
+        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
+            pieces.append((now - rnd.invoke_tick, value))
+        return []
 
     def write(self, op, now: int) -> Version:
         version = super().write(op, now)
@@ -374,25 +358,15 @@ class DeadlineProbeNode(SyncAllNode):
         return version
 
     def on_invoke(self, op, now: int) -> list[Action]:
-        rnd, actions = self._start_round(op, now)
-        if rnd.op_id in self.rounds:  # not completed synchronously (no peers)
-            self._probes[rnd.op_id] = _Probe(rnd, self._respond_value(rnd))
-            for peer, send in rnd.waiting.items():
-                self._owed[peer][rnd.op_id] = send.payload
-            timer_id = f"{self.DEADLINE_PREFIX}{op.op_id}"
-            actions.extend(SetTimer(d, timer_id) for d in self.timed)
+        actions = super().on_invoke(op, now)
+        if self.peers:  # else the round completed at invoke
+            for peer, send in self.rounds[op.op_id].waiting.items():
+                self._owed[peer][op.op_id] = send.payload
         return actions
-
-    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
-        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
-        pieces = self._probes[rnd.op_id].pieces
-        if (value := self._respond_value(rnd)) != pieces[-1][1]:
-            pieces.append((now - rnd.invoke_tick, value))
-        return []
 
     def on_timer(self, timer_id: str, now: int) -> list[Action]:
         if timer_id != self.RETRANSMIT_TIMER:
-            return self._other_timer(timer_id, now)
+            return super().on_timer(timer_id, now)
         batches: list[Action] = [Send(peer, {"type": "batch", "msgs": list(owed.values())})
                                  for peer, owed in self._owed.items() if owed]
         return batches + self._rearm if batches else self._rearm
@@ -477,8 +451,8 @@ def _log(ticks: list[int], states: list, now: int, state) -> None:
 
 STRATEGY_NODES = {
     "LocalFirst": LocalFirstNode,
-    "SyncAll": SyncAllNode,
-    "HybridDeadline": HybridDeadlineNode,
+    "SyncAll": RoundNode,
+    "HybridDeadline": RoundNode,
 }
 
 

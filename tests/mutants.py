@@ -38,30 +38,33 @@ TIMER_AT_LATENCY = ("tests/test_strategies.py::TestDeadlineProbe::"
                     "test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does")
 PROBED_HISTORIES = "tests/test_harness.py::test_probed_histories_equal_one_run_per_deadline"
 PROBES_AS_HYBRID = "tests/test_strategies.py::TestDeadlineProbe::test_probes_answer_as_each_hybrid_deadline_run_does"
+GOLDEN = "tests/test_kernel.py::test_golden_trace_and_frontier_digests"
 
 # the deadline probe's timers for D <= latency, set at invoke -> one timer per
-# op, re-armed at each firing for the next such deadline
+# op, armed when D = 0 is noted and re-armed at each firing for the next such deadline
 REARMED = (
-    """            actions.extend(SetTimer(d, timer_id) for d in self.timed)
-        return actions
+    """        self.deadlines = (0, *(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged))
 
-    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
-        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
-        pieces = self._probes[rnd.op_id].pieces
-        if (value := self._respond_value(rnd)) != pieces[-1][1]:
+    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+        \"\"\"Note the answer at deadline now - invoke, as a new piece if its value changed.\"\"\"
+        value = self._respond_value(rnd)
+        if now == rnd.invoke_tick:  # D = 0 opens the round's notes
+            self._probes[rnd.op_id] = _Probe(rnd, value)
+        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
             pieces.append((now - rnd.invoke_tick, value))
         return []
 """,
-    """            actions.extend(SetTimer(d, timer_id) for d in self.timed[:1])
-        return actions
+    """        self.deadlines = (0,)
+        self.timed = [d for d in sorted(set(deadlines)) if 0 < d < self.first_logged]
 
-    def _other_timer(self, timer_id: str, now: int) -> list[Action]:
-        rnd = self.rounds[int(timer_id[len(self.DEADLINE_PREFIX):])]
-        pieces = self._probes[rnd.op_id].pieces
-        if (value := self._respond_value(rnd)) != pieces[-1][1]:
+    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+        value = self._respond_value(rnd)
+        if now == rnd.invoke_tick:
+            self._probes[rnd.op_id] = _Probe(rnd, value)
+        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
             pieces.append((now - rnd.invoke_tick, value))
         d = now - rnd.invoke_tick
-        return [SetTimer(e - d, timer_id) for e in self.timed if e > d][:1]
+        return [SetTimer(e - d, f"{self.DEADLINE_PREFIX}{rnd.op_id}") for e in self.timed if e > d][:1]
 """,
 )
 
@@ -137,6 +140,17 @@ MUTANTS = [
      [TIMER_AT_LATENCY]),
     ("probe arms one timer per op and re-arms it for the next D <= latency", "strategies.py",
      *REARMED, [TIMER_AT_LATENCY]),
+    ("SyncAll given a deadline", "strategies.py",
+     'self.deadlines = (params.deadline,) if params.kind == "HybridDeadline" else ()',
+     "self.deadlines = (params.deadline,)",
+     [GOLDEN]),
+    ("D = 0 answered by a one-tick timer", "strategies.py",
+     "actions += self._deadline_passed(rnd, now) if d == 0 else [", "actions += [",
+     [GOLDEN]),
+    ("a deadline answer leaves responded unset, so the round's completion answers again", "strategies.py",
+     '"""Answer an open round with what has arrived."""\n        rnd.responded = True\n',
+     '"""Answer an open round with what has arrived."""\n',
+     [GOLDEN]),
     ("probe batch holds its rounds in reverse order", "strategies.py",
      '"msgs": list(owed.values())}', '"msgs": list(owed.values())[::-1]}',
      [PROBE_PIN]),

@@ -133,6 +133,18 @@ def test_prove_expects_a_violation(tmp_path, capsys):
     assert "theorem: violation found" in out
 
 
+def test_prove_exits_one_when_its_replay_finds_no_violation(tmp_path, capsys, monkeypatch):
+    from capsim import harness
+    from capsim.checker import CheckReport
+
+    monkeypatch.setattr(harness, "proof_replay", lambda spec: CheckReport(3, 2, []))
+    spec = {"strategy": {"kind": "SyncAll", "R": 2}, "tp": 20, "claimed_tc": 5, "claimed_ta": 5}
+    assert main(["prove", write_json(tmp_path / "spec.json", spec)]) == 1
+    assert capsys.readouterr() == (
+        '{"empirical_ta": 3, "empirical_tc_min": 2, "violations": []}\n'
+        "theorem: no violation found (unexpected)\n", "")
+
+
 def test_prove_rejects_a_claim_covering_the_span(tmp_path, capsys):
     spec = {
         "strategy": {"kind": "LocalFirst", "G": 4},
@@ -377,6 +389,16 @@ def test_running_out_of_memory_is_one_line_and_exit_two(tmp_path, capsys, monkey
     monkeypatch.setattr(*target, _out_of_memory)
     assert main([command, write_json(tmp_path / "cfg.json", demo_config())]) == 2
     assert capsys.readouterr().err == "error: out of memory\n"
+
+
+def test_a_failing_strategy_handler_is_one_simulation_error_line_and_exit_one(tmp_path, capsys, monkeypatch):
+    def boom(self, op, now):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(LocalFirstNode, "on_invoke", boom)
+    assert main(["simulate", write_json(tmp_path / "cfg.json", demo_config())]) == 1
+    assert capsys.readouterr() == (
+        "", "simulation error: strategy failed while handling invoke of op 0 at tick 2: boom\n")
 
 
 def test_a_reader_that_leaves_early_ends_simulate_with_exit_two_and_no_traceback(tmp_path):

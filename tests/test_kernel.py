@@ -30,6 +30,14 @@ def responses(trace):
     return {r["op"]: r for r in trace.records if r["ev"] == "respond"}
 
 
+def test_a_simulation_runs_once():
+    sim = Simulation(scenario())
+    sim.run()
+    with pytest.raises(SimulationError) as refused:
+        sim.run()
+    assert str(refused.value) == "a Simulation object runs once; build a new one"
+
+
 def test_single_node_write_then_read():
     cfg = scenario(
         nodes=1,
@@ -572,8 +580,16 @@ GOLDEN_STRATEGIES = {
     "SyncAll": {"kind": "SyncAll", "R": 2},
     "HybridDeadline": {"kind": "HybridDeadline", "R": 2, "D": 5},
 }
+# the edges of the one deadline knob: D = 0 answers at invoke, and D = 1
+# fires at the latency (1) or before it (2, 3)
+GOLDEN_EDGE_STRATEGIES = {
+    "HybridDeadline D=0": {"kind": "HybridDeadline", "R": 2, "D": 0},
+    "HybridDeadline D=1": {"kind": "HybridDeadline", "R": 2, "D": 1},
+}
 GOLDEN_OUTAGES = {
     "none": [],
+    # a lone node: its rounds have no peers, so each finishes at invoke
+    "alone": [],
     # staggered link outages: node 0 is cut off in [20, 35), node 1 in [35, 40)
     "links": [
         {"a": a, "b": b, "start": start, "end": end}
@@ -610,6 +626,22 @@ GOLDEN_TRACES = {
     ("HybridDeadline", 3, "none"): "69da353ad59edb07b2da40d73975ec2dc8579692d9ab98901fc3400620019c30",
     ("HybridDeadline", 3, "links"): "4073e563e0a64127393054b9ea2a1edcf18ce2e18a76b6d383dc8c43eec96253",
     ("HybridDeadline", 3, "isolation"): "4281b68d0557fe40427dd2fed9c8b41924e2044d1242bd5434eab24cf9e76599",
+    ("HybridDeadline D=0", 1, "links"):
+        "ff4e731fcd1bd68b35a021c44bb433fcd814ff9cafba1c845ff2a0ff2c12bbb3",
+    ("HybridDeadline D=0", 2, "isolation"):
+        "d6be45c20f555eeb893cadc20e775ee29cdcbcd4c9c23da7e02c405562582f39",
+    ("HybridDeadline D=1", 1, "links"):
+        "89cd216e43bd4469162d2f8628eed452c07ff369ce41250a31688194fdd2a04e",
+    ("HybridDeadline D=1", 2, "links"):
+        "f76ba5742450ee3cedb226505607ecd7b9b65740820ffae34015e80cdaa90616",
+    ("HybridDeadline D=1", 3, "isolation"):
+        "9855c437ba3fab7eb2a7e1299cec986a41bc4a9ca1af5144b3747cd954195e13",
+    ("SyncAll", 1, "alone"):
+        "4f1a53bd940bb408667bbb390c1525fe56fd5f24a5e869c150fb22b2c131088f",
+    ("HybridDeadline", 1, "alone"):
+        "2dd72f4f91975f71a197a7113130fc707f04412b327c8b550aa3e9214f7b0d7f",
+    ("HybridDeadline D=0", 1, "alone"):
+        "a2192bc0310560ccbc2fb4cbd9451f6b90f2eddf77a77a548e5c3ded832511b8",
 }
 GOLDEN_FRONTIERS = [
     (12, list(range(0, 17, 2)), {"latency": 2, "noise_reads": 10},
@@ -623,16 +655,37 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _golden_trace(kind, latency, outages):
+    return run_scenario(ScenarioConfig.from_dict({
+        "nodes": 1 if outages == "alone" else 4, "latency": latency, "horizon": 80,
+        "seed": latency * 7 + len(kind), "partitions": GOLDEN_OUTAGES[outages],
+        "strategy": {**GOLDEN_STRATEGIES, **GOLDEN_EDGE_STRATEGIES}[kind],
+        "workload_gen": {"ops": 30, "keys": ["A", "B"], "span": [0, 60]},
+    }))
+
+
 def test_golden_trace_and_frontier_digests():
     for (kind, latency, outages), digest in GOLDEN_TRACES.items():
-        cfg = ScenarioConfig.from_dict({
-            "nodes": 4, "latency": latency, "horizon": 80, "seed": latency * 7 + len(kind),
-            "partitions": GOLDEN_OUTAGES[outages], "strategy": GOLDEN_STRATEGIES[kind],
-            "workload_gen": {"ops": 30, "keys": ["A", "B"], "span": [0, 60]},
-        })
-        assert _sha256(run_scenario(cfg).to_jsonl()) == digest, (kind, latency, outages)
+        assert _sha256(_golden_trace(kind, latency, outages).to_jsonl()) == digest, (kind, latency, outages)
     for tp, deadlines, base, digest in GOLDEN_FRONTIERS:
         assert _sha256(frontier_csv(frontier_sweep(tp, deadlines, base))) == digest, tp
+
+
+def test_golden_edge_rows_answer_at_invoke_or_time_out_by_their_deadline():
+    for kind, latency, outages in GOLDEN_TRACES:
+        if kind in GOLDEN_EDGE_STRATEGIES or outages == "alone":
+            records = _golden_trace(kind, latency, outages).records
+            invoked = {r["op"]: r["t"] for r in records if r["ev"] == "invoke"}
+            timers = [r["timer"] for r in records if r["ev"] == "timer"]
+            answered = {r["op"]: r["t"] - invoked[r["op"]] for r in records if r["ev"] == "respond"}
+            assert len(answered) == len(invoked) == 30, (kind, latency, outages)
+            if outages == "alone":  # no peer: no timer, and every round finishes at invoke
+                assert timers == [] and set(answered.values()) == {0}
+            elif kind == "HybridDeadline D=0":  # no deadline timer: every op answers at invoke
+                assert set(answered.values()) == {0} and "retransmit" in timers
+                assert not any(timer.startswith("deadline:") for timer in timers)
+            else:  # D = 1: every op answers one tick after its invoke at the latest
+                assert max(answered.values()) == 1 and any(t.startswith("deadline:") for t in timers)
 
 
 # latency 3 under HybridDeadline timers of 2 and 5 ticks: the horizon finds
