@@ -19,7 +19,7 @@ to execute. Two node classes cover the staleness/latency spectrum:
 
 ``DeadlineProbeNode`` is a SyncAll ``RoundNode`` that notes, in the same
 run, what HybridDeadline would answer at each of many deadlines; the
-frontier sweep runs it.
+frontier sweep runs it. Its rounds are ``_Probe``s, which carry the notes.
 
 Registers resolve conflicting writes last-writer-wins: versions are
 ordered lexicographically by (write tick, writer id, per-writer seq)
@@ -167,18 +167,17 @@ def _fresher(val: int | None, ver: Version | None, best_val: int | None,
 
 
 class _Round:
-    """An in-flight request round on its coordinating node.
+    """An in-flight request round on its coordinating node; a probing node's is a ``_Probe``.
 
     ``waiting`` maps each peer that has not acknowledged yet, in id
     order, to the send of the round's request to it, built once.
     """
 
-    __slots__ = ("op_id", "kind", "key", "waiting", "invoke_tick", "responded", "best_val",
-                 "best_ver")
+    __slots__ = ("op_id", "kind", "key", "waiting", "responded", "best_val", "best_ver")
 
-    def __init__(self, op_id: int, kind: str, key: str, waiting: dict[int, Send], invoke_tick: int):
+    def __init__(self, op_id: int, kind: str, key: str, waiting: dict[int, Send]):
         self.op_id, self.kind, self.key = op_id, kind, key
-        self.waiting, self.invoke_tick, self.responded = waiting, invoke_tick, False
+        self.waiting, self.responded = waiting, False
         self.best_val = self.best_ver = None
 
 
@@ -199,6 +198,7 @@ class RoundNode(StrategyNode):
 
     RETRANSMIT_TIMER = "retransmit"
     DEADLINE_PREFIX = "deadline:"
+    ROUND = _Round
 
     def __init__(self, params: StrategyParams, node_id: int, node_count: int):
         super().__init__(params, node_id, node_count)
@@ -225,7 +225,7 @@ class RoundNode(StrategyNode):
         version = self.write(op, now) if op.kind == "write" else None
         request = {"type": "req", "op": op.op_id, "key": op.key, "val": op.val, "ver": version}
         waiting = {peer: Send(peer, request) for peer in self.peers}
-        rnd = self.rounds[op.op_id] = _Round(op.op_id, op.kind, op.key, waiting, now)
+        rnd = self.rounds[op.op_id] = self.ROUND(op.op_id, op.kind, op.key, waiting)
         if not waiting:
             return self._finish(rnd)  # no peers: complete at invoke
         actions: list[Action] = list(waiting.values())
@@ -270,21 +270,16 @@ class RoundNode(StrategyNode):
         return actions
 
 
-class _Probe:
-    """A probed round's notes: its answers by deadline so far, its best replies by tick, its end.
+class _Probe(_Round):
+    """A probed round with its notes, which ``DeadlineProbeNode.on_invoke`` sets.
 
     ``pieces`` holds ``(first deadline, value)`` pairs, each value held
-    from its first deadline up to the next pair's; ``done`` is the tick
-    the round completed, or None while it is open.
+    from its first deadline up to the next pair's; ``ticks`` and ``bests``
+    log the round's best reply by tick; ``done`` is the tick the round
+    completed, or None while it is open.
     """
 
-    __slots__ = ("rnd", "pieces", "ticks", "bests", "done")
-
-    def __init__(self, rnd: _Round, value: int | None):
-        self.rnd, self.pieces = rnd, [(0, value)]
-        self.ticks: list[int] = []
-        self.bests: list[tuple[int | None, Version | None]] = []
-        self.done: int | None = None
+    __slots__ = ("invoke_tick", "pieces", "ticks", "bests", "done")
 
 
 class DeadlineProbeNode(RoundNode):
@@ -294,11 +289,11 @@ class DeadlineProbeNode(RoundNode):
     sends or merges, so the history of a run of these nodes is SyncAll's,
     and the run serves every D at once. HybridDeadline(D) answers an op
     invoked at t with the round's value when its timer fires at t + D and
-    finds the round open. This node's ``deadlines`` are 0 and each
-    D <= latency: ``RoundNode``'s code reaches each as HybridDeadline(D)'s
-    does, and ``_deadline_passed`` notes the answer in place of giving it.
+    finds the round open. The node's rounds, ``_Probe``s, carry the notes.
+    Its ``deadlines`` are each 0 < D <= latency, whose timers ``RoundNode``
+    sets as HybridDeadline(D) does; ``_deadline_passed`` notes the answer.
 
-    * D = 0: the answer is noted at invoke.
+    * D = 0: noted in ``on_invoke``, after the round's sends, before any event.
     * 0 < D <= latency: one ``deadline:<op>`` timer per such D, set at
       invoke, as HybridDeadline(D) sets it. Its place in tick t + D's FIFO
       queue decides what it sees. The deliveries landing in that tick were
@@ -322,7 +317,8 @@ class DeadlineProbeNode(RoundNode):
 
     A retransmit sends each peer one batch of the requests still waiting
     on it, in round order, from a per-peer map kept as requests are sent
-    and acknowledged, so a tick costs O(peers), not O(open rounds). SyncAll
+    and acknowledged: a tick walks no round, but copies every waiting
+    request, about tp²/4 copies over a frontier run. SyncAll
     queues the same requests as one handler call's block of single sends:
     the batch takes that block's place in the delivery tick's queue, and
     each peer still gets its requests in the same order at the same tick.
@@ -332,24 +328,23 @@ class DeadlineProbeNode(RoundNode):
     with the value SyncAll's run gives it.
     """
 
+    ROUND = _Probe
+
     def __init__(self, params: StrategyParams, node_id: int, node_count: int,
                  deadlines: list[int], latency: int):
         super().__init__(params, node_id, node_count)
-        self._probes: dict[int, _Probe] = {}
+        self._probes: dict[int, _Probe] = {}  # op -> its round, kept once it completes
         # peer -> {op: request}: the requests still waiting on the peer, in round order
         self._owed: dict[int, dict[int, dict]] = {peer: {} for peer in self.peers}
         # key -> (ticks, the cell at the end of each): this node's cell changes
         self._cells: dict[str, tuple[list[int], list[tuple]]] = {}
         self.first_logged = latency + 1  # the least deadline the logs answer
-        self.deadlines = (0, *(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged))
+        self.deadlines = tuple(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged)
 
-    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+    def _deadline_passed(self, rnd: _Probe, now: int) -> list[Action]:
         """Note the answer at deadline now - invoke, as a new piece if its value changed."""
-        value = self._respond_value(rnd)
-        if now == rnd.invoke_tick:  # D = 0 opens the round's notes
-            self._probes[rnd.op_id] = _Probe(rnd, value)
-        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
-            pieces.append((now - rnd.invoke_tick, value))
+        if (value := self._respond_value(rnd)) != rnd.pieces[-1][1]:
+            rnd.pieces.append((now - rnd.invoke_tick, value))
         return []
 
     def write(self, op, now: int) -> Version:
@@ -360,7 +355,10 @@ class DeadlineProbeNode(RoundNode):
     def on_invoke(self, op, now: int) -> list[Action]:
         actions = super().on_invoke(op, now)
         if self.peers:  # else the round completed at invoke
-            for peer, send in self.rounds[op.op_id].waiting.items():
+            probe = self._probes[op.op_id] = self.rounds[op.op_id]
+            probe.invoke_tick, probe.pieces = now, [(0, self._respond_value(probe))]  # D = 0
+            probe.ticks, probe.bests, probe.done = [], [], None
+            for peer, send in probe.waiting.items():
                 self._owed[peer][op.op_id] = send.payload
         return actions
 
@@ -389,11 +387,10 @@ class DeadlineProbeNode(RoundNode):
             return super().on_message(payload, src, now)
         best = rnd.best_ver
         actions = super().on_message(payload, src, now)
-        probe = self._probes[rnd.op_id]
         if rnd.best_ver != best and rnd.kind == "read":
-            _log(probe.ticks, probe.bests, now, (rnd.best_val, rnd.best_ver))
+            _log(rnd.ticks, rnd.bests, now, (rnd.best_val, rnd.best_ver))
         if not rnd.waiting:
-            probe.done = now
+            rnd.done = now
         return actions
 
     def _log_cell(self, key: str, now: int) -> None:
@@ -413,18 +410,15 @@ class DeadlineProbeNode(RoundNode):
         """
         out = {}
         for op_id, probe in self._probes.items():
-            rnd = probe.rnd
-            last = (horizon - 1 if probe.done is None else probe.done) - rnd.invoke_tick
-            if rnd.kind == "read" and last >= self.first_logged:
-                probe.pieces += self._logged(probe, last)
-            out[op_id] = last, probe.pieces
+            last = (horizon - 1 if probe.done is None else probe.done) - probe.invoke_tick
+            logged = self._logged(probe, last) if probe.kind == "read" and last >= self.first_logged else []
+            out[op_id] = last, probe.pieces + logged
         return out
 
     def _logged(self, probe: _Probe, last: int) -> list[tuple[int, int | None]]:
         """The pieces from the logs, for the deadlines from ``first_logged`` to ``last``."""
-        rnd = probe.rnd
-        edge = rnd.invoke_tick - 1  # deadline D answers with the state at the end of tick edge + D
-        ticks, cells = self._cells.get(rnd.key, ((), ()))
+        edge = probe.invoke_tick - 1  # deadline D answers with the state at the end of tick edge + D
+        ticks, cells = self._cells.get(probe.key, ((), ()))
         lo, hi = edge + self.first_logged, edge + last
         changes = {lo}
         changes.update(ticks[bisect_right(ticks, lo):bisect_right(ticks, hi)])

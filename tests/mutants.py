@@ -38,31 +38,28 @@ TIMER_AT_LATENCY = ("tests/test_strategies.py::TestDeadlineProbe::"
                     "test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does")
 PROBED_HISTORIES = "tests/test_harness.py::test_probed_histories_equal_one_run_per_deadline"
 PROBES_AS_HYBRID = "tests/test_strategies.py::TestDeadlineProbe::test_probes_answer_as_each_hybrid_deadline_run_does"
+ANSWERS_ONLY_READ = ("tests/test_strategies.py::TestDeadlineProbe::"
+                     "test_answers_reads_the_notes_so_a_second_call_gives_what_the_first_did")
 GOLDEN = "tests/test_kernel.py::test_golden_trace_and_frontier_digests"
 
-# the deadline probe's timers for D <= latency, set at invoke -> one timer per
-# op, armed when D = 0 is noted and re-armed at each firing for the next such deadline
+# the deadline probe's timers for 0 < D <= latency, each set at invoke -> one
+# timer per op, armed at invoke for the least such D and re-armed at each
+# firing for the next
 REARMED = (
-    """        self.deadlines = (0, *(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged))
+    """        self.deadlines = tuple(d for d in sorted(set(deadlines)) if 0 < d < self.first_logged)
 
-    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
+    def _deadline_passed(self, rnd: _Probe, now: int) -> list[Action]:
         \"\"\"Note the answer at deadline now - invoke, as a new piece if its value changed.\"\"\"
-        value = self._respond_value(rnd)
-        if now == rnd.invoke_tick:  # D = 0 opens the round's notes
-            self._probes[rnd.op_id] = _Probe(rnd, value)
-        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
-            pieces.append((now - rnd.invoke_tick, value))
+        if (value := self._respond_value(rnd)) != rnd.pieces[-1][1]:
+            rnd.pieces.append((now - rnd.invoke_tick, value))
         return []
 """,
-    """        self.deadlines = (0,)
-        self.timed = [d for d in sorted(set(deadlines)) if 0 < d < self.first_logged]
+    """        self.timed = [d for d in sorted(set(deadlines)) if 0 < d < self.first_logged]
+        self.deadlines = tuple(self.timed[:1])
 
-    def _deadline_passed(self, rnd: _Round, now: int) -> list[Action]:
-        value = self._respond_value(rnd)
-        if now == rnd.invoke_tick:
-            self._probes[rnd.op_id] = _Probe(rnd, value)
-        elif value != (pieces := self._probes[rnd.op_id].pieces)[-1][1]:
-            pieces.append((now - rnd.invoke_tick, value))
+    def _deadline_passed(self, rnd: _Probe, now: int) -> list[Action]:
+        if (value := self._respond_value(rnd)) != rnd.pieces[-1][1]:
+            rnd.pieces.append((now - rnd.invoke_tick, value))
         d = now - rnd.invoke_tick
         return [SetTimer(e - d, f"{self.DEADLINE_PREFIX}{rnd.op_id}") for e in self.timed if e > d][:1]
 """,
@@ -130,16 +127,20 @@ MUTANTS = [
      "ver > rnd.best_ver):", "ver >= rnd.best_ver):",
      ["tests/test_strategies.py", "tests/test_kernel.py"]),
     ("probe logs read as of the end of tick t + D", "strategies.py",
-     "edge = rnd.invoke_tick - 1  #", "edge = rnd.invoke_tick  #",
+     "edge = probe.invoke_tick - 1  #", "edge = probe.invoke_tick  #",
      [PROBED_HISTORIES]),
     ("probe treats a round completing at tick t + D as done", "strategies.py",
-     "else probe.done) - rnd.invoke_tick", "else probe.done - 1) - rnd.invoke_tick",
+     "else probe.done) - probe.invoke_tick", "else probe.done - 1) - probe.invoke_tick",
      [PROBE_PIN]),
     ("probe timers only for D < latency", "strategies.py",
      "self.first_logged = latency + 1", "self.first_logged = latency",
      [TIMER_AT_LATENCY]),
     ("probe arms one timer per op and re-arms it for the next D <= latency", "strategies.py",
      *REARMED, [TIMER_AT_LATENCY]),
+    ("answers() writes its logged pieces into the round's notes", "strategies.py",
+     "            out[op_id] = last, probe.pieces + logged\n",
+     "            probe.pieces += logged\n            out[op_id] = last, probe.pieces\n",
+     [ANSWERS_ONLY_READ]),
     ("SyncAll given a deadline", "strategies.py",
      'self.deadlines = (params.deadline,) if params.kind == "HybridDeadline" else ()',
      "self.deadlines = (params.deadline,)",

@@ -1,3 +1,4 @@
+import copy
 import itertools
 from collections import Counter
 
@@ -6,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capsim.checker import extract_history
-from capsim.config import ScenarioConfig
+from capsim.config import ScenarioConfig, StrategyParams
+from capsim.harness import build_frontier_config
 from capsim.kernel import Simulation, run_scenario
 from capsim.strategies import DeadlineProbeNode, RegisterMap
 from capsim.trace import Trace
@@ -340,6 +342,21 @@ class TestDeadlineProbe:
         assert noted[3][1] == (14, 7) and noted[5][1] == (16, 7)
         for d in noted:
             assert hybrid_answer(doc, d, 1, 5) == noted[d][1]
+
+    def test_answers_reads_the_notes_so_a_second_call_gives_what_the_first_did(self):
+        # the reads of node 1 stay open across the cut, so their answers past
+        # the latency come from the logs; reading them must not write them
+        # into the rounds' notes, or the next call holds them twice
+        config = build_frontier_config(
+            20, StrategyParams("SyncAll", retransmit_period=1), latency=1, horizon=80
+        )
+        nodes = [DeadlineProbeNode(config.strategy, n, config.node_count, [0, 5, 10, 20], 1)
+                 for n in range(config.node_count)]
+        Simulation(config, nodes).run()
+        for node in nodes:
+            first = copy.deepcopy(node.answers(config.horizon))
+            assert node.answers(config.horizon) == first
+        assert first[7] == (23, [(0, 13), (23, 24)])
 
     @pytest.mark.parametrize("write_first, answer", [(True, 9), (False, None)])
     def test_a_timer_at_the_latency_sees_a_delivery_of_its_invoke_tick_as_its_own_run_does(
