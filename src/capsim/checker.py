@@ -17,14 +17,16 @@ everything the service learned while the client was waiting as
 optional rather than as added staleness, which is the right lens when
 a strategy deliberately delays responses (see ``harness``).
 
-``check``, ``min_consistency_bound`` and the frontier rows share one
-per-read function, ``read_staleness``, the least budget admitting a
-read (Golab, Li & Shah's Delta-atomicity). ``History`` indexes each key
-once: writes in version order, their invoke ticks, each value's write
-positions. A read then costs two bisections, so R reads over at most W
-writes per key cost O((R + W) log W). Admitted values only grow with the
-budget, so a read violates ``declared_tc`` exactly when its least budget
-exceeds it; the allowed set is built only to word that violation.
+``check``, ``min_consistency_bound`` and the frontier rows share one per-read
+function, ``read_staleness``: the least budget admitting a read (Golab, Li &
+Shah's Delta-atomicity), ``max(0, T - after + 1)`` for ``after`` the invoke
+tick of the write superseding the value read, the key's first write for the
+initial value. ``History`` indexes each key once: writes in version order,
+their invoke ticks, each value's write positions. A read then costs two
+bisections, so R reads over at most W writes per key cost O((R + W) log W).
+Admitted values only grow with the budget, so a read violates ``declared_tc``
+exactly when its least budget exceeds it; the allowed set, whose baseline is
+then a write, is built only to word that violation.
 """
 
 from __future__ import annotations
@@ -180,8 +182,6 @@ def valid_read_values(
     values learned while waiting stay admissible. ``None`` in the result
     stands for the initial absent value.
     """
-    if response_tick < 0 or tc < 0:
-        raise ValueError("anchor tick and staleness budget must be non-negative")
     limit = response_tick if optional_until is None else optional_until
     writes, ticks, _ = history.index(key)
     # the cutoff is a plain int; below zero it leaves no baseline write
@@ -192,25 +192,18 @@ def valid_read_values(
 
 
 def read_staleness(index: KeyIndex, anchor: int, response_tick: int, returned) -> int | None:
-    """Least budget admitting a read of ``index``'s key anchored at ``anchor``, or None."""
+    """Least budget admitting a read anchored at ``anchor``, ``max(0, anchor - after + 1)``, or None."""
     _, ticks, positions = index
-    if returned is None:
-        # the initial value is only legal while no write is baseline
-        return 0 if not ticks or ticks[0] > anchor else anchor - ticks[0] + 1
-    # Only the value's last write invoked by the response can set the
-    # minimum: an earlier one needs a wider window to be optional, and is
-    # baseline only at budgets that already put the later one in the window.
-    mine = positions.get(returned, ())
-    k = bisect_left(mine, bisect_right(ticks, response_tick)) - 1
-    if k < 0:
-        return None
-    i = mine[k]
-    if ticks[i] > anchor:
-        return 0  # newer than the anchor: optional at any budget
-    optional = anchor - ticks[i] + 1  # the write falls inside the window
-    # it is baseline once the next write, if any, is past the cutoff
-    after = ticks[i + 1] if i + 1 < len(ticks) else anchor + 1
-    return min(optional, max(0, anchor - after + 1))
+    i = -1  # the initial value, which the key's first write supersedes
+    if returned is not None:
+        # of the value's writes invoked by the response, the last has the latest successor
+        mine = positions.get(returned, ())
+        k = bisect_left(mine, bisect_right(ticks, response_tick)) - 1
+        if k < 0:
+            return None
+        i = mine[k]
+    after = ticks[i + 1] if i + 1 < len(ticks) else anchor + 1  # the superseder's tick, or past the anchor
+    return max(0, anchor - after + 1)
 
 
 def min_consistency_bound(history: History, *, time_ref: str = "response") -> int:
@@ -268,8 +261,7 @@ class CheckReport(namedtuple("CheckReport", "empirical_ta empirical_tc_min viola
 
 
 def _format_values(values: set) -> str:
-    ordered = sorted(values, key=lambda v: (v is not None, v))
-    return "{" + ", ".join("initial" if v is None else str(v) for v in ordered) + "}"
+    return "{" + ", ".join(map(str, sorted(values))) + "}"
 
 
 def check(

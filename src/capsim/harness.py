@@ -27,8 +27,9 @@ node's logs of its cells, its rounds' best replies and their ends, with
 no event per (op, deadline). Each op's answers come back as a few
 pieces, each a value over a run of deadlines. ``deadline_figures`` scores each read
 once per piece and once for its SyncAll answer, and one sweep over the
-deadlines takes every row's maximum staleness and latency. Rows anchor
-staleness at the invoke tick: a deadline strategy spends its D ticks
+deadlines takes every row's maximum staleness and latency. The LocalFirst
+row is that sweep over its own run with no answers, at deadline INFINITE.
+Rows anchor staleness at the invoke tick: a deadline strategy spends its D ticks
 waiting for fresher data, and response-tick anchoring would bill
 that same wait twice, once as latency and once as staleness, hiding
 the tradeoff the sweep exists to measure. Response-tick anchoring
@@ -48,9 +49,7 @@ from .checker import (
     History,
     bound_holds,
     check,
-    empirical_availability_bound,
     extract_history,
-    min_consistency_bound,
     read_staleness,
     unadmitted,
 )
@@ -280,9 +279,8 @@ def frontier_sweep(
         )
 
     local = StrategyParams("LocalFirst", anti_entropy_period=gossip)
-    history = extract_history(run_scenario(config(local)))
-    tc = min_consistency_bound(history, time_ref="invoke")
-    rows = [row("LocalFirst", None, local, tc, empirical_availability_bound(history))]
+    (figure,) = deadline_figures(extract_history(run_scenario(config(local))), {}, [INFINITE])
+    rows = [row("LocalFirst", None, local, *figure)]
     sync = StrategyParams("SyncAll", retransmit_period=1)
     figures = deadline_figures(*probed_run(config(sync), cleaned), [*cleaned, INFINITE])
     # a HybridDeadline row's slack is SyncAll's: no anti-entropy term
@@ -315,9 +313,9 @@ def deadline_figures(synced: History, answers: dict, deadlines: list) -> list[tu
 
     An op in ``answers`` takes latency D and its piece's value at each
     deadline D up to its ``last``; past it, and for every other op, its
-    SyncAll figure stands. So a deadline of INFINITE answers nothing and
-    its pair is SyncAll's. A read is scored once per piece and once for
-    its SyncAll answer, each covering a run of deadline positions, and
+    ``synced`` figure stands. So a deadline of INFINITE answers nothing and
+    its pair is ``synced``'s own. A read is scored once per piece and once for
+    its ``synced`` answer, each covering a run of deadline positions, and
     one sweep over the positions takes each row's stalest read from a heap
     of the runs open there, the first unadmitted read (inf) highest. A
     piece is scored at its first deadline's tick: its value was in the

@@ -41,6 +41,9 @@ PROBES_AS_HYBRID = "tests/test_strategies.py::TestDeadlineProbe::test_probes_ans
 ANSWERS_ONLY_READ = ("tests/test_strategies.py::TestDeadlineProbe::"
                      "test_answers_reads_the_notes_so_a_second_call_gives_what_the_first_did")
 GOLDEN = "tests/test_kernel.py::test_golden_trace_and_frontier_digests"
+CHECK_PINS = "tests/test_cli.py::test_check_gives_its_pinned_verdict"
+LOGGED_LAST_TICK = ("tests/test_strategies.py::TestDeadlineProbe::"
+                    "test_a_reply_logged_the_tick_before_its_round_completes_is_the_answer_there")
 
 # the deadline probe's timers for 0 < D <= latency, each set at invoke -> one
 # timer per op, armed at invoke for the least such D and re-armed at each
@@ -111,9 +114,9 @@ MUTANTS = [
      'except (KeyError, TypeError, ConfigError):\n            fields = read_json(d, CONFIG_FIELDS, "config")',
      'except (KeyError, TypeError, ConfigError) as exc:\n            raise ConfigError(f"config: missing required field {exc}")',
      [SEVERAL_FAULTS]),
-    ("read_staleness ticks[i] > anchor -> >=", "checker.py",
-     "if ticks[i] > anchor:", "if ticks[i] >= anchor:",
-     ["tests/test_checker.py::TestMinConsistencyBound"]),
+    ("read_staleness max(0, anchor - after + 1) -> max(0, anchor - after)", "checker.py",
+     "return max(0, anchor - after + 1)", "return max(0, anchor - after)",
+     ["tests/test_checker.py::TestMinConsistencyBound", CHECK_PINS]),
     ("horizon settlement over buckets unsorted", "kernel.py",
      "for tick in sorted(buckets):", "for tick in buckets:",
      ["tests/test_kernel.py::test_horizon_drops_settle_by_due_tick_then_queue_order"]),
@@ -132,6 +135,9 @@ MUTANTS = [
     ("probe treats a round completing at tick t + D as done", "strategies.py",
      "else probe.done) - probe.invoke_tick", "else probe.done - 1) - probe.invoke_tick",
      [PROBE_PIN]),
+    ("probe log window leaves out its last tick", "strategies.py",
+     "for s in probe.ticks if lo < s <= hi)", "for s in probe.ticks if lo < s < hi)",
+     [LOGGED_LAST_TICK]),
     ("probe timers only for D < latency", "strategies.py",
      "self.first_logged = latency + 1", "self.first_logged = latency",
      [TIMER_AT_LATENCY]),

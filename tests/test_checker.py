@@ -395,12 +395,16 @@ def test_check_flags_exactly_the_reads_the_definition_rejects(seed, tc, time_ref
         )
 
 
-@given(HISTORY_SEEDS, st.sampled_from(TIME_REFS), st.data())
+# a small tick domain puts writes on a read's anchor tick often
+HORIZONS = st.sampled_from([8, 12, 100])
+
+
+@given(HISTORY_SEEDS, HORIZONS, st.sampled_from(TIME_REFS), st.data())
 @settings(max_examples=100, deadline=None)
-def test_read_staleness_matches_the_oracle_at_any_response(seed, time_ref, data):
+def test_read_staleness_matches_the_oracle_at_any_response(seed, horizon, time_ref, data):
     # a frontier row re-scores a read at a deadline's tick and value, so each
     # read is also tried at a response tick and a value it did not have
-    history = random_history(seed, later_values=True)
+    history = random_history(seed, horizon=horizon, later_values=True)
     for read in history.reads():
         if not read.answered:
             continue
@@ -414,3 +418,19 @@ def test_read_staleness_matches_the_oracle_at_any_response(seed, time_ref, data)
             assert read_staleness(index, anchor, r.response_tick, r.returned) == (
                 read_min_tc_oracle(history, r, time_ref)
             )
+
+
+@given(HISTORY_SEEDS, HORIZONS, st.integers(0, 5), st.sampled_from(TIME_REFS))
+@settings(max_examples=100, deadline=None)
+def test_a_consistency_violation_never_allows_the_initial_value(seed, horizon, tc, time_ref):
+    # a read violates tc only when the write superseding its value is at or
+    # before the cutoff, so the cutoff has a baseline write
+    history = random_history(seed, horizon=horizon, later_values=True)
+    ops = {op.op_id: op for op in history.records}
+    for v in check(history, tc, math.inf, time_ref=time_ref).violations:
+        if v.kind == "consistency":
+            op = ops[v.op_id]
+            anchor = op.response_tick if time_ref == "response" else op.invoke_tick
+            allowed = valid_read_values(history, op.key, anchor, tc, optional_until=op.response_tick)
+            assert None not in allowed
+            assert "initial" not in v.detail.partition(", allowed ")[2]

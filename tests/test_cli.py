@@ -233,6 +233,43 @@ def test_bad_scenario_config_exits_two(tmp_path):
     assert main(["simulate", cfg]) == 2
 
 
+def _read(t, seq, op, node=0):
+    return {"t": t, "seq": seq, "ev": "invoke", "op": op, "node": node, "kind": "read", "key": "A", "val": None}
+
+
+# name -> (trace records, check's flags, exit code, stdout): the edges of the checker
+CHECK_PINS = {
+    # the first write lands on the null read's response tick, so the read needs budget 1
+    "initial value superseded on the anchor tick": (
+        [_read(3, 0, 0, node=1),
+         {"t": 5, "seq": 1, "ev": "invoke", "op": 1, "node": 0, "kind": "write", "key": "A", "val": 9},
+         {"t": 5, "seq": 2, "ev": "respond", "op": 1, "val": None},
+         {"t": 5, "seq": 3, "ev": "respond", "op": 0, "val": None}],
+        ["--tc", "0", "--ta", "10"], 1,
+        '{"empirical_ta": 2, "empirical_tc_min": 1, "violations": [{"op": 0, "kind": "consistency", '
+        '"detail": "returned initial, allowed {9}"}]}\n',
+    ),
+    "unanswered marker at the invoke tick": (
+        [_read(3, 0, 0), {"t": 3, "seq": 1, "ev": "unanswered", "op": 0}],
+        ["--tc", "0", "--ta", "0"], 1,
+        '{"empirical_ta": "inf", "empirical_tc_min": 0, "violations": [{"op": 0, "kind": "availability", '
+        '"detail": "unanswered at horizon"}]}\n',
+    ),
+    "empty trace": (
+        [], ["--tc", "0", "--ta", "0"], 0, '{"empirical_ta": 0, "empirical_tc_min": 0, "violations": []}\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_PINS))
+def test_check_gives_its_pinned_verdict(tmp_path, capsys, name):
+    records, flags, code, out = CHECK_PINS[name]
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("".join(json.dumps(r) + "\n" for r in records))
+    assert main(["check", str(trace), *flags]) == code
+    assert capsys.readouterr() == (out, "")
+
+
 def test_check_accepts_raw_line_separators_inside_strings(tmp_path, capsys):
     # JSON allows U+2028, U+2029 and NEL raw inside a string; only LF ends a line
     key = "a\u2028b\u2029c\x85d"

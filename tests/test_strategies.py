@@ -343,6 +343,23 @@ class TestDeadlineProbe:
         for d in noted:
             assert hybrid_answer(doc, d, 1, 5) == noted[d][1]
 
+    def test_a_reply_logged_the_tick_before_its_round_completes_is_the_answer_there(self):
+        # the link 0-1 is up only at ticks 11 and 13, so node 1's reply to
+        # the read at 11 brings its write at 15, the last tick D = 5 reads,
+        # one tick before node 2's reply completes the round at 16; node 1's
+        # own retransmits fall on even ticks, which are cut
+        outages = [(0, 1, 0, 11), (0, 1, 12, 13), (0, 1, 14, 40), (0, 2, 11, 12), (1, 2, 0, 40)]
+        doc = {
+            "nodes": 3,
+            "latency": 2,
+            "partitions": [dict(zip(("a", "b", "start", "end"), o)) for o in outages],
+            "workload": [write(1, 1, 7), read(11, 0)],
+        }
+        _, answers = probe(scenario(**doc, strategy={"kind": "SyncAll", "R": 2}), [4, 5])
+        assert answers[1] == (5, [(0, None), (5, 7)])
+        assert hybrid_answer(doc, 4, 1, 2) == (15, None)
+        assert hybrid_answer(doc, 5, 1, 2) == (16, 7)
+
     def test_answers_reads_the_notes_so_a_second_call_gives_what_the_first_did(self):
         # the reads of node 1 stay open across the cut, so their answers past
         # the latency come from the logs; reading them must not write them
